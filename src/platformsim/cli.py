@@ -39,7 +39,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--out", metavar="DIR", help="output directory (default: results)")
     parser.add_argument("--seed", type=int, help="base random seed (default: 42)")
     parser.add_argument("--reps", type=int, help="replications per scenario (default: 50000)")
-    parser.add_argument("--workers", type=int, help="worker processes (default: 1)")
+    parser.add_argument("--workers", type=int, help="worker threads (default: 1)")
     parser.add_argument(
         "--mode",
         choices=("patient", "sufficient"),

@@ -40,7 +40,7 @@ class PlatformDesign:
     (treatment_1, control_1, treatment_2, control_2, ...). Columns are
     recruitment periods; entry (row, t) is the number of patients that row's
     arm recruits during period t. Instances are immutable and safe to share
-    across worker processes.
+    across worker threads.
     """
 
     control_mode: ControlMode

@@ -1,14 +1,19 @@
 """Monte Carlo engine for platform-trial replications.
 
 Replications are generated in fixed-size blocks. Each block draws from its
-own counter-derived random stream keyed by (scenario seed, block index), so
-results are bitwise independent of how blocks are distributed over worker
-processes and replications never share state.
+own counter-derived random stream keyed by (scenario seed, block index) and
+is tallied into integer counts, so results are bitwise independent of how
+blocks are distributed over worker threads and replications never share
+state. Blocks overlap on threads because the normal fill, the z product and
+the large reductions run with the GIL released. Code that runs on a worker
+thread calls only private helpers of this module: the benchmark's span
+tracer wraps the public functions and is not thread-safe.
 """
 
 from __future__ import annotations
 
 import concurrent.futures
+import functools
 from dataclasses import dataclass
 from enum import Enum
 
@@ -21,6 +26,10 @@ from .distributions import Sidedness
 from .metrics import OperatingCharacteristics, characteristics_from_counts
 
 BLOCK_SIZE = 4096
+# Rows per z product. A product this small stays on the calling thread:
+# OpenBLAS hands larger ones to its own helper threads, which keep spinning
+# after the product and take the core a second worker thread needs.
+_Z_SLICE_ROWS = 512
 
 
 class SimulationMode(Enum):
@@ -120,8 +129,10 @@ def _block_rng(seed: int, block_index: int) -> np.random.Generator:
 
 def _draw_cell_means(plan: _SimPlan, rng, count: int, mode: SimulationMode) -> np.ndarray:
     if mode is SimulationMode.SUFFICIENT_STATISTIC:
-        noise = rng.standard_normal((count, len(plan.cells)))
-        return plan.cell_means[None, :] + noise * plan.cell_scales[None, :]
+        means = rng.standard_normal((count, len(plan.cells)))
+        means *= plan.cell_scales
+        means += plan.cell_means
+        return means
     means = np.empty((count, len(plan.cells)))
     for i, (_, _, patients) in enumerate(plan.cells):
         draws = rng.standard_normal((count, patients))
@@ -132,9 +143,18 @@ def _draw_cell_means(plan: _SimPlan, rng, count: int, mode: SimulationMode) -> n
 def _zstat_block(plan: _SimPlan, seed: int, block_index: int, count: int, mode: SimulationMode):
     rng = _block_rng(seed, block_index)
     means = _draw_cell_means(plan, rng, count, mode)
-    z = means @ plan.weights.T
+    z = _sliced_zstats(means, plan.weights)
     if not np.all(np.isfinite(z)):
         raise RuntimeError(f"non-finite z-statistics in block {block_index}")
+    return z
+
+
+def _sliced_zstats(means: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """``means @ weights.T`` computed in row slices of ``_Z_SLICE_ROWS``."""
+    z = np.empty((len(means), len(weights)))
+    for start in range(0, len(means), _Z_SLICE_ROWS):
+        rows = slice(start, start + _Z_SLICE_ROWS)
+        np.matmul(means[rows], weights.T, out=z[rows])
     return z
 
 
@@ -176,58 +196,60 @@ def simulate_zstats(
     return (means @ plan.weights.T)[0]
 
 
-def _scenario_block_counts(args):
-    (plan, threshold, sidedness, effective, levels, seed, block_index, count, mode) = args
+def _block_tally(plan, threshold, sidedness, effective, seed, mode, block_index, count):
+    """Joint histogram of (false, true) rejections per replication, and per-arm rejections."""
     z = _zstat_block(plan, seed, block_index, count, mode)
     score = np.abs(z) if sidedness is Sidedness.TWO_SIDED else z
     rejected = score > threshold
     eff = np.asarray(effective)
+    n_true = int(eff.sum())
     false_rej = rejected[:, ~eff].sum(axis=1)
     true_rej = rejected[:, eff].sum(axis=1)
-    n_effective = int(eff.sum())
-    return {
-        "kfwer": {k: int(np.sum(false_rej >= k)) for k in levels},
-        "false_sum": int(false_rej.sum()),
-        "false_sq_sum": int(np.sum(false_rej * false_rej)),
-        "per_arm": rejected.sum(axis=0).astype(int),
-        "disjunctive": int(np.sum(true_rej >= 1)) if n_effective else 0,
-        "conjunctive": int(np.sum(true_rej == n_effective)) if n_effective else 0,
-    }
+    joint = np.bincount(
+        false_rej * (n_true + 1) + true_rej, minlength=(len(eff) - n_true + 1) * (n_true + 1)
+    )
+    return joint, rejected.sum(axis=0)
 
 
 def run_scenario(config: ScenarioConfig, workers: int = 1) -> OperatingCharacteristics:
     """Run all replications of a scenario and aggregate the tallies.
 
-    The report is bitwise deterministic given (config, seed) and does not
-    depend on ``workers``: blocks own disjoint random streams and all
-    aggregation happens on integer counts merged in block order.
+    Blocks run on up to ``workers`` threads. The report is bitwise
+    deterministic given (config, seed) and does not depend on ``workers``:
+    blocks own disjoint random streams and all aggregation happens on
+    integer counts merged in block order.
     """
+    if workers < 1:
+        raise ValueError(f"workers must be at least 1, got {workers}")
     correlation = analytic_correlation(config.design)
     threshold = critical_value(config.policy, correlation)
     effective = tuple(e != 0.0 for e in config.effects)
     levels = tuple(sorted(set(config.kfwer_levels) | {1}))
     plan = _build_plan(config.design, config.effects)
-    jobs = [
-        (plan, threshold, config.policy.sidedness, effective, levels, config.seed, b, count, config.mode)
-        for b, count in enumerate(_block_sizes(config.reps))
-    ]
-    if workers > 1 and len(jobs) > 1:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
-            partials = list(pool.map(_scenario_block_counts, jobs, chunksize=1))
+    tally = functools.partial(
+        _block_tally, plan, threshold, config.policy.sidedness, effective, config.seed, config.mode
+    )
+    sizes = _block_sizes(config.reps)
+    if workers > 1 and len(sizes) > 1:
+        with concurrent.futures.ThreadPoolExecutor(max_workers=min(workers, len(sizes))) as pool:
+            partials = list(pool.map(tally, range(len(sizes)), sizes))
     else:
-        partials = [_scenario_block_counts(job) for job in jobs]
-    kfwer_counts = {k: sum(p["kfwer"][k] for p in partials) for k in levels}
-    per_arm = np.sum([p["per_arm"] for p in partials], axis=0)
+        partials = list(map(tally, range(len(sizes)), sizes))
+    n_true = sum(effective)
+    joint = np.sum([p[0] for p in partials], axis=0).reshape(-1, n_true + 1)
+    false_hist = joint.sum(axis=1)  # replications by number of false rejections
+    true_hist = joint.sum(axis=0)  # replications by number of true rejections
+    false_counts = np.arange(len(false_hist))
     return characteristics_from_counts(
         reps=config.reps,
         num_comparisons=config.design.num_arms,
         effective=effective,
-        kfwer_counts=kfwer_counts,
-        false_rejection_sum=sum(p["false_sum"] for p in partials),
-        false_rejection_sq_sum=sum(p["false_sq_sum"] for p in partials),
-        disjunctive_count=sum(p["disjunctive"] for p in partials),
-        conjunctive_count=sum(p["conjunctive"] for p in partials),
-        per_arm_rejections=per_arm,
+        kfwer_counts={k: int(false_hist[k:].sum()) for k in levels},
+        false_rejection_sum=int(false_counts @ false_hist),
+        false_rejection_sq_sum=int((false_counts * false_counts) @ false_hist),
+        disjunctive_count=int(true_hist[1:].sum()),
+        conjunctive_count=int(true_hist[n_true]),
+        per_arm_rejections=np.sum([p[1] for p in partials], axis=0),
     )
 
 

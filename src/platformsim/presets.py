@@ -601,7 +601,6 @@ def _write_reports(name, rows, scenarios, plotdata, ctx, out_dir) -> PresetResul
         "preset": name,
         "reps": ctx.reps,
         "seed": ctx.seed,
-        "workers": ctx.workers,
         "mode": ctx.mode.value,
         "scenarios": scenarios,
     }
@@ -626,6 +625,13 @@ def _write_reports(name, rows, scenarios, plotdata, ctx, out_dir) -> PresetResul
     )
 
 
+def _workers_override(value) -> int:
+    workers = int(value)
+    if workers < 1:
+        raise ValueError(f"workers must be at least 1, got {workers}")
+    return workers
+
+
 def _context_from_overrides(overrides) -> _RunContext:
     overrides = dict(overrides or {})
     ctx = _RunContext()
@@ -634,7 +640,7 @@ def _context_from_overrides(overrides) -> _RunContext:
     if "seed" in overrides:
         ctx.seed = int(overrides.pop("seed"))
     if "workers" in overrides:
-        ctx.workers = int(overrides.pop("workers"))
+        ctx.workers = _workers_override(overrides.pop("workers"))
     if "mode" in overrides:
         mode = overrides.pop("mode")
         ctx.mode = mode if isinstance(mode, SimulationMode) else SimulationMode(mode)
@@ -774,7 +780,7 @@ def run_config(path, overrides=None, out_dir="results") -> PresetResult:
         config = replace(
             config, mode=mode if isinstance(mode, SimulationMode) else SimulationMode(mode)
         )
-    workers = int(overrides.pop("workers", 1))
+    workers = _workers_override(overrides.pop("workers", 1))
     if overrides:
         raise ValueError(f"unknown overrides: {sorted(overrides)}")
     ctx = _RunContext(reps=config.reps, seed=config.seed, workers=workers, mode=config.mode)

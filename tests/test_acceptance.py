@@ -429,6 +429,15 @@ def test_criterion_09_budget_design():
     report(9, "budget-driven late entry", failures)
 
 
+def output_files(result):
+    """Every file a preset run wrote, keyed by its path below the output directory."""
+    return {
+        path.relative_to(result.out_dir).as_posix(): path.read_bytes()
+        for path in result.out_dir.rglob("*")
+        if path.is_file()
+    }
+
+
 def test_criterion_10_determinism(tmp_path):
     failures = []
     cases = [
@@ -441,6 +450,10 @@ def test_criterion_10_determinism(tmp_path):
         pooled = run_preset(name, overrides=dict(base, workers=4), out_dir=tmp_path / f"{name}-c")
         if first.results_csv.read_bytes() != again.results_csv.read_bytes():
             failures.append(f"{name}: rerun with identical settings changed results.csv")
-        if first.results_csv.read_bytes() != pooled.results_csv.read_bytes():
-            failures.append(f"{name}: worker count changed results.csv")
+        serial_files, pooled_files = output_files(first), output_files(pooled)
+        if not first.plotdata_paths:
+            failures.append(f"{name}: no plotdata written")
+        for path in sorted(serial_files.keys() | pooled_files.keys()):
+            if serial_files.get(path) != pooled_files.get(path):
+                failures.append(f"{name}: worker count changed {path}")
     report(10, "deterministic, worker-independent reports", failures)

@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -20,6 +21,8 @@ from platformsim.engine import (
     sample_replications,
     simulate_zstats,
 )
+from platformsim.engine import _build_plan, _sliced_zstats
+from platformsim.metrics import aggregate_characteristics, tally_outcomes
 
 UNADJ = AdjustmentPolicy(AdjustmentMethod.UNADJUSTED)
 
@@ -67,6 +70,23 @@ class TestZStatistics:
         single = simulate_zstats(design, (0.0, 0.0), rng)
         block = next(iter_zstat_blocks(design, (0.0, 0.0), 8, seed=9))
         assert single == pytest.approx(block[0], abs=1e-12)
+
+    @pytest.mark.parametrize(
+        "design",
+        [
+            build_fixed_design(10, 150, ControlMode.COMMON),
+            build_fixed_design(10, 150, ControlMode.INDIVIDUAL),
+            build_staggered_design(150, 80),
+        ],
+        ids=["cc-m10", "ic-m10", "staggered"],
+    )
+    def test_sliced_product_equals_full_product(self, design):
+        plan = _build_plan(design, (0.38,) + (0.0,) * (design.num_arms - 1))
+        rng = np.random.default_rng(14)
+        for rows in (4096, 848, 1):
+            means = plan.cell_means + rng.standard_normal((rows, len(plan.cells))) * plan.cell_scales
+            sliced = _sliced_zstats(means, plan.weights)
+            assert sliced.tobytes() == (means @ plan.weights.T).tobytes()
 
 
 class TestRunScenario:
@@ -116,9 +136,36 @@ class TestRunScenario:
         assert run_scenario(config) == run_scenario(config)
 
     def test_worker_count_does_not_change_report(self):
+        # more threads than the two cores, switching often, in both modes
         design = build_staggered_design(150, 80)
-        config = ScenarioConfig(design, (0.38, 0.0, 0.0), UNADJ, reps=12_000, seed=12)
-        assert run_scenario(config, workers=1) == run_scenario(config, workers=3)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for mode in SimulationMode:
+                config = ScenarioConfig(design, (0.38, 0.0, 0.0), UNADJ, reps=12_000, seed=12, mode=mode)
+                assert run_scenario(config, workers=1) == run_scenario(config, workers=3), mode
+        finally:
+            sys.setswitchinterval(interval)
+
+    @pytest.mark.parametrize("effects", [(0.0,) * 4, (0.38, 0.2, 0.0, 0.0)], ids=["null", "mixed"])
+    def test_block_counts_match_per_replication_tallies(self, effects):
+        design = build_fixed_design(4, 60, ControlMode.COMMON)
+        config = ScenarioConfig(design, effects, UNADJ, reps=5_000, seed=15, kfwer_levels=(1, 2))
+        replications = sample_replications(config, config.reps)
+        effective = [e != 0.0 for e in effects]
+        reference = aggregate_characteristics(
+            (tally_outcomes(r.rejections, effective) for r in replications),
+            kfwer_levels=(1, 2),
+            effective=effective,
+            per_arm_rejections=np.sum([r.rejections for r in replications], axis=0),
+        )
+        assert run_scenario(config, workers=2) == reference
+
+    @pytest.mark.parametrize("workers", [0, -3])
+    def test_workers_below_one_rejected(self, workers):
+        config = ScenarioConfig(build_fixed_design(3, 150, ControlMode.COMMON), (0.0,) * 3, UNADJ)
+        with pytest.raises(ValueError, match="workers"):
+            run_scenario(config, workers=workers)
 
     def test_marginal_power_reported_for_effective_arms_only(self):
         design = build_fixed_design(3, 150, ControlMode.COMMON)

@@ -27,6 +27,15 @@ def write_config(tmp_path, payload, name="scenario.json"):
 MINIMAL = {"m": 3, "n": 150, "control": "common", "effects": [0, 0, 0]}
 
 
+def output_files(result):
+    """Every file a run wrote, keyed by its path below the output directory."""
+    return {
+        path.relative_to(result.out_dir).as_posix(): path.read_bytes()
+        for path in result.out_dir.rglob("*")
+        if path.is_file()
+    }
+
+
 class TestLoadConfig:
     def test_minimal_config_is_base_scenario(self, tmp_path):
         config = load_config(write_config(tmp_path, MINIMAL))
@@ -148,7 +157,17 @@ class TestRunPreset:
             overrides={"reps": 3_000, "workers": 3, "sweep": (2, 3)},
             out_dir=tmp_path / "w3",
         )
-        assert a.results_csv.read_bytes() == b.results_csv.read_bytes()
+        assert a.plotdata_paths
+        assert output_files(a) == output_files(b)
+
+    @pytest.mark.parametrize("workers", [0, -3])
+    def test_workers_below_one_rejected(self, tmp_path, workers):
+        with pytest.raises(ValueError, match="workers"):
+            run_preset("table3", overrides={"reps": 200, "workers": workers}, out_dir=tmp_path)
+        with pytest.raises(ValueError, match="workers"):
+            run_config(write_config(tmp_path, MINIMAL), overrides={"workers": workers},
+                       out_dir=tmp_path / "custom")
+        assert not (tmp_path / "results.csv").exists()
 
     def test_seed_changes_results(self, tmp_path):
         a = run_preset("table3", overrides={"reps": 2_000, "seed": 1}, out_dir=tmp_path / "s1")
@@ -207,6 +226,14 @@ class TestCli:
         code = main(["--preset", "nope", "--out", str(tmp_path)])
         assert code == 1
         assert "unknown preset" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("workers", ["0", "-3"])
+    def test_workers_below_one_fail_cleanly(self, tmp_path, capsys, workers):
+        for source in (["--preset", "table3"], ["--config", str(write_config(tmp_path, MINIMAL))]):
+            code = main(source + ["--reps", "200", "--workers", workers, "--out", str(tmp_path / "o")])
+            assert code == 1
+            assert f"workers must be at least 1, got {workers}" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
     def test_config_run(self, tmp_path):
         path = write_config(tmp_path, dict(MINIMAL, reps=400))
