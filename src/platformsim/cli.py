@@ -59,8 +59,14 @@ def main(argv=None) -> int:
     overrides = {}
     for key, flag in (("seed", args.seed), ("reps", args.reps), ("workers", args.workers)):
         value = flag if flag is not None else _env(key.upper())
-        if value is not None:
+        if value is None:
+            continue
+        try:
             overrides[key] = int(value)
+        except ValueError:  # only an environment string can fail; argparse checked the flag
+            name = _ENV_PREFIX + key.upper()
+            print(f"error: {name} must be an integer, got {value!r}", file=sys.stderr)
+            return 2  # the code argparse gives the same value as a flag
     mode = args.mode if args.mode is not None else _env("MODE")
     if mode is not None:
         overrides["mode"] = mode

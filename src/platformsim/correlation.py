@@ -38,9 +38,10 @@ class CorrelationMatrix:
             raise ValueError("correlation matrix must be square")
         if not np.all(np.isfinite(a)):
             raise ValueError("correlation entries must be finite")
-        if not np.allclose(a, a.T, atol=_ENTRY_TOL, rtol=0.0):
+        # entries are finite here, so these are np.allclose(..., rtol=0) tests
+        if np.abs(a - a.T).max() > _ENTRY_TOL:
             raise ValueError("correlation matrix must be symmetric")
-        if not np.allclose(np.diag(a), 1.0, atol=_ENTRY_TOL, rtol=0.0):
+        if np.abs(np.diag(a) - 1.0).max() > _ENTRY_TOL:
             raise ValueError("correlation matrix must have a unit diagonal")
         if a.min() < -_ENTRY_TOL or a.max() > 1.0 + _ENTRY_TOL:
             raise ValueError("correlation entries must lie in [0, 1]")
@@ -95,17 +96,16 @@ def analytic_correlation(design: PlatformDesign) -> CorrelationMatrix:
     # n0_j^2 (1/n_j + 1/n0_j) as an exact rational, so that integer-valued
     # denominators (the usual equal-allocation cases) stay exact in floats
     factor = [Fraction(conc[j]) + Fraction(conc[j] * conc[j], treat[j]) for j in range(m)]
-    rows = []
+    control = design.recruitment[0]
+    active = [set(design.active_periods(j)) for j in range(m)]
+    rows = [[1.0] * m for _ in range(m)]
     for a in range(m):
-        row = []
-        for b in range(m):
-            if a == b:
-                row.append(1.0)
-            else:
-                overlap = design.shared_control_count(a, b)
-                row.append(overlap / math.sqrt(factor[a] * factor[b]))
-        rows.append(tuple(row))
-    return CorrelationMatrix(tuple(rows))
+        for b in range(a + 1, m):
+            # same overlap as design.shared_control_count(a, b); the exact
+            # product factor[a] * factor[b] is symmetric, so one entry serves both
+            overlap = sum(control[t] for t in active[a] & active[b])
+            rows[a][b] = rows[b][a] = overlap / math.sqrt(factor[a] * factor[b])
+    return CorrelationMatrix(tuple(tuple(row) for row in rows))
 
 
 def equal_recruitment_correlation(n_control: int, n_first: int, n_second: int) -> float:

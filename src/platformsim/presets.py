@@ -745,7 +745,7 @@ def load_config(path) -> ScenarioConfig:
         raise ValueError("config field 'sidedness' must be 'one_sided' or 'two_sided'") from exc
     policy = AdjustmentPolicy(AdjustmentMethod(adjustment), float(alpha), sidedness)
     reps = int_field("reps", DEFAULT_REPS, minimum=1)
-    seed = int_field("seed", DEFAULT_SEED)
+    seed = int_field("seed", DEFAULT_SEED, minimum=0)
     mode = field("mode", "sufficient")
     try:
         mode = SimulationMode(mode)
@@ -774,7 +774,10 @@ def run_config(path, overrides=None, out_dir="results") -> PresetResult:
     if "reps" in overrides:
         config = replace(config, reps=int(overrides.pop("reps")))
     if "seed" in overrides:
-        config = replace(config, seed=int(overrides.pop("seed")))
+        seed = int(overrides.pop("seed"))
+        if seed < 0:
+            raise ValueError(f"seed must be at least 0 for a config run, got {seed}")
+        config = replace(config, seed=seed)
     if "mode" in overrides:
         mode = overrides.pop("mode")
         config = replace(

@@ -106,6 +106,12 @@ def _policy_power(n: int, template, policy: AdjustmentPolicy, delta: float, arm:
     )
 
 
+def _per_side_n(threshold: float, target: PowerTarget) -> int:
+    """Closed-form two-arm size: delta sqrt(n / 2) reaches threshold + z_target."""
+    z_target = normal_quantile(target.target)
+    return max(1, math.ceil(2.0 * ((threshold + z_target) / target.delta) ** 2))
+
+
 def required_per_arm_n(
     target: PowerTarget,
     policy: AdjustmentPolicy,
@@ -113,53 +119,59 @@ def required_per_arm_n(
     arm: int = 0,
     max_n: int = 10_000_000,
 ) -> int:
-    """Smallest per-arm n whose marginal power reaches the target.
+    """Smallest per-arm n up to ``max_n`` whose marginal power reaches the target.
 
-    Initialized from the closed-form two-arm size at the policy's
-    single-comparison level, then refined by integer bisection on the
-    monotone analytic power curve. ``template`` maps a candidate n to the
-    design it induces; candidates it rejects count as infeasible.
+    The policy's threshold is evaluated once, at the design of the two-arm
+    unadjusted size, and the closed-form per-side n at that threshold is the
+    first guess. From the guess the search gallops down or up in steps of
+    1, 2, 4, ... until the answer is bracketed, then bisects the bracket on
+    the monotone analytic power curve. When the guess is exact, as for fixed
+    designs whose threshold does not depend on n, that costs three threshold
+    evaluations. ``template`` maps a candidate n to the design it induces;
+    candidates it rejects count as infeasible. Raises if no n up to ``max_n``
+    reaches the target.
     """
     if target.alpha != policy.alpha:
         raise ValueError("power target and policy disagree on alpha")
 
-    def power(n: int) -> float:
+    def meets(n: int) -> bool:
         try:
-            return _policy_power(n, template, policy, target.delta, arm)
+            return _policy_power(n, template, policy, target.delta, arm) >= target.target
         except ValueError:
-            return -1.0
+            return False
 
-    # closed-form two-arm initialization; the doubling loop below lifts it
-    # to a feasible upper bound under stricter thresholds
-    probe = max(
-        1,
-        math.ceil(
-            2.0
-            * (
-                (
-                    normal_quantile(1.0 - target.alpha / 2.0)
-                    + normal_quantile(target.target)
-                )
-                / target.delta
-            )
-            ** 2
-        ),
-    )
-    high = probe
-    while power(high) < target.target:
-        high *= 2
-        if high > max_n:
-            raise ValueError("no feasible sample size below the search cap")
-    low = 1
-    while high - low > 1:
-        mid = (low + high) // 2
-        if power(mid) >= target.target:
-            high = mid
+    probe = _per_side_n(normal_quantile(1.0 - target.alpha / 2.0), target)
+    try:
+        threshold = critical_value(policy, analytic_correlation(template(probe)))
+        guess = _per_side_n(threshold, target)
+    except ValueError:  # the template rejects the probe size
+        guess = probe
+    guess = min(guess, max_n)
+    # invariant once bracketed: lo misses the target (or is 0), hi meets it
+    step = 1
+    if meets(guess):
+        hi = guess
+        while True:
+            lo = max(hi - step, 0)
+            if lo == 0 or not meets(lo):
+                break
+            hi, step = lo, step * 2
+    else:
+        lo = guess
+        while True:
+            if lo >= max_n:
+                raise ValueError("no feasible sample size below the search cap")
+            hi = min(lo + step, max_n)
+            if meets(hi):
+                break
+            lo, step = hi, step * 2
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if meets(mid):
+            hi = mid
         else:
-            low = mid
-    if power(low) >= target.target:
-        return low
-    return high
+            lo = mid
+    return hi
 
 
 class ArmSplit(NamedTuple):

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -17,7 +18,7 @@ from platformsim.designs import (
     build_fixed_design,
     build_staggered_design,
 )
-from strategies import single_period_common_designs, staggered_params
+from strategies import multi_period_common_designs, single_period_common_designs, staggered_params
 
 
 class TestAnalyticCorrelation:
@@ -71,6 +72,28 @@ class TestAnalyticCorrelation:
         assert matrix.entry(1, 2) == pytest.approx(expected, abs=1e-12)
         assert matrix.entry(0, 2) == pytest.approx(expected, abs=1e-12)
 
+    @given(multi_period_common_designs())
+    @settings(max_examples=80)
+    def test_entries_equal_pairwise_reference(self, design):
+        # entry by entry from design.shared_control_count, both triangles
+        # computed separately; the matrix must hold the very same floats
+        m = design.num_arms
+        conc = [design.concurrent_control_count(j) for j in range(m)]
+        factor = [
+            Fraction(conc[j]) + Fraction(conc[j] * conc[j], design.treatment_total(j))
+            for j in range(m)
+        ]
+        expected = tuple(
+            tuple(
+                1.0
+                if a == b
+                else design.shared_control_count(a, b) / math.sqrt(factor[a] * factor[b])
+                for b in range(m)
+            )
+            for a in range(m)
+        )
+        assert analytic_correlation(design).entries == expected
+
     @given(staggered_params(max_n=250))
     @settings(max_examples=40)
     def test_matrix_is_valid(self, params):
@@ -91,6 +114,19 @@ class TestCorrelationMatrixValidation:
     def test_rejects_non_unit_diagonal(self):
         with pytest.raises(ValueError, match="diagonal"):
             CorrelationMatrix(((0.9, 0.0), (0.0, 1.0)))
+
+    def test_entry_tolerance_is_absolute(self):
+        # asymmetry and diagonal error up to 1e-9 pass; beyond it they fail
+        CorrelationMatrix(((1.0 + 5e-10, 0.2), (0.2 + 5e-10, 1.0)))
+        with pytest.raises(ValueError, match="symmetric"):
+            CorrelationMatrix(((1.0, 0.2), (0.2 + 2e-9, 1.0)))
+        with pytest.raises(ValueError, match="diagonal"):
+            CorrelationMatrix(((1.0, 0.2), (0.2, 1.0 - 2e-9)))
+
+    def test_rejects_non_finite(self):
+        for bad in (float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="finite"):
+                CorrelationMatrix(((1.0, bad), (bad, 1.0)))
 
     def test_rejects_negative_entries(self):
         with pytest.raises(ValueError, match=r"\[0, 1\]"):

@@ -256,6 +256,30 @@ class TestCli:
         payload = json.loads((tmp_path / "results.json").read_text())
         assert payload["reps"] == 200
 
+    @pytest.mark.parametrize("name", ["SIMULATE_SEED", "SIMULATE_REPS", "SIMULATE_WORKERS"])
+    def test_non_integer_environment_value_fails_cleanly(self, tmp_path, monkeypatch, capsys, name):
+        monkeypatch.setenv(name, "two")
+        code = main(["--preset", "table3", "--out", str(tmp_path / "o")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert err.startswith("error: ") and name in err and "'two'" in err
+        assert not (tmp_path / "o").exists()
+
+    def test_negative_config_seed_names_field(self, tmp_path, capsys):
+        path = write_config(tmp_path, dict(MINIMAL, reps=200, seed=-4))
+        code = main(["--config", str(path), "--out", str(tmp_path / "o")])
+        assert code == 1
+        assert "config field 'seed' must be at least 0" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    def test_negative_seed_override_on_config_names_field(self, tmp_path, capsys):
+        path = write_config(tmp_path, dict(MINIMAL, reps=200))
+        code = main(["--config", str(path), "--seed", "-4", "--out", str(tmp_path / "o")])
+        assert code == 1
+        assert "seed must be at least 0" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     def test_console_script_help(self):
         proc = subprocess.run(
             [sys.executable, "-m", "platformsim.cli", "--help"],

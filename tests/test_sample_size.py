@@ -3,9 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from platformsim.adjust import AdjustmentMethod, AdjustmentPolicy
+from platformsim.adjust import AdjustmentMethod, AdjustmentPolicy, critical_value
 from platformsim.correlation import analytic_correlation
 from platformsim.designs import ControlMode, PlatformDesign, build_fixed_design
+from platformsim.distributions import normal_quantile
 from platformsim.engine import ScenarioConfig, run_scenario
 from platformsim.sample_size import (
     PowerTarget,
@@ -22,6 +23,67 @@ UNADJ = AdjustmentPolicy(AdjustmentMethod.UNADJUSTED)
 BONF = AdjustmentPolicy(AdjustmentMethod.BONFERRONI)
 DUNN = AdjustmentPolicy(AdjustmentMethod.DUNNETT)
 TARGET = PowerTarget(0.9, 0.38)
+
+
+def _comparison_power(n, target, policy, template, arm):
+    design = template(n)
+    threshold = critical_value(policy, analytic_correlation(design))
+    return marginal_power(
+        design.treatment_total(arm), design.concurrent_control_count(arm), target.delta, threshold
+    )
+
+
+def _bisection_required_n(target, policy, template, arm=0, max_n=10_000_000):
+    """Reference search: double up from the two-arm size, then bisect from 1.
+
+    This is the search ``required_per_arm_n`` used before it galloped from a
+    closed-form guess; it costs about ten threshold evaluations per call.
+    """
+
+    def power(n):
+        try:
+            return _comparison_power(n, target, policy, template, arm)
+        except ValueError:
+            return -1.0
+
+    z_sum = normal_quantile(1.0 - target.alpha / 2.0) + normal_quantile(target.target)
+    probe = max(1, math.ceil(2.0 * (z_sum / target.delta) ** 2))
+    high = probe
+    while power(high) < target.target:
+        high *= 2
+        if high > max_n:
+            raise ValueError("no feasible sample size below the search cap")
+    low = 1
+    while high - low > 1:
+        mid = (low + high) // 2
+        if power(mid) >= target.target:
+            high = mid
+        else:
+            low = mid
+    if power(low) >= target.target:
+        return low
+    return high
+
+
+def _recording(template):
+    """Wrap a template so that the candidate sizes it is asked for are kept."""
+    asked = []
+
+    def build(n):
+        asked.append(n)
+        return template(n)
+
+    return build, asked
+
+
+SEARCH_CASES = (
+    [(f"common-m{m}", fixed_template(m, ControlMode.COMMON), 0) for m in range(1, 11)]
+    + [(f"individual-m{m}", fixed_template(m, ControlMode.INDIVIDUAL), 0) for m in (1, 3, 10)]
+    + [
+        (f"staggered-shift{shift}", staggered_template(shift), 2)
+        for shift in (0, 1, 37, 75, 149, 150, 151, 200)
+    ]
+)
 
 
 class TestAnalyticPower:
@@ -122,6 +184,61 @@ class TestRequiredPerArmN:
         power_low = oc_low.marginal_power[0]
         assert power_ok.value >= 0.9 - 2 * power_ok.se
         assert power_low.value <= 0.9 + 2 * power_low.se
+
+
+class TestGallopingSearch:
+    """``required_per_arm_n`` against the bisection it replaced."""
+
+    @pytest.mark.parametrize(
+        "template, arm", [case[1:] for case in SEARCH_CASES], ids=[case[0] for case in SEARCH_CASES]
+    )
+    def test_matches_bisection_oracle(self, template, arm):
+        for policy in (UNADJ, BONF, DUNN):
+            for goal in (0.5, 0.8, 0.9, 0.95):
+                for delta in (0.2, 0.38, 3.0):
+                    target = PowerTarget(goal, delta)
+                    n = required_per_arm_n(target, policy, template, arm=arm)
+                    assert n == _bisection_required_n(target, policy, template, arm=arm)
+                    assert _comparison_power(n, target, policy, template, arm) >= goal
+                    if n > 1:
+                        try:
+                            below = _comparison_power(n - 1, target, policy, template, arm)
+                        except ValueError:  # n - 1 is infeasible
+                            continue
+                        assert below < goal
+
+    def test_exact_guess_costs_three_evaluations(self):
+        # probe threshold, the guess and the size below it
+        template, asked = _recording(fixed_template(3, ControlMode.COMMON))
+        assert required_per_arm_n(TARGET, DUNN, template) == 183
+        assert len(asked) == 3
+
+    def test_gallop_down_to_one(self):
+        # 1000 patients per side for each unit of n: the closed-form guess
+        # (146) overshoots and the search gallops down to the floor
+        def template(n):
+            return build_fixed_design(1, 1000 * n, ControlMode.COMMON)
+
+        recorded, asked = _recording(template)
+        assert required_per_arm_n(TARGET, UNADJ, recorded) == 1
+        assert max(asked) > 100 and asked[-1] == 1
+        assert _bisection_required_n(TARGET, UNADJ, template) == 1
+
+    def test_gallop_up_through_infeasible_sizes(self):
+        # shift 200 rejects every guess below 200, so the search climbs
+        # through infeasible sizes until it brackets the answer
+        template, asked = _recording(staggered_template(200))
+        assert required_per_arm_n(TARGET, UNADJ, template, arm=2) == 200
+        assert min(asked) < 200 < max(asked)
+        assert _bisection_required_n(TARGET, UNADJ, staggered_template(200), arm=2) == 200
+
+    def test_search_cap(self):
+        template = fixed_template(1, ControlMode.COMMON)
+        assert required_per_arm_n(TARGET, UNADJ, template, max_n=146) == 146
+        with pytest.raises(ValueError, match="no feasible sample size below the search cap"):
+            required_per_arm_n(TARGET, UNADJ, template, max_n=145)
+        with pytest.raises(ValueError, match="search cap"):
+            required_per_arm_n(TARGET, UNADJ, staggered_template(300), arm=2, max_n=250)
 
 
 class TestSplitFixedTotal:
