@@ -1,10 +1,18 @@
 """Preset scenario catalog, config ingestion and report emission.
 
-Each preset fixes designs, effect vectors, adjustment policies and sweep
-grids for one table or figure of the case study: the fixed four-arm error
-table (table3), its staggered variant (table4), the fixed-platform sweeps
-over the number of arms (fig2-fig4) and the flexible-platform sweeps over
-the late arm's entry shift (fig5-fig7). Reports are a long-format
+Each preset reproduces one table or figure of the case study: the fixed
+four-arm error table (table3), its staggered variant (table4), the
+fixed-platform sweeps over the number of arms (fig2-fig4) and the
+flexible-platform sweeps over the late arm's entry shift (fig5-fig7).
+
+The catalog is data: ``_PRESETS`` maps each name to a ``_Preset`` spec of a
+sweep grid (arms, shifts, or none for the tables), an effect pattern of the
+number of arms, the metrics, an ordered list of series and the plot pivots.
+A series is simulated (``_Simulated``), a required sample size
+(``_RequiredN``) or fig6's budget comparison size (``_ComparisonN``); a
+reference series runs once, after the sweep, with no sweep value. One
+runner, ``_run_spec``, turns every series into result rows and scenario
+records and pivots the rows into the plot tables. Reports are a long-format
 results.csv, a structured results.json and per-figure plotdata CSVs.
 """
 
@@ -16,8 +24,9 @@ import json
 import math
 from dataclasses import dataclass, replace
 from pathlib import Path
+from typing import Callable
 
-from .adjust import AdjustmentMethod, AdjustmentPolicy
+from .adjust import AdjustmentMethod, AdjustmentPolicy, critical_value
 from .correlation import analytic_correlation
 from .designs import (
     ControlMode,
@@ -95,20 +104,6 @@ def _levels(num_arms: int) -> tuple[int, ...]:
     return tuple(k for k in DEFAULT_KFWER_LEVELS if k <= num_arms)
 
 
-def _simulate(ctx: _RunContext, design, effects, adjustment: str, series_key: tuple):
-    seed = _scenario_seed(ctx.seed, *series_key)
-    config = ScenarioConfig(
-        design=design,
-        effects=tuple(effects),
-        policy=_POLICIES[adjustment],
-        reps=ctx.reps,
-        seed=seed,
-        mode=ctx.mode,
-        kfwer_levels=_levels(design.num_arms),
-    )
-    return run_scenario(config, workers=ctx.workers), seed
-
-
 def _row(preset, sweep, design_label, adjustment, metric, estimate, mc_se, reps, seed):
     return {
         "preset": preset,
@@ -123,37 +118,26 @@ def _row(preset, sweep, design_label, adjustment, metric, estimate, mc_se, reps,
     }
 
 
+def _estimate(oc, metric):
+    """The estimate of one named metric, or None where the scenario has none."""
+    if metric in ("fwer", "pfer", "disjunctive_power", "conjunctive_power"):
+        return getattr(oc, metric)
+    if metric.startswith("kfwer_"):
+        return oc.kfwer.get(int(metric.split("_")[1]))
+    if metric.startswith("marginal_power_"):
+        arm = int(metric.split("_")[-1]) - 1
+        return None if oc.marginal_power is None else oc.marginal_power[arm]
+    raise ValueError(f"unknown metric {metric!r}")
+
+
 def _estimate_rows(preset, sweep, design_label, adjustment, oc, seed, metrics):
     """Rows for the named metrics of one simulated scenario."""
-    rows = []
-
-    def add(metric, est):
-        if est is None:
-            return
-        rows.append(
-            _row(preset, sweep, design_label, adjustment, metric, est.value, est.se, oc.reps, seed)
-        )
-
-    for metric in metrics:
-        if metric == "fwer":
-            add("fwer", oc.fwer)
-        elif metric.startswith("kfwer_"):
-            k = int(metric.split("_")[1])
-            if k in oc.kfwer:
-                add(metric, oc.kfwer[k])
-        elif metric == "pfer":
-            add("pfer", oc.pfer)
-        elif metric.startswith("marginal_power_"):
-            arm = int(metric.split("_")[-1]) - 1
-            if oc.marginal_power is not None and oc.marginal_power[arm] is not None:
-                add(metric, oc.marginal_power[arm])
-        elif metric == "disjunctive_power":
-            add(metric, oc.disjunctive_power)
-        elif metric == "conjunctive_power":
-            add(metric, oc.conjunctive_power)
-        else:
-            raise ValueError(f"unknown metric {metric!r}")
-    return rows
+    estimates = [(metric, _estimate(oc, metric)) for metric in metrics]
+    return [
+        _row(preset, sweep, design_label, adjustment, metric, est.value, est.se, oc.reps, seed)
+        for metric, est in estimates
+        if est is not None
+    ]
 
 
 def _exact_row(preset, sweep, design_label, adjustment, metric, value):
@@ -177,48 +161,15 @@ def _scenario_record(label, sweep, adjustment, design, effects, oc, seed, ctx):
 
 
 ERROR_METRICS = ("fwer", "kfwer_2", "kfwer_3", "pfer")
+_KFWER_METRICS = ("fwer", "kfwer_2", "kfwer_3")
+_POWER_SUMMARIES = ("disjunctive_power", "conjunctive_power")
 
-
-def _error_table_preset(preset, ctx, cc_design):
-    """Shared body of the table3/table4 error-rate grids."""
-    rows, scenarios = [], []
-    null = (0.0, 0.0, 0.0)
-    ic_design = build_fixed_design(3, 150, ControlMode.INDIVIDUAL)
-    columns = {}
-    for adjustment in _ADJUSTMENTS:
-        oc, seed = _simulate(ctx, cc_design, null, adjustment, (preset, "common"))
-        rows += _estimate_rows(preset, None, "common", adjustment, oc, seed, ERROR_METRICS)
-        scenarios.append(_scenario_record("common", None, adjustment, cc_design, null, oc, seed, ctx))
-        columns[("common", adjustment)] = oc
-    oc, seed = _simulate(ctx, ic_design, null, "unadjusted", (preset, "individual"))
-    rows += _estimate_rows(preset, None, "individual", "unadjusted", oc, seed, ERROR_METRICS)
-    scenarios.append(_scenario_record("individual", None, "unadjusted", ic_design, null, oc, seed, ctx))
-    columns[("individual", "unadjusted")] = oc
-
-    order = [("common", a) for a in _ADJUSTMENTS] + [("individual", "unadjusted")]
-    header = ["metric"] + [f"{d}_{a}" for d, a in order]
-    table = []
-    for metric in ERROR_METRICS:
-        line = [metric]
-        for key in order:
-            oc = columns[key]
-            if metric == "fwer":
-                line.append(oc.fwer.value)
-            elif metric == "pfer":
-                line.append(oc.pfer.value)
-            else:
-                line.append(oc.kfwer[int(metric.split("_")[1])].value)
-        table.append(line)
-    plotdata = {preset: (header, table)}
-    return rows, scenarios, plotdata
-
-
-def _run_table3(ctx):
-    return _error_table_preset("table3", ctx, build_fixed_design(3, 150, ControlMode.COMMON))
-
-
-def _run_table4(ctx):
-    return _error_table_preset("table4", ctx, build_staggered_design(150, 80))
+_EFFECTS = {
+    "null": lambda m: (0.0,) * m,
+    "first": lambda m: (EFFECT_SIZE,) + (0.0,) * (m - 1),
+    "last": lambda m: (0.0,) * (m - 1) + (EFFECT_SIZE,),
+    "all": lambda m: (EFFECT_SIZE,) * m,
+}
 
 
 def _arm_grid(ctx):
@@ -237,81 +188,147 @@ def _shift_grid(ctx):
     return grid
 
 
-def _run_fig2(ctx):
-    preset = "fig2_kfwer_sweep"
-    rows, scenarios = [], []
-    series = {}
-    grid = _arm_grid(ctx)
-    metrics = ("fwer", "kfwer_2", "kfwer_3")
-    for m in grid:
-        null = (0.0,) * m
-        for label, mode in (("common", ControlMode.COMMON), ("individual", ControlMode.INDIVIDUAL)):
-            design = build_fixed_design(m, 150, mode)
-            oc, seed = _simulate(ctx, design, null, "unadjusted", (preset, label, m))
-            rows += _estimate_rows(preset, m, label, "unadjusted", oc, seed, metrics)
-            scenarios.append(_scenario_record(label, m, "unadjusted", design, null, oc, seed, ctx))
-            series[(label, m)] = oc
-    header = ["num_arms"]
-    for label in ("common", "individual"):
-        header += [f"{label}_fwer", f"{label}_kfwer_2", f"{label}_kfwer_3"]
-    table = []
-    for m in grid:
-        line = [m]
-        for label in ("common", "individual"):
-            oc = series[(label, m)]
-            line.append(oc.fwer.value)
-            line.append(oc.kfwer[2].value if 2 in oc.kfwer else "")
-            line.append(oc.kfwer[3].value if 3 in oc.kfwer else "")
-        table.append(line)
-    return rows, scenarios, {preset: (header, table)}
+@dataclass(frozen=True)
+class _Simulated:
+    """A simulated series: one design per sweep value, run under each adjustment.
 
+    ``seed_by`` names what enters the seed key besides the preset and label:
+    "sweep", "adjustment" or nothing. A series seeded by neither uses common
+    random numbers across the whole sweep.
+    """
 
-def _run_fig3_required_n(ctx):
-    preset = "fig3_required_n"
-    rows, scenarios = [], []
-    target = PowerTarget(POWER_GOAL, EFFECT_SIZE)
-    grid = _arm_grid(ctx)
-    totals = {}
-    for m in grid:
-        for adjustment in _ADJUSTMENTS:
-            n = required_per_arm_n(target, _POLICIES[adjustment], fixed_template(m, ControlMode.COMMON))
-            total = n * (m + 1)
-            rows.append(_exact_row(preset, m, "common", adjustment, "required_n_per_arm", n))
-            rows.append(_exact_row(preset, m, "common", adjustment, "required_total_n", total))
-            totals[("common", adjustment, m)] = total
-            scenarios.append(
-                {
-                    "kind": "exact",
-                    "design_label": "common",
-                    "sweep_value": m,
-                    "adjustment": adjustment,
-                    "required_n_per_arm": n,
-                    "required_total_n": total,
-                }
+    label: str
+    adjustments: tuple[str, ...]
+    design: Callable  # sweep value -> PlatformDesign
+    seed_by: tuple[str, ...] = ()
+    reference: bool = False
+
+    def run(self, preset, spec, sweep, ctx, rows, scenarios):
+        design = self.design(sweep)
+        effects = _EFFECTS[spec.effects](design.num_arms)
+        for adjustment in self.adjustments:
+            key = (preset, self.label)
+            key += (sweep,) if "sweep" in self.seed_by else ()
+            key += (adjustment,) if "adjustment" in self.seed_by else ()
+            seed = _scenario_seed(ctx.seed, *key)
+            config = ScenarioConfig(
+                design=design,
+                effects=effects,
+                policy=_POLICIES[adjustment],
+                reps=ctx.reps,
+                seed=seed,
+                mode=ctx.mode,
+                kfwer_levels=_levels(design.num_arms),
             )
-        n_ic = required_per_arm_n(target, _POLICIES["unadjusted"], fixed_template(m, ControlMode.INDIVIDUAL))
-        total_ic = 2 * m * n_ic
-        rows.append(_exact_row(preset, m, "individual", "unadjusted", "required_n_per_arm", n_ic))
-        rows.append(_exact_row(preset, m, "individual", "unadjusted", "required_total_n", total_ic))
-        totals[("individual", "unadjusted", m)] = total_ic
-        scenarios.append(
-            {
-                "kind": "exact",
-                "design_label": "individual",
-                "sweep_value": m,
-                "adjustment": "unadjusted",
-                "required_n_per_arm": n_ic,
-                "required_total_n": total_ic,
-            }
-        )
-    header = ["num_arms"] + [f"common_{a}_total" for a in _ADJUSTMENTS] + ["individual_unadjusted_total"]
-    table = [
-        [m]
-        + [totals[("common", a, m)] for a in _ADJUSTMENTS]
-        + [totals[("individual", "unadjusted", m)]]
-        for m in grid
-    ]
-    return rows, scenarios, {preset: (header, table)}
+            oc = run_scenario(config, workers=ctx.workers)
+            rows += _estimate_rows(preset, sweep, self.label, adjustment, oc, seed, spec.metrics)
+            scenarios.append(
+                _scenario_record(self.label, sweep, adjustment, design, effects, oc, seed, ctx)
+            )
+
+
+@dataclass(frozen=True)
+class _RequiredN:
+    """Smallest per-arm n that gives ``arm`` the power goal, per adjustment."""
+
+    label: str
+    adjustments: tuple[str, ...]
+    template: Callable  # sweep value -> (n -> PlatformDesign)
+    arm: int = 0
+    reference: bool = False
+
+    def run(self, preset, spec, sweep, ctx, rows, scenarios):
+        template = self.template(sweep)
+        target = PowerTarget(POWER_GOAL, EFFECT_SIZE)
+        for adjustment in self.adjustments:
+            n = required_per_arm_n(target, _POLICIES[adjustment], template, arm=self.arm)
+            total = template(n).total_sample_size()
+            for metric, value in (("required_n_per_arm", n), ("required_total_n", total)):
+                rows.append(_exact_row(preset, sweep, self.label, adjustment, metric, value))
+            scenarios.append(
+                dict(kind="exact", design_label=self.label, sweep_value=sweep,
+                     adjustment=adjustment, required_n_per_arm=n, required_total_n=total)
+            )
+
+
+@dataclass(frozen=True)
+class _ComparisonN:
+    """Per-side size of the late arm's comparison under the sponsor budget."""
+
+    reference = False  # not a field: the comparison size is read at each sweep value
+
+    def run(self, preset, spec, sweep, ctx, rows, scenarios):
+        n = build_budget_design(sweep, SPONSOR_BUDGET).comparison_n
+        rows.append(_exact_row(preset, sweep, "common", "", "comparison_n", n))
+
+
+@dataclass(frozen=True)
+class _Preset:
+    """One table or figure: a grid, its series and plots, effects and metrics.
+
+    Each plot is (file stem, index header, columns) and each column is
+    (header, design label, adjustment, metric). A preset without a grid is a
+    table indexed by metric, and its columns give no metric. Design builders
+    are callables that look module functions up when they run, so nothing is
+    built at import and a wrapper rebound on a module sees every call.
+    """
+
+    grid: Callable | None  # run context -> sweep values
+    series: tuple
+    plots: tuple
+    effects: str = "null"  # key of _EFFECTS
+    metrics: tuple[str, ...] = ()  # of the simulated series
+
+
+def _series_columns(pairs, metric, suffix=""):
+    """Columns named design_adjustment<suffix>, one per (design, adjustment)."""
+    return tuple((f"{d}_{a}{suffix}", d, a, metric) for d, a in pairs)
+
+
+def _metric_columns(designs, metrics):
+    """Unadjusted columns named design_metric, without a "_power" suffix."""
+    return tuple(
+        (f"{d}_{m.removesuffix('_power')}", d, "unadjusted", m) for d in designs for m in metrics
+    )
+
+
+def _pivot(rows, index, grid, columns, metrics):
+    """One plot table, read from the result rows.
+
+    A cell at a sweep value falls back to the reference row (no sweep value)
+    of the same design, adjustment and metric, and then to an empty cell.
+    """
+    cells = {(r["sweep_value"], r["design"], r["adjustment"], r["metric"]): r for r in rows}
+
+    def cell(sweep, design, adjustment, metric):
+        key = (design, adjustment, metric)
+        row = cells.get((sweep,) + key) or cells.get(("",) + key)
+        return "" if row is None else row["estimate"]
+
+    header = [index] + [c[0] for c in columns]
+    if grid is None:
+        return header, [
+            [metric] + [cell("", d, a, metric) for _, d, a, _ in columns] for metric in metrics
+        ]
+    return header, [[v] + [cell(str(v), d, a, mt) for _, d, a, mt in columns] for v in grid]
+
+
+def _run_spec(preset, spec, ctx):
+    """Rows, scenario records and plot tables of one preset spec."""
+    rows, scenarios = [], []
+    grid = None if spec.grid is None else spec.grid(ctx)
+    for sweep in (None,) if grid is None else grid:
+        for series in spec.series:
+            if not series.reference:
+                series.run(preset, spec, sweep, ctx, rows, scenarios)
+    for series in spec.series:
+        if series.reference:
+            series.run(preset, spec, None, ctx, rows, scenarios)
+    plotdata = {
+        stem: _pivot(rows, index, grid, columns, spec.metrics)
+        for stem, index, columns in spec.plots
+    }
+    return rows, scenarios, plotdata
 
 
 def _fixed_total_design(m: int, ratio: float):
@@ -320,239 +337,134 @@ def _fixed_total_design(m: int, ratio: float):
     return PlatformDesign(ControlMode.COMMON, recruitment)
 
 
-def _run_fig3_power(ctx):
-    preset = "fig3_power_fixed_total"
-    rows, scenarios = [], []
-    grid = _arm_grid(ctx)
-    series = {}
-    for m in grid:
-        effects = (EFFECT_SIZE,) + (0.0,) * (m - 1)
-        design_cc = _fixed_total_design(m, 1.0)
-        for adjustment in _ADJUSTMENTS:
-            oc, seed = _simulate(ctx, design_cc, effects, adjustment, (preset, "common", m))
-            rows += _estimate_rows(preset, m, "common", adjustment, oc, seed, ("marginal_power_1",))
-            scenarios.append(_scenario_record("common", m, adjustment, design_cc, effects, oc, seed, ctx))
-            series[("common", adjustment, m)] = oc
-        design_sqrt = _fixed_total_design(m, math.sqrt(m))
-        oc, seed = _simulate(ctx, design_sqrt, effects, "dunnett", (preset, "common_sqrt_m", m))
-        rows += _estimate_rows(preset, m, "common_sqrt_m", "dunnett", oc, seed, ("marginal_power_1",))
-        scenarios.append(_scenario_record("common_sqrt_m", m, "dunnett", design_sqrt, effects, oc, seed, ctx))
-        series[("common_sqrt_m", "dunnett", m)] = oc
-        split = split_fixed_total(600, m, ControlMode.INDIVIDUAL)
-        design_ic = build_fixed_design(m, split.per_treatment, ControlMode.INDIVIDUAL)
-        oc, seed = _simulate(ctx, design_ic, effects, "unadjusted", (preset, "individual", m))
-        rows += _estimate_rows(preset, m, "individual", "unadjusted", oc, seed, ("marginal_power_1",))
-        scenarios.append(_scenario_record("individual", m, "unadjusted", design_ic, effects, oc, seed, ctx))
-        series[("individual", "unadjusted", m)] = oc
-    header = ["num_arms"] + [f"common_{a}" for a in _ADJUSTMENTS] + ["common_sqrt_m_dunnett", "individual_unadjusted"]
-    table = []
-    for m in grid:
-        line = [m]
-        for a in _ADJUSTMENTS:
-            line.append(series[("common", a, m)].marginal_power[0].value)
-        line.append(series[("common_sqrt_m", "dunnett", m)].marginal_power[0].value)
-        line.append(series[("individual", "unadjusted", m)].marginal_power[0].value)
-        table.append(line)
-    return rows, scenarios, {preset: (header, table)}
+def _individual_fixed_total(m: int):
+    split = split_fixed_total(600, m, ControlMode.INDIVIDUAL)
+    return build_fixed_design(m, split.per_treatment, ControlMode.INDIVIDUAL)
 
 
-def _run_fig4(ctx):
-    preset = "fig4_disj_conj"
-    rows, scenarios = [], []
-    grid = _arm_grid(ctx)
-    series = {}
-    metrics = ("disjunctive_power", "conjunctive_power")
-    for m in grid:
-        effects = (EFFECT_SIZE,) * m
-        design_cc = _fixed_total_design(m, 1.0)
-        oc, seed = _simulate(ctx, design_cc, effects, "unadjusted", (preset, "common", m))
-        rows += _estimate_rows(preset, m, "common", "unadjusted", oc, seed, metrics)
-        scenarios.append(_scenario_record("common", m, "unadjusted", design_cc, effects, oc, seed, ctx))
-        series[("common", m)] = oc
-        split = split_fixed_total(600, m, ControlMode.INDIVIDUAL)
-        design_ic = build_fixed_design(m, split.per_treatment, ControlMode.INDIVIDUAL)
-        oc, seed = _simulate(ctx, design_ic, effects, "unadjusted", (preset, "individual", m))
-        rows += _estimate_rows(preset, m, "individual", "unadjusted", oc, seed, metrics)
-        scenarios.append(_scenario_record("individual", m, "unadjusted", design_ic, effects, oc, seed, ctx))
-        series[("individual", m)] = oc
-    header = [
-        "num_arms",
-        "common_disjunctive",
-        "common_conjunctive",
-        "individual_disjunctive",
-        "individual_conjunctive",
-    ]
-    table = [
-        [
-            m,
-            series[("common", m)].disjunctive_power.value,
-            series[("common", m)].conjunctive_power.value,
-            series[("individual", m)].disjunctive_power.value,
-            series[("individual", m)].conjunctive_power.value,
-        ]
-        for m in grid
-    ]
-    return rows, scenarios, {preset: (header, table)}
+def _individual_three_arm(_sweep):
+    return build_fixed_design(3, 150, ControlMode.INDIVIDUAL)
 
 
-def _run_fig5(ctx):
-    preset = "fig5_flex_fwer"
-    rows, scenarios = [], []
-    grid = _shift_grid(ctx)
-    metrics = ("fwer", "kfwer_2", "kfwer_3")
-    null = (0.0, 0.0, 0.0)
-    cc = {}
-    for shift in grid:
-        design = build_staggered_design(150, shift)
-        # one seed for the whole series: common random numbers across shifts
-        oc, seed = _simulate(ctx, design, null, "unadjusted", (preset, "common"))
-        rows += _estimate_rows(preset, shift, "common", "unadjusted", oc, seed, metrics)
-        scenarios.append(_scenario_record("common", shift, "unadjusted", design, null, oc, seed, ctx))
-        cc[shift] = oc
-    design_ic = build_fixed_design(3, 150, ControlMode.INDIVIDUAL)
-    oc_ic, seed = _simulate(ctx, design_ic, null, "unadjusted", (preset, "individual"))
-    rows += _estimate_rows(preset, None, "individual", "unadjusted", oc_ic, seed, metrics)
-    scenarios.append(_scenario_record("individual", None, "unadjusted", design_ic, null, oc_ic, seed, ctx))
-    header = [
-        "shift",
-        "common_fwer",
-        "common_kfwer_2",
-        "common_kfwer_3",
-        "individual_fwer",
-        "individual_kfwer_2",
-        "individual_kfwer_3",
-    ]
-    table = [
-        [
-            shift,
-            cc[shift].fwer.value,
-            cc[shift].kfwer[2].value,
-            cc[shift].kfwer[3].value,
-            oc_ic.fwer.value,
-            oc_ic.kfwer[2].value,
-            oc_ic.kfwer[3].value,
-        ]
-        for shift in grid
-    ]
-    return rows, scenarios, {preset: (header, table)}
+_CC_IC = tuple(("common", a) for a in _ADJUSTMENTS) + (("individual", "unadjusted"),)
+_BOTH = ("common", "individual")
+_UNADJUSTED = ("unadjusted",)
 
 
-def _run_fig6(ctx):
-    preset = "fig6_flex_n_and_power"
-    rows, scenarios = [], []
-    grid = _shift_grid(ctx)
-    target = PowerTarget(POWER_GOAL, EFFECT_SIZE)
-    effects = (0.0, 0.0, EFFECT_SIZE)
-    required = {}
-    power = {}
-    comparison = {}
-    for shift in grid:
-        for adjustment in _ADJUSTMENTS:
-            n = required_per_arm_n(
-                target, _POLICIES[adjustment], staggered_template(shift), arm=2
-            )
-            total = build_staggered_design(n, shift).total_sample_size()
-            rows.append(_exact_row(preset, shift, "common", adjustment, "required_n_per_arm", n))
-            rows.append(_exact_row(preset, shift, "common", adjustment, "required_total_n", total))
-            required[(adjustment, shift)] = total
-            scenarios.append(
-                {
-                    "kind": "exact",
-                    "design_label": "common",
-                    "sweep_value": shift,
-                    "adjustment": adjustment,
-                    "required_n_per_arm": n,
-                    "required_total_n": total,
-                }
-            )
-        allocation = build_budget_design(shift, SPONSOR_BUDGET)
-        comparison[shift] = allocation.comparison_n
-        rows.append(_exact_row(preset, shift, "common", "", "comparison_n", allocation.comparison_n))
-        for adjustment in _ADJUSTMENTS:
-            oc, seed = _simulate(ctx, allocation.design, effects, adjustment, (preset, "common", adjustment))
-            rows += _estimate_rows(preset, shift, "common", adjustment, oc, seed, ("marginal_power_3",))
-            scenarios.append(
-                _scenario_record("common", shift, adjustment, allocation.design, effects, oc, seed, ctx)
-            )
-            power[(adjustment, shift)] = oc
-    n_ic = required_per_arm_n(target, _POLICIES["unadjusted"], fixed_template(3, ControlMode.INDIVIDUAL), arm=2)
-    rows.append(_exact_row(preset, None, "individual", "unadjusted", "required_n_per_arm", n_ic))
-    rows.append(_exact_row(preset, None, "individual", "unadjusted", "required_total_n", 6 * n_ic))
-    design_ic = build_fixed_design(3, 150, ControlMode.INDIVIDUAL)
-    oc_ic, seed = _simulate(ctx, design_ic, effects, "unadjusted", (preset, "individual"))
-    rows += _estimate_rows(preset, None, "individual", "unadjusted", oc_ic, seed, ("marginal_power_3",))
-    scenarios.append(_scenario_record("individual", None, "unadjusted", design_ic, effects, oc_ic, seed, ctx))
-    header_n = ["shift"] + [f"common_{a}_total" for a in _ADJUSTMENTS] + ["individual_unadjusted_total"]
-    table_n = [
-        [shift] + [required[(a, shift)] for a in _ADJUSTMENTS] + [6 * n_ic] for shift in grid
-    ]
-    header_p = (
-        ["shift", "comparison_n"]
-        + [f"common_{a}" for a in _ADJUSTMENTS]
-        + ["individual_unadjusted"]
+def _error_table(name, cc_design):
+    return _Preset(
+        grid=None,
+        series=(
+            _Simulated("common", _ADJUSTMENTS, cc_design),
+            _Simulated("individual", _UNADJUSTED, _individual_three_arm),
+        ),
+        plots=((name, "metric", _series_columns(_CC_IC, None)),),
+        metrics=ERROR_METRICS,
     )
-    table_p = [
-        [shift, comparison[shift]]
-        + [power[(a, shift)].marginal_power[2].value for a in _ADJUSTMENTS]
-        + [oc_ic.marginal_power[2].value]
-        for shift in grid
-    ]
-    plotdata = {
-        "fig6_flex_required_n": (header_n, table_n),
-        "fig6_flex_budget_power": (header_p, table_p),
-    }
-    return rows, scenarios, plotdata
-
-
-def _run_fig7(ctx):
-    preset = "fig7_flex_disj_conj"
-    rows, scenarios = [], []
-    grid = _shift_grid(ctx)
-    effects = (EFFECT_SIZE,) * 3
-    metrics = ("disjunctive_power", "conjunctive_power")
-    cc = {}
-    for shift in grid:
-        allocation = build_budget_design(shift, SPONSOR_BUDGET)
-        oc, seed = _simulate(ctx, allocation.design, effects, "unadjusted", (preset, "common"))
-        rows += _estimate_rows(preset, shift, "common", "unadjusted", oc, seed, metrics)
-        scenarios.append(
-            _scenario_record("common", shift, "unadjusted", allocation.design, effects, oc, seed, ctx)
-        )
-        cc[shift] = oc
-    design_ic = build_fixed_design(3, 150, ControlMode.INDIVIDUAL)
-    oc_ic, seed = _simulate(ctx, design_ic, effects, "unadjusted", (preset, "individual"))
-    rows += _estimate_rows(preset, None, "individual", "unadjusted", oc_ic, seed, metrics)
-    scenarios.append(_scenario_record("individual", None, "unadjusted", design_ic, effects, oc_ic, seed, ctx))
-    header = [
-        "shift",
-        "common_disjunctive",
-        "common_conjunctive",
-        "individual_disjunctive",
-        "individual_conjunctive",
-    ]
-    table = [
-        [
-            shift,
-            cc[shift].disjunctive_power.value,
-            cc[shift].conjunctive_power.value,
-            oc_ic.disjunctive_power.value,
-            oc_ic.conjunctive_power.value,
-        ]
-        for shift in grid
-    ]
-    return rows, scenarios, {preset: (header, table)}
 
 
 _PRESETS = {
-    "table3": _run_table3,
-    "table4": _run_table4,
-    "fig2_kfwer_sweep": _run_fig2,
-    "fig3_required_n": _run_fig3_required_n,
-    "fig3_power_fixed_total": _run_fig3_power,
-    "fig4_disj_conj": _run_fig4,
-    "fig5_flex_fwer": _run_fig5,
-    "fig6_flex_n_and_power": _run_fig6,
-    "fig7_flex_disj_conj": _run_fig7,
+    "table3": _error_table("table3", lambda _: build_fixed_design(3, 150, ControlMode.COMMON)),
+    "table4": _error_table("table4", lambda _: build_staggered_design(150, 80)),
+    "fig2_kfwer_sweep": _Preset(
+        grid=_arm_grid,
+        metrics=_KFWER_METRICS,
+        series=(
+            _Simulated("common", _UNADJUSTED,
+                       lambda m: build_fixed_design(m, 150, ControlMode.COMMON),
+                       seed_by=("sweep",)),
+            _Simulated("individual", _UNADJUSTED,
+                       lambda m: build_fixed_design(m, 150, ControlMode.INDIVIDUAL),
+                       seed_by=("sweep",)),
+        ),
+        plots=(("fig2_kfwer_sweep", "num_arms", _metric_columns(_BOTH, _KFWER_METRICS)),),
+    ),
+    "fig3_required_n": _Preset(
+        grid=_arm_grid,
+        series=(
+            _RequiredN("common", _ADJUSTMENTS, lambda m: fixed_template(m, ControlMode.COMMON)),
+            _RequiredN("individual", _UNADJUSTED,
+                       lambda m: fixed_template(m, ControlMode.INDIVIDUAL)),
+        ),
+        plots=(
+            ("fig3_required_n", "num_arms", _series_columns(_CC_IC, "required_total_n", "_total")),
+        ),
+    ),
+    "fig3_power_fixed_total": _Preset(
+        grid=_arm_grid,
+        effects="first",
+        metrics=("marginal_power_1",),
+        series=(
+            _Simulated("common", _ADJUSTMENTS, lambda m: _fixed_total_design(m, 1.0),
+                       seed_by=("sweep",)),
+            _Simulated("common_sqrt_m", ("dunnett",),
+                       lambda m: _fixed_total_design(m, math.sqrt(m)), seed_by=("sweep",)),
+            _Simulated("individual", _UNADJUSTED, _individual_fixed_total, seed_by=("sweep",)),
+        ),
+        plots=(
+            (
+                "fig3_power_fixed_total",
+                "num_arms",
+                _series_columns(_CC_IC[:3] + (("common_sqrt_m", "dunnett"),) + _CC_IC[3:],
+                                "marginal_power_1"),
+            ),
+        ),
+    ),
+    "fig4_disj_conj": _Preset(
+        grid=_arm_grid,
+        effects="all",
+        metrics=_POWER_SUMMARIES,
+        series=(
+            _Simulated("common", _UNADJUSTED, lambda m: _fixed_total_design(m, 1.0),
+                       seed_by=("sweep",)),
+            _Simulated("individual", _UNADJUSTED, _individual_fixed_total, seed_by=("sweep",)),
+        ),
+        plots=(("fig4_disj_conj", "num_arms", _metric_columns(_BOTH, _POWER_SUMMARIES)),),
+    ),
+    "fig5_flex_fwer": _Preset(
+        grid=_shift_grid,
+        metrics=_KFWER_METRICS,
+        series=(
+            # one seed for the whole series: common random numbers across shifts
+            _Simulated("common", _UNADJUSTED, lambda s: build_staggered_design(150, s)),
+            _Simulated("individual", _UNADJUSTED, _individual_three_arm, reference=True),
+        ),
+        plots=(("fig5_flex_fwer", "shift", _metric_columns(_BOTH, _KFWER_METRICS)),),
+    ),
+    "fig6_flex_n_and_power": _Preset(
+        grid=_shift_grid,
+        effects="last",
+        metrics=("marginal_power_3",),
+        series=(
+            _RequiredN("common", _ADJUSTMENTS, lambda s: staggered_template(s), arm=2),
+            _ComparisonN(),
+            _Simulated("common", _ADJUSTMENTS,
+                       lambda s: build_budget_design(s, SPONSOR_BUDGET).design,
+                       seed_by=("adjustment",)),
+            _RequiredN("individual", _UNADJUSTED,
+                       lambda _: fixed_template(3, ControlMode.INDIVIDUAL), arm=2,
+                       reference=True),
+            _Simulated("individual", _UNADJUSTED, _individual_three_arm, reference=True),
+        ),
+        plots=(
+            ("fig6_flex_required_n", "shift",
+             _series_columns(_CC_IC, "required_total_n", "_total")),
+            ("fig6_flex_budget_power", "shift",
+             (("comparison_n", "common", "", "comparison_n"),)
+             + _series_columns(_CC_IC, "marginal_power_3")),
+        ),
+    ),
+    "fig7_flex_disj_conj": _Preset(
+        grid=_shift_grid,
+        effects="all",
+        metrics=_POWER_SUMMARIES,
+        series=(
+            _Simulated("common", _UNADJUSTED,
+                       lambda s: build_budget_design(s, SPONSOR_BUDGET).design),
+            _Simulated("individual", _UNADJUSTED, _individual_three_arm, reference=True),
+        ),
+        plots=(("fig7_flex_disj_conj", "shift", _metric_columns(_BOTH, _POWER_SUMMARIES)),),
+    ),
 }
 
 
@@ -565,8 +477,6 @@ def _format_cell(value) -> str:
         return ""
     if isinstance(value, bool):
         return str(int(value))
-    if isinstance(value, int):
-        return str(value)
     if isinstance(value, float):
         return repr(value)
     return str(value)
@@ -625,22 +535,18 @@ def _write_reports(name, rows, scenarios, plotdata, ctx, out_dir) -> PresetResul
     )
 
 
-def _workers_override(value) -> int:
-    workers = int(value)
-    if workers < 1:
-        raise ValueError(f"workers must be at least 1, got {workers}")
-    return workers
-
-
-def _context_from_overrides(overrides) -> _RunContext:
+def _context_from_overrides(overrides, ctx=None) -> _RunContext:
+    """Apply run overrides to ``ctx`` (default: a fresh preset context)."""
     overrides = dict(overrides or {})
-    ctx = _RunContext()
+    ctx = _RunContext() if ctx is None else ctx
     if "reps" in overrides:
         ctx.reps = int(overrides.pop("reps"))
     if "seed" in overrides:
         ctx.seed = int(overrides.pop("seed"))
     if "workers" in overrides:
-        ctx.workers = _workers_override(overrides.pop("workers"))
+        ctx.workers = int(overrides.pop("workers"))
+        if ctx.workers < 1:
+            raise ValueError(f"workers must be at least 1, got {ctx.workers}")
     if "mode" in overrides:
         mode = overrides.pop("mode")
         ctx.mode = mode if isinstance(mode, SimulationMode) else SimulationMode(mode)
@@ -661,7 +567,7 @@ def run_preset(name: str, overrides=None, out_dir="results") -> PresetResult:
     if name not in _PRESETS:
         raise ValueError(f"unknown preset {name!r}; available: {', '.join(_PRESETS)}")
     ctx = _context_from_overrides(overrides)
-    rows, scenarios, plotdata = _PRESETS[name](ctx)
+    rows, scenarios, plotdata = _run_spec(name, _PRESETS[name], ctx)
     return _write_reports(name, rows, scenarios, plotdata, ctx, out_dir)
 
 
@@ -744,6 +650,11 @@ def load_config(path) -> ScenarioConfig:
     except ValueError as exc:
         raise ValueError("config field 'sidedness' must be 'one_sided' or 'two_sided'") from exc
     policy = AdjustmentPolicy(AdjustmentMethod(adjustment), float(alpha), sidedness)
+    try:
+        critical_value(policy, analytic_correlation(design))  # cached for the run
+    except ValueError as exc:
+        msg = f"config field 'alpha' is too small for a finite threshold, got {alpha}"
+        raise ValueError(msg) from exc
     reps = int_field("reps", DEFAULT_REPS, minimum=1)
     seed = int_field("seed", DEFAULT_SEED, minimum=0)
     mode = field("mode", "sufficient")
@@ -768,26 +679,15 @@ def load_config(path) -> ScenarioConfig:
 def run_config(path, overrides=None, out_dir="results") -> PresetResult:
     """Run a single config-file scenario with the preset report formats."""
     config = load_config(path)
-    overrides = dict(overrides or {})
-    if "sweep" in overrides:
+    if "sweep" in (overrides or {}):
         raise ValueError("sweep overrides only apply to presets")
-    if "reps" in overrides:
-        config = replace(config, reps=int(overrides.pop("reps")))
-    if "seed" in overrides:
-        seed = int(overrides.pop("seed"))
-        if seed < 0:
-            raise ValueError(f"seed must be at least 0 for a config run, got {seed}")
-        config = replace(config, seed=seed)
-    if "mode" in overrides:
-        mode = overrides.pop("mode")
-        config = replace(
-            config, mode=mode if isinstance(mode, SimulationMode) else SimulationMode(mode)
-        )
-    workers = _workers_override(overrides.pop("workers", 1))
-    if overrides:
-        raise ValueError(f"unknown overrides: {sorted(overrides)}")
-    ctx = _RunContext(reps=config.reps, seed=config.seed, workers=workers, mode=config.mode)
-    oc = run_scenario(config, workers=workers)
+    ctx = _context_from_overrides(
+        overrides, _RunContext(reps=config.reps, seed=config.seed, mode=config.mode)
+    )
+    if ctx.seed < 0:
+        raise ValueError(f"seed must be at least 0 for a config run, got {ctx.seed}")
+    config = replace(config, reps=ctx.reps, seed=ctx.seed, mode=ctx.mode)
+    oc = run_scenario(config, workers=ctx.workers)
     label = config.design.control_mode.value
     adjustment = config.policy.method.value
     metrics = ["fwer"] + [f"kfwer_{k}" for k in sorted(config.kfwer_levels) if k > 1] + ["pfer"]

@@ -9,13 +9,13 @@ an independent cross-check in the test suite.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .adjust import AdjustmentPolicy, critical_value
-from .correlation import analytic_correlation
+from .adjust import AdjustmentMethod, AdjustmentPolicy, critical_value
+from .correlation import CorrelationMatrix, analytic_correlation
 from .designs import ControlMode, PlatformDesign, build_fixed_design, build_staggered_design
 from .distributions import Sidedness, normal_cdf, normal_quantile
 
@@ -51,14 +51,24 @@ def analytic_two_arm_power(n: int, delta: float, alpha_local: float) -> float:
     return normal_cdf(delta * math.sqrt(n / 2.0) - threshold)
 
 
-def marginal_power(n_treatment: int, n_control: int, delta: float, threshold: float) -> float:
-    """Exact two-sided rejection probability of one comparison.
+def marginal_power(
+    n_treatment: int,
+    n_control: int,
+    delta: float,
+    threshold: float,
+    sidedness: Sidedness = Sidedness.TWO_SIDED,
+) -> float:
+    """Exact rejection probability of one comparison.
 
     The comparison statistic is normal with unit variance and mean
-    delta / sqrt(1/n_t + 1/n_c); both rejection tails are included.
+    delta / sqrt(1/n_t + 1/n_c). A two-sided test rejects in both tails, a
+    one-sided test only when the statistic exceeds the threshold.
     """
     mu = delta / math.sqrt(1.0 / n_treatment + 1.0 / n_control)
-    return normal_cdf(mu - threshold) + normal_cdf(-mu - threshold)
+    power = normal_cdf(mu - threshold)
+    if sidedness is Sidedness.TWO_SIDED:
+        power += normal_cdf(-mu - threshold)
+    return power
 
 
 def comparison_mean_shifts(design: PlatformDesign, effects) -> np.ndarray:
@@ -102,7 +112,11 @@ def _policy_power(n: int, template, policy: AdjustmentPolicy, delta: float, arm:
     design = template(n)
     threshold = critical_value(policy, analytic_correlation(design))
     return marginal_power(
-        design.treatment_total(arm), design.concurrent_control_count(arm), delta, threshold
+        design.treatment_total(arm),
+        design.concurrent_control_count(arm),
+        delta,
+        threshold,
+        policy.sidedness,
     )
 
 
@@ -133,6 +147,8 @@ def required_per_arm_n(
     """
     if target.alpha != policy.alpha:
         raise ValueError("power target and policy disagree on alpha")
+    if target.sidedness is not policy.sidedness:
+        raise ValueError("power target and policy disagree on sidedness")
 
     def meets(n: int) -> bool:
         try:
@@ -140,7 +156,9 @@ def required_per_arm_n(
         except ValueError:
             return False
 
-    probe = _per_side_n(normal_quantile(1.0 - target.alpha / 2.0), target)
+    # the probe size comes from the threshold of a single unadjusted comparison
+    single = replace(policy, method=AdjustmentMethod.UNADJUSTED)
+    probe = _per_side_n(critical_value(single, CorrelationMatrix(((1.0,),))), target)
     try:
         threshold = critical_value(policy, analytic_correlation(template(probe)))
         guess = _per_side_n(threshold, target)

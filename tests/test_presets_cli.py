@@ -5,8 +5,9 @@ import sys
 
 import pytest
 
-from platformsim.adjust import AdjustmentMethod
+from platformsim.adjust import AdjustmentMethod, critical_value
 from platformsim.cli import main
+from platformsim.correlation import analytic_correlation
 from platformsim.designs import ControlMode, build_fixed_design, build_staggered_design
 from platformsim.distributions import Sidedness
 from platformsim.engine import SimulationMode
@@ -75,6 +76,29 @@ class TestLoadConfig:
         payload = dict(MINIMAL, adjustment="holm")
         with pytest.raises(ValueError, match="adjustment"):
             load_config(write_config(tmp_path, payload))
+
+    @pytest.mark.parametrize(
+        "alpha, adjustment",
+        [(0, "unadjusted"), (1, "unadjusted"), (1e-20, "unadjusted"), (1e-300, "dunnett"),
+         (2e-16, "bonferroni")],
+    )
+    def test_alpha_without_a_finite_threshold_names_field(self, tmp_path, alpha, adjustment):
+        payload = dict(MINIMAL, alpha=alpha, adjustment=adjustment)
+        with pytest.raises(ValueError, match="config field 'alpha'"):
+            load_config(write_config(tmp_path, payload))
+
+    def test_smallest_alpha_depends_on_the_adjustment(self, tmp_path):
+        # 1 - 1e-16 stays below 1 in floating point, 1 - 1e-16 / 3 does not
+        config = load_config(write_config(tmp_path, dict(MINIMAL, alpha=2e-16)))
+        assert config.policy.alpha == 2e-16
+
+    @pytest.mark.parametrize("extra", [{}, {"shift": 75}, {"sidedness": "one_sided"}])
+    def test_dunnett_solves_at_the_smallest_accepted_alpha(self, tmp_path, extra):
+        # 1e-15 passes the check, so the Dunnett root search must succeed there
+        payload = dict(MINIMAL, alpha=1e-15, adjustment="dunnett", **extra)
+        config = load_config(write_config(tmp_path, payload))
+        threshold = critical_value(config.policy, analytic_correlation(config.design))
+        assert 7.5 < threshold < 9.0
 
     def test_invalid_json(self, tmp_path):
         path = tmp_path / "broken.json"
@@ -209,6 +233,12 @@ class TestRunConfig:
         assert payload["reps"] == 500
         assert payload["seed"] == 9
 
+    def test_sweep_override_rejected(self, tmp_path):
+        with pytest.raises(ValueError, match="^sweep overrides only apply to presets$"):
+            run_config(write_config(tmp_path, MINIMAL), overrides={"sweep": (2, 3)},
+                       out_dir=tmp_path / "o")
+        assert not (tmp_path / "o").exists()
+
 
 class TestCli:
     def test_preset_run(self, tmp_path, capsys):
@@ -278,6 +308,14 @@ class TestCli:
         code = main(["--config", str(path), "--seed", "-4", "--out", str(tmp_path / "o")])
         assert code == 1
         assert "seed must be at least 0" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("alpha", [1e-20, 1e-300])
+    def test_tiny_alpha_names_field(self, tmp_path, capsys, alpha):
+        path = write_config(tmp_path, dict(MINIMAL, reps=200, alpha=alpha))
+        code = main(["--config", str(path), "--out", str(tmp_path / "o")])
+        assert code == 1
+        assert "config field 'alpha' is too small" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
     def test_console_script_help(self):

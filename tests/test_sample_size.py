@@ -6,7 +6,7 @@ import pytest
 from platformsim.adjust import AdjustmentMethod, AdjustmentPolicy, critical_value
 from platformsim.correlation import analytic_correlation
 from platformsim.designs import ControlMode, PlatformDesign, build_fixed_design
-from platformsim.distributions import normal_quantile
+from platformsim.distributions import Sidedness, normal_cdf, normal_quantile
 from platformsim.engine import ScenarioConfig, run_scenario
 from platformsim.sample_size import (
     PowerTarget,
@@ -23,6 +23,7 @@ UNADJ = AdjustmentPolicy(AdjustmentMethod.UNADJUSTED)
 BONF = AdjustmentPolicy(AdjustmentMethod.BONFERRONI)
 DUNN = AdjustmentPolicy(AdjustmentMethod.DUNNETT)
 TARGET = PowerTarget(0.9, 0.38)
+ONE_SIDED = Sidedness.ONE_SIDED
 
 
 def _comparison_power(n, target, policy, template, arm):
@@ -104,6 +105,14 @@ class TestAnalyticPower:
             0.05, abs=1e-9
         )
 
+    def test_one_sided_power_counts_the_upper_tail_only(self):
+        c = normal_quantile(0.95)
+        assert marginal_power(10, 10, 0.0, c, ONE_SIDED) == pytest.approx(0.05, abs=1e-12)
+        assert marginal_power(10, 10, 0.0, c) == pytest.approx(0.10, abs=1e-12)
+        # an effect in the wrong direction is (almost) never a one-sided rejection
+        assert marginal_power(100, 100, -0.5, c, ONE_SIDED) < 1e-6
+        assert marginal_power(100, 100, -0.5, c) > 0.5
+
     def test_mean_shift_vector(self):
         design = build_fixed_design(3, 150, ControlMode.COMMON)
         shifts = comparison_mean_shifts(design, (0.38, 0.0, 0.0))
@@ -168,6 +177,45 @@ class TestRequiredPerArmN:
             required_per_arm_n(
                 PowerTarget(0.9, 0.38, alpha=0.1), UNADJ, fixed_template(1, ControlMode.COMMON)
             )
+
+    def test_sidedness_mismatch_rejected(self):
+        template = fixed_template(1, ControlMode.COMMON)
+        one_sided = AdjustmentPolicy(AdjustmentMethod.UNADJUSTED, sidedness=ONE_SIDED)
+        with pytest.raises(ValueError, match="sidedness"):
+            required_per_arm_n(PowerTarget(0.9, 0.38, sidedness=ONE_SIDED), UNADJ, template)
+        with pytest.raises(ValueError, match="sidedness"):
+            required_per_arm_n(TARGET, one_sided, template)
+
+    @pytest.mark.parametrize("method", list(AdjustmentMethod))
+    def test_one_sided_search_is_minimal_for_the_upper_tail(self, method):
+        # oracle: one-sided power Phi(mu - c), written out without marginal_power
+        policy = AdjustmentPolicy(method, sidedness=ONE_SIDED)
+        cases = ((fixed_template(3, ControlMode.COMMON), 0), (staggered_template(75), 2))
+        for template, arm in cases:
+            for goal in (0.12, 0.5, 0.9):
+                for delta in (0.1, 0.38):
+                    target = PowerTarget(goal, delta, sidedness=ONE_SIDED)
+
+                    def power(n):
+                        design = template(n)
+                        c = critical_value(policy, analytic_correlation(design))
+                        nt = design.treatment_total(arm)
+                        nc = design.concurrent_control_count(arm)
+                        return normal_cdf(delta / math.sqrt(1 / nt + 1 / nc) - c)
+
+                    n = required_per_arm_n(target, policy, template, arm=arm)
+                    assert power(n) >= goal
+                    try:
+                        assert power(n - 1) < goal
+                    except ValueError:  # n - 1 is infeasible
+                        pass
+
+    def test_one_sided_search_at_low_power_goal(self):
+        # Phi(0.1 sqrt(n / 2) - 1.645) >= 0.12 first holds at n = 45; counting
+        # the lower tail as well would stop near n = 24
+        policy = AdjustmentPolicy(AdjustmentMethod.UNADJUSTED, sidedness=ONE_SIDED)
+        target = PowerTarget(0.12, 0.1, sidedness=ONE_SIDED)
+        assert required_per_arm_n(target, policy, fixed_template(1, ControlMode.COMMON)) == 45
 
     def test_mc_verification_of_boundary(self):
         # simulated power brackets the target at the returned n (guard band
