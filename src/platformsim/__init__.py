@@ -26,14 +26,11 @@ from .designs import (
 from .distributions import (
     ConvergenceError,
     MvnSpec,
-    MvnStructure,
     Sidedness,
     dunnett_critical_value,
-    max_abs_mvn_cdf,
     normal_cdf,
     normal_quantile,
     rejection_count_pmf,
-    rejection_count_tail,
 )
 from .engine import (
     ReplicationResult,
@@ -74,7 +71,6 @@ __all__ = [
     "CorrelationMatrix",
     "Estimate",
     "MvnSpec",
-    "MvnStructure",
     "OperatingCharacteristics",
     "PlatformDesign",
     "PowerTarget",
@@ -101,11 +97,9 @@ __all__ = [
     "late_entry_pair_correlation",
     "load_config",
     "marginal_power",
-    "max_abs_mvn_cdf",
     "normal_cdf",
     "normal_quantile",
     "rejection_count_pmf",
-    "rejection_count_tail",
     "required_per_arm_n",
     "run_config",
     "run_preset",

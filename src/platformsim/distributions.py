@@ -1,11 +1,15 @@
-"""Normal-distribution utilities and multivariate band probabilities.
+"""Normal-distribution utilities and factor quadrature for shared-control comparisons.
 
-Single-step multiplicity thresholds over correlated comparison statistics
-need P(max_j |Z_j| <= c) under an m-variate normal law. Correlation matrices
-generated by shared controls carry a one-factor structure (entries are
-products of per-comparison loadings), so the band probability reduces to a
-one-dimensional Gauss-Hermite quadrature over the shared factor. Matrices
-without that structure fall back to a seeded quasi-Monte Carlo estimate.
+Comparison statistics that share a control arm are correlated only through
+that control, so their correlation matrix has the one-factor form of Dunnett
+(1955): corr[i, j] = lambda_i * lambda_j off the diagonal. Fixed designs are
+equicorrelated, and the staggered and budget designs have three arms, so
+every design this package builds has that form. Given the shared factor the
+comparisons are independent, and every joint probability becomes a
+one-dimensional integral over the factor. One adaptive Gauss-Hermite kernel
+evaluates it for both uses here: the simultaneous coverage whose root is the
+Dunnett threshold, and the Poisson-binomial law of the number of rejections.
+A matrix without one-factor structure is rejected with an error.
 """
 
 from __future__ import annotations
@@ -17,20 +21,13 @@ from functools import lru_cache
 
 import numpy as np
 from scipy import special
-from scipy.linalg import lapack
 from scipy.optimize import brentq
-from scipy.stats import qmc
 
 from .correlation import CorrelationMatrix
 
 STRUCTURE_TOL = 1e-12
 _QUAD_STOP = 1e-9
 _QUAD_NODE_COUNTS = (64, 128, 256, 512, 1024, 2048, 4096)
-_QMC_TARGET_SE = 1e-4
-_QMC_BASE_POINTS = 12  # log2 of points per randomization
-_QMC_MAX_POINTS = 17
-_QMC_RANDOMIZATIONS = 16
-DEFAULT_QMC_SEED = 91042
 
 
 class ConvergenceError(RuntimeError):
@@ -40,12 +37,6 @@ class ConvergenceError(RuntimeError):
 class Sidedness(Enum):
     ONE_SIDED = "one_sided"
     TWO_SIDED = "two_sided"
-
-
-class MvnStructure(Enum):
-    EQUICORRELATED = "equicorrelated"
-    PRODUCT_FORM = "product_form"
-    GENERAL = "general"
 
 
 def normal_cdf(x: float) -> float:
@@ -66,41 +57,29 @@ def normal_quantile(p: float) -> float:
 
 @dataclass(frozen=True)
 class MvnSpec:
-    """A correlation matrix together with its detected structure.
+    """A correlation matrix together with its one-factor loadings.
 
-    ``factor_loadings`` holds the per-dimension loadings lambda_j with
-    corr[i, j] = lambda_i * lambda_j (i != j) when the matrix is
-    factor-structured, else None.
+    ``factor_loadings`` holds the per-dimension loadings lambda_j, each
+    below 1, with corr[i, j] = lambda_i * lambda_j for i != j.
     """
 
     correlation: CorrelationMatrix
-    structure: MvnStructure
-    factor_loadings: tuple[float, ...] | None
+    factor_loadings: tuple[float, ...]
 
     @property
     def dim(self) -> int:
         return self.correlation.dim
 
-    @property
-    def common_correlation(self) -> float:
-        if self.structure is not MvnStructure.EQUICORRELATED:
-            raise ValueError("only equicorrelated specs have a single common correlation")
-        if self.dim == 1:
-            return 0.0
-        return self.correlation.entry(0, 1)
-
     @classmethod
     def from_correlation(cls, correlation: CorrelationMatrix) -> "MvnSpec":
-        a = correlation.as_array()
-        loadings = _fit_factor_loadings(a)
+        loadings = _fit_factor_loadings(correlation.as_array())
         if loadings is None:
-            return cls(correlation, MvnStructure.GENERAL, None)
-        off = a[~np.eye(len(a), dtype=bool)]
-        if len(a) > 1 and np.all(np.abs(off - off[0]) <= STRUCTURE_TOL):
-            structure = MvnStructure.EQUICORRELATED
-        else:
-            structure = MvnStructure.EQUICORRELATED if len(a) == 1 else MvnStructure.PRODUCT_FORM
-        return cls(correlation, structure, loadings)
+            raise ValueError(
+                "correlation matrix is not one-factor (corr[i, j] = lambda_i * lambda_j with "
+                "every lambda_j < 1); Dunnett thresholds and exact rejection counts support "
+                "only one-factor designs such as the fixed, staggered and budget designs"
+            )
+        return cls(correlation, loadings)
 
     @classmethod
     def equicorrelated(cls, dim: int, rho: float) -> "MvnSpec":
@@ -115,37 +94,22 @@ class MvnSpec:
 
 
 def _fit_factor_loadings(a: np.ndarray):
-    """Loadings lambda with a[i, j] = lambda_i lambda_j off-diagonal, or None."""
+    """Loadings lambda with a[i, j] = lambda_i lambda_j off-diagonal, or None.
+
+    Comparisons without a positive correlation get loading 0; the rest must
+    form one factor, and each loading is solved from two others.
+    """
     m = len(a)
-    if m == 1:
-        return (0.0,)
+    positive = a > STRUCTURE_TOL
+    np.fill_diagonal(positive, False)
+    linked = np.flatnonzero(positive.any(axis=1))
     lam = np.zeros(m)
-    positive = a - np.eye(m) > STRUCTURE_TOL
-    # connected components of the "correlated with" graph
-    unseen = set(range(m))
-    components = []
-    while unseen:
-        start = unseen.pop()
-        comp = {start}
-        frontier = [start]
-        while frontier:
-            i = frontier.pop()
-            for j in list(unseen):
-                if positive[i, j]:
-                    unseen.discard(j)
-                    comp.add(j)
-                    frontier.append(j)
-        components.append(sorted(comp))
-    for comp in components:
-        if len(comp) == 1:
-            continue
-        if len(comp) == 2:
-            i, j = comp
-            lam[i] = lam[j] = math.sqrt(a[i, j])
-            continue
-        for j in comp:
-            others = [i for i in comp if i != j]
-            i, k = others[0], others[1]
+    if len(linked) == 2:
+        i, j = linked
+        lam[i] = lam[j] = math.sqrt(a[i, j])
+    elif len(linked) > 2:
+        for j in linked:
+            i, k = [x for x in linked if x != j][:2]
             if a[i, k] <= STRUCTURE_TOL:
                 return None
             ratio = a[j, i] * a[j, k] / a[i, k]
@@ -165,188 +129,97 @@ def _hermite_nodes(n: int):
     return x, w / math.sqrt(2.0 * math.pi)
 
 
-def _factor_rectangle(lower, upper, loadings, n_nodes: int) -> float:
-    """P(lower_j <= Z_j <= upper_j for all j) for one-factor Z, fixed node count."""
-    x, w = _hermite_nodes(n_nodes)
-    lam = np.asarray(loadings)
+def _inside(x, lam, scale, mu, lower, upper) -> np.ndarray:
+    """P(lower <= Z_j <= upper | factor = x) per node (rows) and comparison (columns).
+
+    Z_j = mu_j + lam_j x + scale_j e_j with e_j independent standard normals.
+    ``mu`` None means no mean shift and ``lower`` None an open lower end.
+    """
+    shifted = x[:, None] * lam
+    if mu is not None:
+        shifted = mu + shifted
+    inside = special.ndtr((upper - shifted) / scale)
+    if lower is not None:
+        inside = inside - special.ndtr((lower - shifted) / scale)
+    return inside
+
+
+def _all_inside(inside: np.ndarray) -> np.ndarray:
+    """Per node: P(every comparison stays inside its bounds)."""
+    return np.prod(np.clip(inside, 0.0, 1.0), axis=1)
+
+
+def _count_law(inside: np.ndarray) -> np.ndarray:
+    """Per node: Poisson-binomial law of the number of comparisons outside."""
+    outside = np.clip(1.0 - inside, 0.0, 1.0)
+    dist = np.zeros((len(outside), outside.shape[1] + 1))
+    dist[:, 0] = 1.0
+    for p in outside.T[:, :, None]:
+        stay = 1.0 - p
+        dist[:, 1:] = dist[:, 1:] * stay + dist[:, :-1] * p
+        dist[:, :1] *= stay
+    return dist
+
+
+def _factor_integral(lam: np.ndarray, reduce, lower, upper, mu=None):
+    """Integral of ``reduce(inside probabilities)`` over the shared factor.
+
+    The Gauss-Hermite node count doubles until two successive estimates
+    agree to within 1e-9 in every entry.
+    """
     scale = np.sqrt(1.0 - lam * lam)
-    shifted = x[:, None] * lam[None, :]
-    hi = special.ndtr((np.asarray(upper)[None, :] - shifted) / scale)
-    lo = special.ndtr((np.asarray(lower)[None, :] - shifted) / scale)
-    layers = np.clip(hi - lo, 0.0, 1.0)
-    return float(w @ np.prod(layers, axis=1))
-
-
-def _adaptive_factor_rectangle(lower, upper, loadings) -> float:
     previous = None
     for n in _QUAD_NODE_COUNTS:
-        estimate = _factor_rectangle(lower, upper, loadings, n)
-        if previous is not None and abs(estimate - previous) < _QUAD_STOP:
-            return min(max(estimate, 0.0), 1.0)
+        x, w = _hermite_nodes(n)
+        estimate = w @ reduce(_inside(x, lam, scale, mu, lower, upper))
+        if previous is not None and np.all(abs(estimate - previous) < _QUAD_STOP):
+            break
         previous = estimate
-    return min(max(previous, 0.0), 1.0)
-
-
-def factor_rectangle_probability(spec: MvnSpec, lower, upper) -> float:
-    """Rectangle probability for a factor-structured spec (exact quadrature)."""
-    if spec.factor_loadings is None:
-        raise ValueError("rectangle quadrature needs a factor-structured correlation")
-    lower = np.asarray(lower, dtype=float)
-    upper = np.asarray(upper, dtype=float)
-    if lower.shape != (spec.dim,) or upper.shape != (spec.dim,):
-        raise ValueError("bound vectors must match the spec dimension")
-    lam = np.asarray(spec.factor_loadings)
-    if np.all(lam == 0.0):
-        return float(np.prod(np.clip(special.ndtr(upper) - special.ndtr(lower), 0.0, 1.0)))
-    return _adaptive_factor_rectangle(lower, upper, spec.factor_loadings)
-
-
-def _lower_cholesky(a: np.ndarray):
-    try:
-        return np.linalg.cholesky(a)
-    except np.linalg.LinAlgError:
-        # semidefinite fallback: pivoted factorization, undo the permutation
-        c, piv, rank, info = lapack.dpstrf(a, lower=1)
-        if info < 0:
-            raise ConvergenceError("pivoted Cholesky factorization failed")
-        L = np.tril(c)
-        if rank < len(a):
-            L[:, rank:] = 0.0
-        perm = np.asarray(piv, dtype=int) - 1
-        out = np.zeros_like(L)
-        out[perm, :] = L
-        return out
-
-
-def _genz_estimate(L, lower, upper, u) -> float:
-    """Separation-of-variables estimate of a normal rectangle probability."""
-    m = L.shape[0]
-    npts = u.shape[0]
-    prob = np.ones(npts)
-    y = np.zeros((npts, max(m - 1, 1)))
-    tiny = 1e-15
-    for i in range(m):
-        center = y[:, :i] @ L[i, :i] if i else 0.0
-        den = L[i, i] if L[i, i] > 1e-12 else 1e-12
-        lo = special.ndtr((lower[i] - center) / den)
-        hi = special.ndtr((upper[i] - center) / den)
-        width = np.clip(hi - lo, 0.0, 1.0)
-        prob *= width
-        if i < m - 1:
-            arg = np.clip(lo + u[:, i] * width, tiny, 1.0 - tiny)
-            y[:, i] = special.ndtri(arg)
-    return float(prob.mean())
-
-
-def _qmc_point_sets(dim: int, log2_points: int, seed: int, count: int):
-    sets = []
-    for k in range(count):
-        engine = qmc.Sobol(d=dim, scramble=True, seed=seed * 10_007 + k)
-        sets.append(engine.random_base2(m=log2_points))
-    return sets
-
-
-def general_rectangle_probability(
-    correlation: CorrelationMatrix,
-    lower,
-    upper,
-    *,
-    seed: int = DEFAULT_QMC_SEED,
-    target_se: float = _QMC_TARGET_SE,
-):
-    """Randomized QMC rectangle probability with its standard error."""
-    a = correlation.as_array()
-    m = len(a)
-    lower = np.asarray(lower, dtype=float)
-    upper = np.asarray(upper, dtype=float)
-    if m == 1:
-        p = float(np.clip(special.ndtr(upper[0]) - special.ndtr(lower[0]), 0.0, 1.0))
-        return p, 0.0
-    L = _lower_cholesky(a)
-    log2_points = _QMC_BASE_POINTS
-    while True:
-        sets = _qmc_point_sets(m - 1, log2_points, seed, _QMC_RANDOMIZATIONS)
-        estimates = np.array([_genz_estimate(L, lower, upper, u) for u in sets])
-        estimate = float(estimates.mean())
-        se = float(estimates.std(ddof=1) / math.sqrt(len(estimates)))
-        if se <= target_se or log2_points >= _QMC_MAX_POINTS:
-            return min(max(estimate, 0.0), 1.0), se
-        log2_points += 1
-
-
-def _band_bounds(c: float, dim: int, sidedness: Sidedness):
-    upper = np.full(dim, c)
-    if sidedness is Sidedness.TWO_SIDED:
-        lower = np.full(dim, -c)
-    else:
-        lower = np.full(dim, -np.inf)
-    return lower, upper
-
-
-def _band_coverage(c: float, spec: MvnSpec, sidedness: Sidedness, qmc_seed: int) -> float:
-    if c <= 0.0 and sidedness is Sidedness.TWO_SIDED:
-        return 0.0
-    lower, upper = _band_bounds(c, spec.dim, sidedness)
-    if spec.factor_loadings is not None:
-        return factor_rectangle_probability(spec, lower, upper)
-    estimate, _ = general_rectangle_probability(spec.correlation, lower, upper, seed=qmc_seed)
     return estimate
 
 
-def max_abs_mvn_cdf(c: float, spec: MvnSpec, *, qmc_seed: int = DEFAULT_QMC_SEED) -> float:
-    """P(max_j |Z_j| <= c) for Z ~ N(0, spec.correlation).
+def factor_rectangle_probability(spec: MvnSpec, lower, upper) -> float:
+    """P(lower_j <= Z_j <= upper_j for every j) for Z ~ N(0, spec.correlation).
 
-    Factor-structured specs integrate the shared factor by adaptive
-    Gauss-Hermite quadrature (absolute error well below 1e-8); general
-    matrices use seeded randomized QMC with standard error at most 1e-4.
+    Bounds are scalars or length-``dim`` vectors; ``lower`` None leaves the
+    lower end open. The absolute error stays well below 1e-8.
     """
-    c = float(c)
-    if c < 0.0:
-        raise ValueError("band half-width must be non-negative")
-    return _band_coverage(c, spec, Sidedness.TWO_SIDED, qmc_seed)
+    for bound in (lower, upper):
+        if np.ndim(bound) and np.shape(bound) != (spec.dim,):
+            raise ValueError("bound vectors must match the spec dimension")
+    lam = np.asarray(spec.factor_loadings)
+    if not lam.any():
+        # independent comparisons: the integrand is constant, so one node is exact
+        return float(_all_inside(_inside(np.zeros(1), lam, 1.0, None, lower, upper))[0])
+    estimate = _factor_integral(lam, _all_inside, lower, upper)
+    return min(max(float(estimate), 0.0), 1.0)
 
 
 def dunnett_critical_value(
     spec: MvnSpec,
     alpha: float,
     sidedness: Sidedness = Sidedness.TWO_SIDED,
-    *,
-    qmc_seed: int = DEFAULT_QMC_SEED,
 ) -> float:
     """Smallest threshold whose simultaneous coverage reaches 1 - alpha.
 
     The bracketing interval is [per-comparison threshold, Bonferroni
     threshold]; coverage is monotone in the threshold, so a Brent root
-    search converges. For quadrature-backed specs the residual
-    |coverage - (1 - alpha)| stays below 1e-6.
+    search converges, and the residual |coverage - (1 - alpha)| stays below
+    1e-6.
     """
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must lie strictly between 0 and 1")
     m = spec.dim
-    tail = alpha / 2.0 if sidedness is Sidedness.TWO_SIDED else alpha
+    two_sided = sidedness is Sidedness.TWO_SIDED
+    tail = alpha / 2.0 if two_sided else alpha
     low = normal_quantile(1.0 - tail)
     if m == 1:
         return low
     high = normal_quantile(1.0 - tail / m)
     target = 1.0 - alpha
 
-    if spec.factor_loadings is None:
-        # freeze one point set so the root search sees a deterministic function
-        a = spec.correlation.as_array()
-        L = _lower_cholesky(a)
-        sets = _qmc_point_sets(m - 1, _QMC_MAX_POINTS - 1, qmc_seed, _QMC_RANDOMIZATIONS)
-
-        def coverage(c):
-            lower, upper = _band_bounds(c, m, sidedness)
-            return float(np.mean([_genz_estimate(L, lower, upper, u) for u in sets]))
-
-    else:
-
-        def coverage(c):
-            return _band_coverage(c, spec, sidedness, qmc_seed)
-
     def objective(c):
-        return coverage(c) - target
+        return factor_rectangle_probability(spec, -c if two_sided else None, c) - target
 
     f_low = objective(low)
     if f_low >= 0.0:
@@ -364,7 +237,7 @@ def dunnett_critical_value(
         root = brentq(objective, low, high, xtol=1e-12, rtol=8.9e-16, maxiter=200)
     except RuntimeError as exc:
         raise ConvergenceError(f"critical-value search did not converge: {exc}") from exc
-    if spec.factor_loadings is not None and abs(coverage(root) - target) > 1e-6:
+    if abs(objective(root)) > 1e-6:
         raise ConvergenceError("critical-value residual exceeds tolerance")
     return float(root)
 
@@ -379,48 +252,12 @@ def rejection_count_pmf(
 
     Conditional on the shared factor the comparisons reject independently,
     so the rejection count follows a Poisson-binomial law averaged over the
-    factor. Only factor-structured specs are supported; entry k of the
-    result is P(exactly k comparisons reject).
+    factor. Entry k of the result is P(exactly k comparisons reject).
     """
-    if spec.factor_loadings is None:
-        raise ValueError("exact rejection counts need a factor-structured correlation")
-    m = spec.dim
     mu = np.asarray(mean_shifts, dtype=float)
-    if mu.shape != (m,):
+    if mu.shape != (spec.dim,):
         raise ValueError("mean shifts must match the spec dimension")
+    lower = -critical_value if sidedness is Sidedness.TWO_SIDED else None
     lam = np.asarray(spec.factor_loadings)
-    scale = np.sqrt(1.0 - lam * lam)
-    previous = None
-    for n in _QUAD_NODE_COUNTS:
-        x, w = _hermite_nodes(n)
-        shifted = mu[None, :] + x[:, None] * lam[None, :]
-        hi = special.ndtr((critical_value - shifted) / scale)
-        if sidedness is Sidedness.TWO_SIDED:
-            lo = special.ndtr((-critical_value - shifted) / scale)
-        else:
-            lo = 0.0
-        reject = np.clip(1.0 - (hi - lo), 0.0, 1.0)
-        dist = np.zeros((n, m + 1))
-        dist[:, 0] = 1.0
-        for j in range(m):
-            p = reject[:, j][:, None]
-            shifted_dist = np.zeros_like(dist)
-            shifted_dist[:, 1:] = dist[:, :-1]
-            dist = dist * (1.0 - p) + shifted_dist * p
-        pmf = w @ dist
-        if previous is not None and np.max(np.abs(pmf - previous)) < _QUAD_STOP:
-            break
-        previous = pmf
-    pmf = np.clip(pmf, 0.0, 1.0)
+    pmf = np.clip(_factor_integral(lam, _count_law, lower, critical_value, mu), 0.0, 1.0)
     return pmf / pmf.sum()
-
-
-def rejection_count_tail(
-    spec: MvnSpec,
-    mean_shifts,
-    critical_value: float,
-    sidedness: Sidedness = Sidedness.TWO_SIDED,
-) -> np.ndarray:
-    """P(at least k rejections) for k = 0..m, from the exact count law."""
-    pmf = rejection_count_pmf(spec, mean_shifts, critical_value, sidedness)
-    return np.cumsum(pmf[::-1])[::-1]

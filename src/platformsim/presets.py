@@ -541,6 +541,8 @@ def _context_from_overrides(overrides, ctx=None) -> _RunContext:
     ctx = _RunContext() if ctx is None else ctx
     if "reps" in overrides:
         ctx.reps = int(overrides.pop("reps"))
+        if ctx.reps < 1:
+            raise ValueError(f"reps must be at least 1, got {ctx.reps}")
     if "seed" in overrides:
         ctx.seed = int(overrides.pop("seed"))
     if "workers" in overrides:
@@ -549,7 +551,10 @@ def _context_from_overrides(overrides, ctx=None) -> _RunContext:
             raise ValueError(f"workers must be at least 1, got {ctx.workers}")
     if "mode" in overrides:
         mode = overrides.pop("mode")
-        ctx.mode = mode if isinstance(mode, SimulationMode) else SimulationMode(mode)
+        try:
+            ctx.mode = SimulationMode(mode)
+        except ValueError as exc:
+            raise ValueError(f"mode must be 'patient' or 'sufficient', got {mode!r}") from exc
     if "sweep" in overrides:
         sweep = overrides.pop("sweep")
         ctx.sweep = None if sweep is None else tuple(sweep)

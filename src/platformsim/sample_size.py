@@ -108,8 +108,7 @@ def staggered_template(shift: int) -> Callable[[int], PlatformDesign]:
     return build
 
 
-def _policy_power(n: int, template, policy: AdjustmentPolicy, delta: float, arm: int) -> float:
-    design = template(n)
+def _policy_power(design: PlatformDesign, policy: AdjustmentPolicy, delta: float, arm: int) -> float:
     threshold = critical_value(policy, analytic_correlation(design))
     return marginal_power(
         design.treatment_total(arm),
@@ -142,7 +141,8 @@ def required_per_arm_n(
     the monotone analytic power curve. When the guess is exact, as for fixed
     designs whose threshold does not depend on n, that costs three threshold
     evaluations. ``template`` maps a candidate n to the design it induces;
-    candidates it rejects count as infeasible. Raises if no n up to ``max_n``
+    candidates it rejects with a ``ValueError`` count as infeasible. Errors
+    from the threshold itself propagate. Raises if no n up to ``max_n``
     reaches the target.
     """
     if target.alpha != policy.alpha:
@@ -152,18 +152,20 @@ def required_per_arm_n(
 
     def meets(n: int) -> bool:
         try:
-            return _policy_power(n, template, policy, target.delta, arm) >= target.target
+            design = template(n)
         except ValueError:
             return False
+        return _policy_power(design, policy, target.delta, arm) >= target.target
 
     # the probe size comes from the threshold of a single unadjusted comparison
     single = replace(policy, method=AdjustmentMethod.UNADJUSTED)
     probe = _per_side_n(critical_value(single, CorrelationMatrix(((1.0,),))), target)
     try:
-        threshold = critical_value(policy, analytic_correlation(template(probe)))
-        guess = _per_side_n(threshold, target)
+        design = template(probe)
     except ValueError:  # the template rejects the probe size
         guess = probe
+    else:
+        guess = _per_side_n(critical_value(policy, analytic_correlation(design)), target)
     guess = min(guess, max_n)
     # invariant once bracketed: lo misses the target (or is 0), hi meets it
     step = 1

@@ -5,21 +5,27 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
+from scipy.optimize import brentq
+from scipy.stats import multivariate_normal
 
-from platformsim.correlation import CorrelationMatrix
+from platformsim.correlation import CorrelationMatrix, analytic_correlation
+from platformsim.designs import (
+    ControlMode,
+    build_budget_design,
+    build_fixed_design,
+    build_staggered_design,
+)
 from platformsim.distributions import (
     MvnSpec,
-    MvnStructure,
     Sidedness,
     dunnett_critical_value,
     factor_rectangle_probability,
-    general_rectangle_probability,
-    max_abs_mvn_cdf,
     normal_cdf,
     normal_quantile,
     rejection_count_pmf,
-    rejection_count_tail,
 )
+from platformsim.presets import SPONSOR_BUDGET, _fixed_total_design
+from strategies import staggered_params
 
 mpmath.mp.dps = 40
 
@@ -46,6 +52,19 @@ def phi_tail_asymptotic(x):
     density = math.exp(-x * x / 2) / math.sqrt(2 * math.pi)
     z = abs(x)
     return density / z * (1 - 1 / z**2 + 3 / z**4 - 15 / z**6 + 105 / z**8)
+
+
+def max_abs_mvn_cdf(c, spec):
+    """P(max_j |Z_j| <= c) for Z ~ N(0, spec.correlation), by factor quadrature."""
+    return factor_rectangle_probability(spec, -c, c)
+
+
+def genz_rectangle(corr, lower, upper):
+    """Rectangle probability from scipy's Genz integrator, independent of the package."""
+    a = corr.as_array()
+    return multivariate_normal.cdf(
+        upper, mean=np.zeros(len(a)), cov=a, lower_limit=lower, abseps=1e-9
+    )
 
 
 # frozen oracle values
@@ -99,12 +118,10 @@ class TestNormalQuantile:
 class TestStructureDetection:
     def test_identity_is_equicorrelated_zero(self):
         spec = MvnSpec.from_correlation(CorrelationMatrix.identity(4))
-        assert spec.structure is MvnStructure.EQUICORRELATED
-        assert spec.common_correlation == 0.0
+        assert spec.factor_loadings == (0.0,) * 4
 
     def test_equicorrelated(self):
         spec = MvnSpec.equicorrelated(3, 0.5)
-        assert spec.structure is MvnStructure.EQUICORRELATED
         assert spec.factor_loadings == pytest.approx((math.sqrt(0.5),) * 3)
 
     def test_product_form(self):
@@ -113,7 +130,6 @@ class TestStructureDetection:
             tuple(1.0 if i == j else lam[i] * lam[j] for j in range(3)) for i in range(3)
         )
         spec = MvnSpec.from_correlation(CorrelationMatrix(entries))
-        assert spec.structure is MvnStructure.PRODUCT_FORM
         assert spec.factor_loadings == pytest.approx(lam)
 
     def test_product_form_with_independent_block(self):
@@ -123,12 +139,46 @@ class TestStructureDetection:
 
     def test_general_matrix_detected(self):
         entries = ((1.0, 0.5, 0.3), (0.5, 1.0, 0.0), (0.3, 0.0, 1.0))
-        spec = MvnSpec.from_correlation(CorrelationMatrix(entries))
-        assert spec.structure is MvnStructure.GENERAL
-        assert spec.factor_loadings is None
+        with pytest.raises(ValueError, match="not one-factor"):
+            MvnSpec.from_correlation(CorrelationMatrix(entries))
+
+
+class TestBuiltDesignsAreOneFactor:
+    """Every design a builder or a config can produce has one-factor loadings."""
+
+    @staticmethod
+    def assert_one_factor(design):
+        spec = MvnSpec.from_correlation(analytic_correlation(design))
+        assert all(0.0 <= lam < 1.0 for lam in spec.factor_loadings)
+
+    @given(
+        st.integers(min_value=1, max_value=10),
+        st.integers(min_value=1, max_value=1_000),
+        st.sampled_from(list(ControlMode)),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_fixed(self, m, n, mode):
+        self.assert_one_factor(build_fixed_design(m, n, mode))
+
+    @given(st.integers(min_value=1, max_value=10), st.sampled_from([1.0, "sqrt"]))
+    @settings(max_examples=20, deadline=None)
+    def test_fixed_total_control_ratios(self, m, ratio):
+        self.assert_one_factor(_fixed_total_design(m, math.sqrt(m) if ratio == "sqrt" else ratio))
+
+    @given(staggered_params(max_n=1_000))
+    @settings(max_examples=100, deadline=None)
+    def test_staggered(self, params):
+        self.assert_one_factor(build_staggered_design(*params))
+
+    @given(st.integers(min_value=0, max_value=150))
+    @settings(max_examples=40, deadline=None)
+    def test_budget(self, shift):
+        self.assert_one_factor(build_budget_design(shift, SPONSOR_BUDGET).design)
 
 
 class TestMaxAbsMvnCdf:
+    """P(max_j |Z_j| <= c), the band coverage the Dunnett threshold solves on."""
+
     def test_identity_dim3(self):
         spec = MvnSpec.from_correlation(CorrelationMatrix.identity(3))
         assert max_abs_mvn_cdf(Z_0975, spec) == pytest.approx(0.857375, abs=1e-9)
@@ -145,31 +195,22 @@ class TestMaxAbsMvnCdf:
         spec = MvnSpec.equicorrelated(3, 0.5)
         assert max_abs_mvn_cdf(0.0, spec) == 0.0
 
-    def test_rejects_negative_width(self):
-        with pytest.raises(ValueError):
-            max_abs_mvn_cdf(-1.0, MvnSpec.equicorrelated(2, 0.5))
-
     def test_monotone_in_width(self):
         spec = MvnSpec.equicorrelated(4, 0.3)
         grid = [max_abs_mvn_cdf(c, spec) for c in np.linspace(0.0, 4.0, 17)]
         assert all(a <= b + 1e-12 for a, b in zip(grid, grid[1:]))
 
     def test_quadrature_agrees_with_qmc_path(self):
-        # same matrix evaluated through both routes
+        # scipy's randomized-lattice Genz integrator handles any matrix
         entries = (
             (1.0, 0.5, 7 / 30),
             (0.5, 1.0, 7 / 30),
             (7 / 30, 7 / 30, 1.0),
         )
         corr = CorrelationMatrix(entries)
-        structured = MvnSpec.from_correlation(corr)
-        assert structured.structure is MvnStructure.PRODUCT_FORM
-        exact = max_abs_mvn_cdf(1.96, structured)
-        estimate, se = general_rectangle_probability(
-            corr, np.full(3, -1.96), np.full(3, 1.96)
-        )
-        assert se <= 1e-4
-        assert abs(exact - estimate) <= 4 * (se + 1e-8)
+        exact = max_abs_mvn_cdf(1.96, MvnSpec.from_correlation(corr))
+        estimate = genz_rectangle(corr, np.full(3, -1.96), np.full(3, 1.96))
+        assert exact == pytest.approx(estimate, abs=1e-8)
 
     def test_monte_carlo_oracle_equicorrelated(self):
         # brute-force check of the quadrature on a fresh sampler
@@ -259,8 +300,12 @@ class TestDunnettCriticalValue:
         )
         corr = CorrelationMatrix(entries)
         structured = dunnett_critical_value(MvnSpec.from_correlation(corr), 0.05)
-        general = dunnett_critical_value(MvnSpec(corr, MvnStructure.GENERAL, None), 0.05)
-        assert structured == pytest.approx(general, abs=5e-4)
+
+        def general_shortfall(c):
+            return genz_rectangle(corr, np.full(3, -c), np.full(3, c)) - 0.95
+
+        general = brentq(general_shortfall, 2.0, 2.5, xtol=1e-10)
+        assert structured == pytest.approx(general, abs=1e-6)
 
     def test_rejects_bad_alpha(self):
         with pytest.raises(ValueError):
@@ -285,26 +330,20 @@ class TestRejectionCounts:
             se = math.sqrt(max(mc * (1 - mc), 1e-9) / reps)
             assert abs(pmf[k] - mc) <= 4 * se
 
-    def test_tail_is_reverse_cumulative(self):
-        spec = MvnSpec.equicorrelated(4, 0.3)
-        pmf = rejection_count_pmf(spec, np.zeros(4), 2.0)
-        tail = rejection_count_tail(spec, np.zeros(4), 2.0)
-        assert tail[0] == pytest.approx(1.0, abs=1e-12)
-        assert tail[1] == pytest.approx(1.0 - pmf[0], abs=1e-12)
-        assert tail[4] == pytest.approx(pmf[4], abs=1e-12)
-
     def test_independent_case_is_binomial(self):
         spec = MvnSpec.from_correlation(CorrelationMatrix.identity(3))
-        tail = rejection_count_tail(spec, np.zeros(3), Z_0975)
+        pmf = rejection_count_pmf(spec, np.zeros(3), Z_0975)
         p = 0.05
-        assert tail[1] == pytest.approx(1 - (1 - p) ** 3, abs=1e-9)
-        assert tail[2] == pytest.approx(3 * p * p * (1 - p) + p**3, abs=1e-9)
+        assert 1.0 - pmf[0] == pytest.approx(1 - (1 - p) ** 3, abs=1e-9)
+        assert pmf[2:].sum() == pytest.approx(3 * p * p * (1 - p) + p**3, abs=1e-9)
 
     def test_requires_factor_structure(self):
+        # a spec, and so a count law, exists only for one-factor matrices
         entries = ((1.0, 0.5, 0.3), (0.5, 1.0, 0.0), (0.3, 0.0, 1.0))
-        spec = MvnSpec.from_correlation(CorrelationMatrix(entries))
-        with pytest.raises(ValueError):
-            rejection_count_pmf(spec, np.zeros(3), 1.96)
+        with pytest.raises(ValueError, match="not one-factor"):
+            MvnSpec.from_correlation(CorrelationMatrix(entries))
+        with pytest.raises(ValueError, match="mean shifts"):
+            rejection_count_pmf(MvnSpec.equicorrelated(3, 0.5), np.zeros(2), 1.96)
 
 
 class TestFactorRectangle:
@@ -322,5 +361,5 @@ class TestFactorRectangle:
         lower = np.array([-1.0, -2.0, -0.5])
         upper = np.array([1.5, 2.5, 0.75])
         exact = factor_rectangle_probability(spec, lower, upper)
-        estimate, se = general_rectangle_probability(spec.correlation, lower, upper)
-        assert abs(exact - estimate) <= 4 * (se + 1e-8)
+        estimate = genz_rectangle(spec.correlation, lower, upper)
+        assert exact == pytest.approx(estimate, abs=1e-8)

@@ -2,9 +2,11 @@ import csv
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import platformsim
 from platformsim.adjust import AdjustmentMethod, critical_value
 from platformsim.cli import main
 from platformsim.correlation import analytic_correlation
@@ -264,6 +266,32 @@ class TestCli:
             assert code == 1
             assert f"workers must be at least 1, got {workers}" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
+
+    def test_zero_reps_names_field(self, tmp_path, capsys):
+        for source in (["--preset", "table3"], ["--config", str(write_config(tmp_path, MINIMAL))]):
+            code = main(source + ["--reps", "0", "--out", str(tmp_path / "o")])
+            assert code == 1
+            assert "reps must be at least 1, got 0" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    def test_unknown_mode_names_field(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setenv("SIMULATE_MODE", "bogus")
+        for source in (["--preset", "table3"], ["--config", str(write_config(tmp_path, MINIMAL))]):
+            code = main(source + ["--reps", "200", "--out", str(tmp_path / "o")])
+            assert code == 1
+            err = capsys.readouterr().err
+            assert "mode must be 'patient' or 'sufficient', got 'bogus'" in err
+        assert not (tmp_path / "o").exists()
+
+    def test_import_leaves_scipy_stats_unloaded(self):
+        src = Path(platformsim.__file__).resolve().parents[1]
+        probe = (
+            f"import sys; sys.path.insert(0, {str(src)!r}); import platformsim.cli; "
+            "print('scipy.stats' in sys.modules)"
+        )
+        proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "False"
 
     def test_config_run(self, tmp_path):
         path = write_config(tmp_path, dict(MINIMAL, reps=400))

@@ -288,6 +288,23 @@ class TestGallopingSearch:
         with pytest.raises(ValueError, match="search cap"):
             required_per_arm_n(TARGET, UNADJ, staggered_template(300), arm=2, max_n=250)
 
+    def test_threshold_errors_are_not_infeasibility(self):
+        # a chain of three arms: arms 1 and 3 share no control, arm 2 overlaps
+        # both, so the matrix has no one-factor form and Dunnett must refuse
+        # it rather than report that no n is feasible
+        def chain(n):
+            return PlatformDesign(
+                ControlMode.COMMON, ((n,) * 4, (n, n, 0, 0), (0, n, n, 0), (0, 0, n, n))
+            )
+
+        with pytest.raises(ValueError, match="not one-factor"):
+            required_per_arm_n(TARGET, DUNN, chain)
+        config = ScenarioConfig(chain(150), (0.0, 0.0, 0.0), DUNN, reps=100)
+        with pytest.raises(ValueError, match="not one-factor"):
+            run_scenario(config)
+        # the other policies do not need the factor form
+        assert required_per_arm_n(TARGET, BONF, chain) > 0
+
 
 class TestSplitFixedTotal:
     def test_reference_splits(self):
