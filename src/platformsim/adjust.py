@@ -1,12 +1,10 @@
-"""Single-step multiplicity decisions over comparison z-statistics."""
+"""Single-step multiplicity thresholds for comparison z-statistics."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
-
-import numpy as np
 
 from .correlation import CorrelationMatrix
 from .distributions import MvnSpec, Sidedness, dunnett_critical_value, normal_quantile
@@ -45,19 +43,3 @@ def critical_value(policy: AdjustmentPolicy, correlation: CorrelationMatrix) -> 
     if policy.method is AdjustmentMethod.BONFERRONI:
         return normal_quantile(1.0 - tail / m)
     return _dunnett_threshold(correlation, policy.alpha, policy.sidedness)
-
-
-def decide_rejections(z, policy: AdjustmentPolicy, correlation: CorrelationMatrix) -> np.ndarray:
-    """Boolean rejection vector for one replication's z-statistics.
-
-    All three methods are single-step: one threshold, applied to every
-    comparison. A statistic exactly at the threshold is not rejected.
-    """
-    z = np.asarray(z, dtype=float)
-    if z.shape != (correlation.dim,):
-        raise ValueError(
-            f"z vector has length {z.size}, correlation matrix is {correlation.dim}-dimensional"
-        )
-    threshold = critical_value(policy, correlation)
-    score = np.abs(z) if policy.sidedness is Sidedness.TWO_SIDED else z
-    return score > threshold

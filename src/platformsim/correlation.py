@@ -58,22 +58,11 @@ class CorrelationMatrix:
     def entry(self, i: int, j: int) -> float:
         return self.entries[i][j]
 
-    def submatrix(self, indices) -> "CorrelationMatrix":
-        idx = list(indices)
-        return CorrelationMatrix(
-            tuple(tuple(self.entries[i][j] for j in idx) for i in idx)
-        )
-
     @classmethod
     def identity(cls, dim: int) -> "CorrelationMatrix":
         if dim < 1:
             raise ValueError("dimension must be positive")
         return cls(tuple(tuple(1.0 if i == j else 0.0 for j in range(dim)) for i in range(dim)))
-
-    @classmethod
-    def from_array(cls, a) -> "CorrelationMatrix":
-        arr = np.asarray(a, dtype=float)
-        return cls(tuple(tuple(float(x) for x in row) for row in arr))
 
 
 def analytic_correlation(design: PlatformDesign) -> CorrelationMatrix:
@@ -106,44 +95,3 @@ def analytic_correlation(design: PlatformDesign) -> CorrelationMatrix:
             overlap = sum(control[t] for t in active[a] & active[b])
             rows[a][b] = rows[b][a] = overlap / math.sqrt(factor[a] * factor[b])
     return CorrelationMatrix(tuple(tuple(row) for row in rows))
-
-
-def equal_recruitment_correlation(n_control: int, n_first: int, n_second: int) -> float:
-    """Pairwise correlation when both arms share the whole control window."""
-    return 1.0 / math.sqrt((n_control / n_first + 1.0) * (n_control / n_second + 1.0))
-
-
-def late_entry_pair_correlation(n_before: int, n_shared: int, n_after: int) -> float:
-    """Correlation of an early and a late comparison with equal per-period overlap.
-
-    ``n_before`` controls precede the late arm, ``n_shared`` are concurrent to
-    both comparisons and ``n_after`` follow the early arms' close-out; each
-    treatment arm matches its concurrent controls period by period.
-    """
-    return 0.5 * n_shared / math.sqrt((n_before + n_shared) * (n_shared + n_after))
-
-
-def empirical_correlation(
-    design: PlatformDesign,
-    effects,
-    reps: int = 100_000,
-    seed: int = 42,
-    mode=None,
-) -> np.ndarray:
-    """Sample Pearson correlation of simulated per-replication z-vectors."""
-    if reps < 10_000:
-        raise ValueError("need at least 10,000 replications for a stable estimate")
-    from . import engine  # local import: engine depends on this module
-
-    if mode is None:
-        mode = engine.SimulationMode.SUFFICIENT_STATISTIC
-    m = design.num_arms
-    total = np.zeros(m)
-    cross = np.zeros((m, m))
-    for block in engine.iter_zstat_blocks(design, effects, reps, seed, mode=mode):
-        total += block.sum(axis=0)
-        cross += block.T @ block
-    mean = total / reps
-    cov = cross / reps - np.outer(mean, mean)
-    sd = np.sqrt(np.diag(cov))
-    return cov / np.outer(sd, sd)

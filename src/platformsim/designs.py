@@ -8,11 +8,14 @@ two comparisons) is derived from this matrix.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+
+
+_BUDGET_EARLY_N = 150
+_BUDGET_CONTROL_SHARE = Fraction(1, 3)
 
 
 class ControlMode(Enum):
@@ -83,10 +86,6 @@ class PlatformDesign:
             return len(self.recruitment) - 1
         return len(self.recruitment) // 2
 
-    @property
-    def num_periods(self) -> int:
-        return len(self.recruitment[0])
-
     def _check_arm(self, arm: int) -> None:
         if not 0 <= arm < self.num_arms:
             raise IndexError(f"arm index {arm} out of range for {self.num_arms} arms")
@@ -102,10 +101,6 @@ class PlatformDesign:
         if self.control_mode is ControlMode.COMMON:
             return self.recruitment[0]
         return self.recruitment[2 * arm + 1]
-
-    def treatment_counts(self, arm: int) -> tuple[int, ...]:
-        """Per-period recruitment of treatment arm ``arm`` (0-based)."""
-        return self._treatment_row(arm)
 
     def treatment_total(self, arm: int) -> int:
         return sum(self._treatment_row(arm))
@@ -138,9 +133,6 @@ class PlatformDesign:
         """Total patients recruited across all arms and periods."""
         return sum(sum(row) for row in self.recruitment)
 
-    def arm_totals(self) -> tuple[int, ...]:
-        return tuple(sum(row) for row in self.recruitment)
-
     @property
     def arm_labels(self) -> tuple[str, ...]:
         if self.control_mode is ControlMode.COMMON:
@@ -158,9 +150,6 @@ class PlatformDesign:
             "matrix": [list(row) for row in self.recruitment],
         }
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict())
-
     @classmethod
     def from_dict(cls, payload: dict) -> "PlatformDesign":
         try:
@@ -173,10 +162,6 @@ class PlatformDesign:
         if arms is not None and tuple(arms) != design.arm_labels:
             raise ValueError("arm labels do not match the design layout")
         return design
-
-    @classmethod
-    def from_json(cls, text: str) -> "PlatformDesign":
-        return cls.from_dict(json.loads(text))
 
 
 @dataclass(frozen=True)
@@ -193,14 +178,6 @@ class BudgetAllocation:
     design: PlatformDesign
     comparison_n: int
     sponsor_period2_controls: int
-
-    @property
-    def sponsor_funded_total(self) -> int:
-        late_arm = self.design.num_arms - 1
-        treatment = self.design.treatment_total(late_arm)
-        control_row = self.design.recruitment[0]
-        last_period = self.design.num_periods - 1
-        return treatment + self.sponsor_period2_controls + control_row[last_period]
 
 
 def _trim_empty_periods(matrix):
@@ -244,34 +221,23 @@ def build_staggered_design(n_per_arm: int, shift: int) -> PlatformDesign:
     return PlatformDesign(ControlMode.COMMON, _trim_empty_periods((control, early, early, late)))
 
 
-def build_budget_design(
-    shift: int,
-    budget: int,
-    *,
-    early_n: int = 150,
-    control_share: Fraction = Fraction(1, 3),
-) -> BudgetAllocation:
+def build_budget_design(shift: int, budget: int) -> BudgetAllocation:
     """Allocate a joining sponsor's budget in an ongoing three-arm platform.
 
-    The two early arms have ``early_n`` patients per comparison and have
-    already recruited ``shift`` patients per arm when the late arm joins.
-    During the joint period the sponsor pays for ``control_share`` of
-    control recruitment; the rest of the budget is split equally between the
-    late arm and the concurrent control extension so that the late
-    comparison has equal patients per side. Arithmetic is exact (rational)
-    with a single half-up rounding of the per-side comparison size.
+    The two early arms have 150 patients per comparison and have already
+    recruited ``shift`` patients per arm when the late arm joins. During the
+    joint period the sponsor pays for one third of control recruitment; the
+    rest of the budget is split equally between the late arm and the
+    concurrent control extension so that the late comparison has equal
+    patients per side. Arithmetic is exact (rational) with a single half-up
+    rounding of the per-side comparison size.
     """
-    if early_n < 1:
-        raise ValueError("early arms need at least one patient")
-    if not 0 <= shift <= early_n:
+    if not 0 <= shift <= _BUDGET_EARLY_N:
         raise ValueError("shift must lie between 0 and the early arms' sample size")
     if budget <= 0:
         raise ValueError("budget must be positive")
-    share = Fraction(control_share)
-    if not 0 <= share <= 1:
-        raise ValueError("control share must lie in [0, 1]")
-    joint = early_n - shift
-    obligation = joint * share
+    joint = _BUDGET_EARLY_N - shift
+    obligation = joint * _BUDGET_CONTROL_SHARE
     leftover = Fraction(budget) - joint - obligation
     if leftover < 0:
         raise ValueError(

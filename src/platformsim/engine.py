@@ -19,7 +19,7 @@ from enum import Enum
 
 import numpy as np
 
-from .adjust import AdjustmentPolicy, critical_value, decide_rejections
+from .adjust import AdjustmentPolicy, critical_value
 from .correlation import analytic_correlation
 from .designs import ControlMode, PlatformDesign
 from .distributions import Sidedness
@@ -66,18 +66,6 @@ class ScenarioConfig:
         object.__setattr__(self, "kfwer_levels", levels)
         if any(k < 1 or k > self.design.num_arms for k in levels):
             raise ValueError("k-FWER levels must lie in 1..m")
-
-
-@dataclass(frozen=True)
-class ReplicationResult:
-    """One replication's comparison z-statistics and rejection decisions."""
-
-    z: tuple[float, ...]
-    rejections: tuple[bool, ...]
-
-    def __post_init__(self):
-        if len(self.z) != len(self.rejections):
-            raise ValueError("z and rejection vectors must have equal length")
 
 
 @dataclass(frozen=True)
@@ -158,9 +146,9 @@ def _sliced_zstats(means: np.ndarray, weights: np.ndarray) -> np.ndarray:
     return z
 
 
-def _block_sizes(reps: int, block_size: int = BLOCK_SIZE):
-    full, rest = divmod(reps, block_size)
-    sizes = [block_size] * full
+def _block_sizes(reps: int):
+    full, rest = divmod(reps, BLOCK_SIZE)
+    sizes = [BLOCK_SIZE] * full
     if rest:
         sizes.append(rest)
     return sizes
@@ -179,28 +167,18 @@ def iter_zstat_blocks(
         yield _zstat_block(plan, seed, block_index, count, mode)
 
 
-def simulate_zstats(
-    design: PlatformDesign,
-    effects,
-    stream: np.random.Generator,
-    mode: SimulationMode = SimulationMode.SUFFICIENT_STATISTIC,
-) -> np.ndarray:
-    """One replication's z-statistics drawn from the given random stream.
+def _rejected(z: np.ndarray, threshold: float, sidedness: Sidedness) -> np.ndarray:
+    """Single-step rejections: the statistic (|z| when two-sided) exceeds the threshold.
 
-    Patient-level mode draws every individual outcome; sufficient-statistic
-    mode draws each arm-period mean from its exact normal law. The two modes
-    are distributionally identical.
+    A statistic exactly at the threshold is not rejected.
     """
-    plan = _build_plan(design, effects)
-    means = _draw_cell_means(plan, stream, 1, mode)
-    return (means @ plan.weights.T)[0]
+    score = np.abs(z) if sidedness is Sidedness.TWO_SIDED else z
+    return score > threshold
 
 
 def _block_tally(plan, threshold, sidedness, effective, seed, mode, block_index, count):
     """Joint histogram of (false, true) rejections per replication, and per-arm rejections."""
-    z = _zstat_block(plan, seed, block_index, count, mode)
-    score = np.abs(z) if sidedness is Sidedness.TWO_SIDED else z
-    rejected = score > threshold
+    rejected = _rejected(_zstat_block(plan, seed, block_index, count, mode), threshold, sidedness)
     eff = np.asarray(effective)
     n_true = int(eff.sum())
     false_rej = rejected[:, ~eff].sum(axis=1)
@@ -251,18 +229,3 @@ def run_scenario(config: ScenarioConfig, workers: int = 1) -> OperatingCharacter
         conjunctive_count=int(true_hist[n_true]),
         per_arm_rejections=np.sum([p[1] for p in partials], axis=0),
     )
-
-
-def sample_replications(config: ScenarioConfig, count: int) -> list[ReplicationResult]:
-    """Materialize the first ``count`` replications for inspection."""
-    correlation = analytic_correlation(config.design)
-    out = []
-    for block in iter_zstat_blocks(
-        config.design, config.effects, min(count, config.reps), config.seed, config.mode
-    ):
-        for row in block:
-            decisions = decide_rejections(row, config.policy, correlation)
-            out.append(ReplicationResult(tuple(float(x) for x in row), tuple(bool(b) for b in decisions)))
-            if len(out) == count:
-                return out
-    return out

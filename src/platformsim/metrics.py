@@ -1,17 +1,17 @@
-"""Rejection bookkeeping per replication and aggregate operating characteristics.
+"""Aggregate operating characteristics from replication-level counts.
 
 Each replication of a multi-arm trial yields a vector of rejection
-decisions. Counting false and true rejections per replication and averaging
-over replications gives the family-wise error rates, the expected number of
-false rejections and the power summaries, each with a Monte Carlo standard
-error.
+decisions. The engine counts false and true rejections per replication;
+averaging those counts over replications gives the family-wise error
+rates, the expected number of false rejections and the power summaries,
+each with a Monte Carlo standard error.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
@@ -21,50 +21,6 @@ class Estimate(NamedTuple):
 
     value: float
     se: float
-
-
-@dataclass(frozen=True)
-class RejectionTally:
-    """Outcome counts of one replication's family of tests."""
-
-    false_rejections: int
-    true_rejections: int
-    true_null_count: int
-    num_comparisons: int
-
-    def __post_init__(self):
-        if self.num_comparisons < 1:
-            raise ValueError("need at least one comparison")
-        if not 0 <= self.true_null_count <= self.num_comparisons:
-            raise ValueError("true-null count out of range")
-        if not 0 <= self.false_rejections <= self.true_null_count:
-            raise ValueError("false rejections exceed the true-null count")
-        if not 0 <= self.true_rejections <= self.num_comparisons - self.true_null_count:
-            raise ValueError("true rejections exceed the effective-arm count")
-
-    @property
-    def total_rejections(self) -> int:
-        return self.false_rejections + self.true_rejections
-
-
-def tally_outcomes(rejections, effective) -> RejectionTally:
-    """Tally one replication's decisions against the ground truth.
-
-    ``effective[j]`` is True when arm j's null hypothesis is false, i.e. the
-    arm genuinely works; a rejection there is a true rejection.
-    """
-    rej = np.asarray(rejections, dtype=bool)
-    eff = np.asarray(effective, dtype=bool)
-    if rej.shape != eff.shape or rej.ndim != 1:
-        raise ValueError("rejections and truth vectors must have equal length")
-    false_rej = int(np.sum(rej & ~eff))
-    true_rej = int(np.sum(rej & eff))
-    return RejectionTally(
-        false_rejections=false_rej,
-        true_rejections=true_rej,
-        true_null_count=int(np.sum(~eff)),
-        num_comparisons=int(rej.size),
-    )
 
 
 @dataclass(frozen=True)
@@ -168,55 +124,4 @@ def characteristics_from_counts(
         marginal_power=marginal,
         disjunctive_power=proportion_estimate(disjunctive_count, reps) if any_effective else None,
         conjunctive_power=proportion_estimate(conjunctive_count, reps) if any_effective else None,
-    )
-
-
-def aggregate_characteristics(
-    tallies: Iterable[RejectionTally],
-    kfwer_levels=(1, 2, 3),
-    *,
-    effective=None,
-    per_arm_rejections=None,
-) -> OperatingCharacteristics:
-    """Aggregate per-replication tallies into operating characteristics.
-
-    Tallies alone cannot attribute rejections to individual arms, so
-    per-arm marginal power is only reported when ``effective`` (the truth
-    vector) and ``per_arm_rejections`` (total rejections per arm over the
-    same replications) are supplied, as the simulation engine does.
-    """
-    tallies = list(tallies)
-    if not tallies:
-        raise ValueError("need at least one tally")
-    m = tallies[0].num_comparisons
-    m0 = tallies[0].true_null_count
-    for t in tallies:
-        if t.num_comparisons != m or t.true_null_count != m0:
-            raise ValueError("tallies mix different testing families")
-    if effective is not None:
-        eff = np.asarray(effective, dtype=bool)
-        if eff.shape != (m,) or int(np.sum(~eff)) != m0:
-            raise ValueError("truth vector inconsistent with the tallies")
-    else:
-        # arm identities are unknown; any placement with m0 true nulls works
-        # for the arm-agnostic metrics reported without per-arm counts
-        eff = np.arange(m) >= m0
-        per_arm_rejections = None
-    levels = sorted(set(int(k) for k in kfwer_levels) | {1})
-    if levels[0] < 1:
-        raise ValueError("k-FWER levels must be at least 1")
-    false_counts = np.array([t.false_rejections for t in tallies])
-    true_counts = np.array([t.true_rejections for t in tallies])
-    reps = len(tallies)
-    kfwer_counts = {k: int(np.sum(false_counts >= k)) for k in levels}
-    return characteristics_from_counts(
-        reps=reps,
-        num_comparisons=m,
-        effective=eff,
-        kfwer_counts=kfwer_counts,
-        false_rejection_sum=int(false_counts.sum()),
-        false_rejection_sq_sum=int(np.sum(false_counts * false_counts)),
-        disjunctive_count=int(np.sum(true_counts >= 1)),
-        conjunctive_count=int(np.sum(true_counts == m - m0)),
-        per_arm_rejections=per_arm_rejections,
     )

@@ -576,6 +576,8 @@ def run_preset(name: str, overrides=None, out_dir="results") -> PresetResult:
     return _write_reports(name, rows, scenarios, plotdata, ctx, out_dir)
 
 
+_MAX_N = 2**63 - 1  # patient counts enter numpy as int64
+
 _CONFIG_KEYS = {
     "m",
     "n",
@@ -590,6 +592,19 @@ _CONFIG_KEYS = {
     "mode",
     "kfwer_levels",
 }
+
+
+def _finite_z_mean(effect, n: int) -> bool:
+    """Whether ``effect`` is finite and so is the mean of its comparison's z-statistic.
+
+    Every design a config builds has ``n`` patients on each side of every
+    comparison, so that mean is effect * sqrt(n / 2).
+    """
+    try:
+        effect = float(effect)
+    except OverflowError:  # an integer beyond the float range
+        return False
+    return math.isfinite(effect * math.sqrt(n / 2))
 
 
 def load_config(path) -> ScenarioConfig:
@@ -628,6 +643,8 @@ def load_config(path) -> ScenarioConfig:
 
     m = int_field("m", required=True, minimum=1)
     n = int_field("n", required=True, minimum=1)
+    if n > _MAX_N:
+        raise ValueError(f"config field 'n' must be at most {_MAX_N}, got {n}")
     control = field("control", required=True)
     if control not in ("common", "individual"):
         raise ValueError("config field 'control' must be 'common' or 'individual'")
@@ -636,10 +653,17 @@ def load_config(path) -> ScenarioConfig:
         raise ValueError("config field 'effects' must be a list of numbers")
     if len(effects) != m:
         raise ValueError(f"config field 'effects' must have length m={m}, got {len(effects)}")
+    if not all(_finite_z_mean(e, n) for e in effects):
+        raise ValueError(
+            "config field 'effects' must be finite numbers whose z-statistic means "
+            f"effect * sqrt(n / 2) are finite, got {effects}"
+        )
     shift = int_field("shift", minimum=0)
     if shift is not None:
         if control != "common" or m != 3:
             raise ValueError("config field 'shift' needs control='common' and m=3")
+        if shift > n:
+            raise ValueError(f"config field 'shift' must be at most n={n}, got {shift}")
         design = build_staggered_design(n, shift)
     else:
         design = build_fixed_design(m, n, ControlMode(control))
@@ -670,6 +694,8 @@ def load_config(path) -> ScenarioConfig:
     levels = field("kfwer_levels", list(_levels(m)))
     if not isinstance(levels, list) or not all(isinstance(k, int) and not isinstance(k, bool) for k in levels):
         raise ValueError("config field 'kfwer_levels' must be a list of integers")
+    if not all(1 <= k <= m for k in levels):
+        raise ValueError(f"config field 'kfwer_levels' must lie in 1..m={m}, got {levels}")
     return ScenarioConfig(
         design=design,
         effects=tuple(float(e) for e in effects),

@@ -38,19 +38,6 @@ class PowerTarget:
             raise ValueError("alpha must lie strictly between 0 and 1")
 
 
-def analytic_two_arm_power(n: int, delta: float, alpha_local: float) -> float:
-    """Power of a two-sided z-test with ``n`` patients per side.
-
-    Uses the usual one-tail approximation (the probability of rejecting into
-    the wrong tail is neglected); the error is far below every tolerance
-    used here.
-    """
-    if n < 1:
-        raise ValueError("need at least one patient per side")
-    threshold = normal_quantile(1.0 - alpha_local / 2.0)
-    return normal_cdf(delta * math.sqrt(n / 2.0) - threshold)
-
-
 def marginal_power(
     n_treatment: int,
     n_control: int,

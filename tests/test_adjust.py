@@ -3,14 +3,10 @@ import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
-from platformsim.adjust import (
-    AdjustmentMethod,
-    AdjustmentPolicy,
-    critical_value,
-    decide_rejections,
-)
+from platformsim.adjust import AdjustmentMethod, AdjustmentPolicy, critical_value
 from platformsim.correlation import CorrelationMatrix, analytic_correlation
 from platformsim.distributions import Sidedness, normal_quantile
+from platformsim.engine import _rejected
 from strategies import single_period_common_designs
 
 UNADJ = AdjustmentPolicy(AdjustmentMethod.UNADJUSTED)
@@ -22,23 +18,29 @@ RHO_HALF = CorrelationMatrix(
 )
 
 
+def decisions(z, policy, correlation):
+    """The engine's rejection rule at the policy's threshold for this matrix."""
+    threshold = critical_value(policy, correlation)
+    return _rejected(np.asarray(z, dtype=float), threshold, policy.sidedness)
+
+
 class TestDecisions:
     def test_unadjusted_reference(self):
         z = np.array([2.0, 1.0, 2.5])
         # threshold 1.960 from the standard normal quantile
-        assert decide_rejections(z, UNADJ, RHO_HALF).tolist() == [True, False, True]
+        assert decisions(z, UNADJ, RHO_HALF).tolist() == [True, False, True]
 
     def test_bonferroni_reference(self):
         z = np.array([2.0, 1.0, 2.5])
         # threshold z_{1 - 0.05/6} = 2.394
         assert normal_quantile(1 - 0.05 / 6) == pytest.approx(2.394, abs=5e-4)
-        assert decide_rejections(z, BONF, RHO_HALF).tolist() == [False, False, True]
+        assert decisions(z, BONF, RHO_HALF).tolist() == [False, False, True]
 
     def test_dunnett_reference(self):
         z = np.array([2.0, 1.0, 2.5])
         # threshold roughly 2.35 for three comparisons at shared-control
         # correlation one half (checked against brute force elsewhere)
-        assert decide_rejections(z, DUNN, RHO_HALF).tolist() == [False, False, True]
+        assert decisions(z, DUNN, RHO_HALF).tolist() == [False, False, True]
 
     def test_threshold_ordering(self):
         c_u = critical_value(UNADJ, RHO_HALF)
@@ -47,20 +49,15 @@ class TestDecisions:
         assert c_u < c_d < c_b
 
     def test_exact_tie_is_not_rejected(self):
-        corr = CorrelationMatrix.identity(2)
-        threshold = critical_value(UNADJ, corr)
-        decisions = decide_rejections(np.array([threshold, -threshold]), UNADJ, corr)
-        assert decisions.tolist() == [False, False]
+        threshold = critical_value(UNADJ, CorrelationMatrix.identity(2))
+        z = np.array([threshold, -threshold])
+        assert _rejected(z, threshold, Sidedness.TWO_SIDED).tolist() == [False, False]
 
     def test_one_sided_uses_signed_statistic(self):
-        corr = CorrelationMatrix.identity(1)
         policy = AdjustmentPolicy(AdjustmentMethod.UNADJUSTED, 0.05, Sidedness.ONE_SIDED)
-        assert decide_rejections(np.array([1.7]), policy, corr).tolist() == [True]
-        assert decide_rejections(np.array([-3.0]), policy, corr).tolist() == [False]
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(ValueError, match="length"):
-            decide_rejections(np.array([1.0, 2.0]), UNADJ, RHO_HALF)
+        threshold = critical_value(policy, CorrelationMatrix.identity(1))
+        assert _rejected(np.array([1.7]), threshold, Sidedness.ONE_SIDED).tolist() == [True]
+        assert _rejected(np.array([-3.0]), threshold, Sidedness.ONE_SIDED).tolist() == [False]
 
     def test_rejects_bad_alpha(self):
         with pytest.raises(ValueError):
@@ -75,31 +72,37 @@ class TestNesting:
     @settings(max_examples=40, deadline=None)
     def test_rejection_sets_are_nested(self, design, raw_z):
         corr = analytic_correlation(design)
+        c_u, c_d, c_b = (critical_value(p, corr) for p in (UNADJ, DUNN, BONF))
+        assert c_u <= c_d <= c_b
         z = np.array(raw_z[: corr.dim])
-        r_bonf = decide_rejections(z, BONF, corr)
-        r_dunn = decide_rejections(z, DUNN, corr)
-        r_unadj = decide_rejections(z, UNADJ, corr)
+        r_bonf = decisions(z, BONF, corr)
+        r_dunn = decisions(z, DUNN, corr)
+        r_unadj = decisions(z, UNADJ, corr)
         assert np.all(r_bonf <= r_dunn)
         assert np.all(r_dunn <= r_unadj)
 
     def test_single_comparison_all_methods_agree(self):
         corr = CorrelationMatrix.identity(1)
+        c_u = critical_value(UNADJ, corr)
+        assert critical_value(BONF, corr) == c_u
+        assert critical_value(DUNN, corr) == pytest.approx(c_u, abs=1e-9)
         for z in (np.array([1.5]), np.array([2.5]), np.array([-2.5])):
-            u = decide_rejections(z, UNADJ, corr)
-            b = decide_rejections(z, BONF, corr)
-            d = decide_rejections(z, DUNN, corr)
+            u = decisions(z, UNADJ, corr)
+            b = decisions(z, BONF, corr)
+            d = decisions(z, DUNN, corr)
             assert u.tolist() == b.tolist() == d.tolist()
 
     def test_permutation_invariance(self):
-        design_entries = (
+        entries = (
             (1.0, 0.5, 7 / 30),
             (0.5, 1.0, 7 / 30),
             (7 / 30, 7 / 30, 1.0),
         )
-        corr = CorrelationMatrix(design_entries)
+        corr = CorrelationMatrix(entries)
         z = np.array([2.4, 1.2, 2.0])
         perm = [2, 0, 1]
-        permuted = corr.submatrix(perm)
-        base = decide_rejections(z, DUNN, corr)
-        reordered = decide_rejections(z[perm], DUNN, permuted)
+        permuted = CorrelationMatrix(tuple(tuple(entries[i][j] for j in perm) for i in perm))
+        assert critical_value(DUNN, permuted) == pytest.approx(critical_value(DUNN, corr), abs=1e-9)
+        base = decisions(z, DUNN, corr)
+        reordered = decisions(z[perm], DUNN, permuted)
         assert base[perm].tolist() == reordered.tolist()

@@ -5,20 +5,23 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 
-from platformsim.correlation import (
-    CorrelationMatrix,
-    analytic_correlation,
-    empirical_correlation,
-    equal_recruitment_correlation,
-    late_entry_pair_correlation,
-)
+from platformsim.correlation import CorrelationMatrix, analytic_correlation
 from platformsim.designs import (
     ControlMode,
     PlatformDesign,
+    build_budget_design,
     build_fixed_design,
     build_staggered_design,
 )
+from platformsim.engine import iter_zstat_blocks
 from strategies import multi_period_common_designs, single_period_common_designs, staggered_params
+
+
+def empirical_correlation(design, reps, seed):
+    """Sample Pearson correlation of simulated null z-vectors."""
+    effects = (0.0,) * design.num_arms
+    z = np.vstack(list(iter_zstat_blocks(design, effects, reps, seed)))
+    return np.corrcoef(z, rowvar=False)
 
 
 class TestAnalyticCorrelation:
@@ -57,9 +60,9 @@ class TestAnalyticCorrelation:
         control = design.concurrent_control_count(0)
         for a in range(design.num_arms):
             for b in range(a + 1, design.num_arms):
-                expected = equal_recruitment_correlation(
-                    control, design.treatment_total(a), design.treatment_total(b)
-                )
+                # both arms share the whole control window
+                n_a, n_b = design.treatment_total(a), design.treatment_total(b)
+                expected = 1.0 / math.sqrt((control / n_a + 1.0) * (control / n_b + 1.0))
                 assert matrix.entry(a, b) == pytest.approx(expected, abs=1e-12)
 
     @given(staggered_params(max_n=250))
@@ -68,7 +71,9 @@ class TestAnalyticCorrelation:
         n, shift = params
         design = build_staggered_design(n, shift)
         matrix = analytic_correlation(design)
-        expected = late_entry_pair_correlation(shift, n - shift, shift)
+        # controls before the late arm, concurrent to both, and after the early arms close
+        before, shared, after = shift, n - shift, shift
+        expected = 0.5 * shared / math.sqrt((before + shared) * (shared + after))
         assert matrix.entry(1, 2) == pytest.approx(expected, abs=1e-12)
         assert matrix.entry(0, 2) == pytest.approx(expected, abs=1e-12)
 
@@ -138,8 +143,10 @@ class TestCorrelationMatrixValidation:
             CorrelationMatrix(entries)
 
     def test_submatrix(self):
+        # dropping arm 2 of the staggered design drops its row and column
         matrix = analytic_correlation(build_staggered_design(150, 80))
-        sub = matrix.submatrix([0, 2])
+        control, early, _, late = build_staggered_design(150, 80).recruitment
+        sub = analytic_correlation(PlatformDesign(ControlMode.COMMON, (control, early, late)))
         assert sub.dim == 2
         assert sub.entry(0, 1) == matrix.entry(0, 2)
 
@@ -147,24 +154,17 @@ class TestCorrelationMatrixValidation:
 class TestEmpiricalCorrelation:
     def test_fixed_design_close_to_half(self):
         design = build_fixed_design(3, 150, ControlMode.COMMON)
-        estimate = empirical_correlation(design, (0.0, 0.0, 0.0), reps=40_000, seed=3)
+        estimate = empirical_correlation(design, reps=40_000, seed=3)
         expected = analytic_correlation(design).as_array()
         assert np.max(np.abs(estimate - expected)) <= 4 / math.sqrt(40_000)
 
     def test_individual_controls_uncorrelated(self):
         design = build_fixed_design(3, 150, ControlMode.INDIVIDUAL)
-        estimate = empirical_correlation(design, (0.0, 0.0, 0.0), reps=40_000, seed=4)
+        estimate = empirical_correlation(design, reps=40_000, seed=4)
         assert np.max(np.abs(estimate - np.eye(3))) <= 4 / math.sqrt(40_000)
 
     def test_budget_design_matches_analytic(self):
-        from platformsim.designs import build_budget_design
-
         design = build_budget_design(90, 300).design
-        estimate = empirical_correlation(design, (0.0, 0.0, 0.0), reps=40_000, seed=5)
+        estimate = empirical_correlation(design, reps=40_000, seed=5)
         expected = analytic_correlation(design).as_array()
         assert np.max(np.abs(estimate - expected)) <= 4 / math.sqrt(40_000)
-
-    def test_rejects_too_few_replications(self):
-        design = build_fixed_design(2, 50, ControlMode.COMMON)
-        with pytest.raises(ValueError):
-            empirical_correlation(design, (0.0, 0.0), reps=5_000)

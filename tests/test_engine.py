@@ -4,7 +4,7 @@ import sys
 import numpy as np
 import pytest
 
-from platformsim.adjust import AdjustmentMethod, AdjustmentPolicy, decide_rejections
+from platformsim.adjust import AdjustmentMethod, AdjustmentPolicy, critical_value
 from platformsim.correlation import analytic_correlation
 from platformsim.designs import (
     ControlMode,
@@ -12,17 +12,10 @@ from platformsim.designs import (
     build_fixed_design,
     build_staggered_design,
 )
-from platformsim.engine import (
-    ReplicationResult,
-    ScenarioConfig,
-    SimulationMode,
-    iter_zstat_blocks,
-    run_scenario,
-    sample_replications,
-    simulate_zstats,
-)
+from platformsim.engine import ScenarioConfig, SimulationMode, iter_zstat_blocks, run_scenario
 from platformsim.engine import _build_plan, _sliced_zstats
-from platformsim.metrics import aggregate_characteristics, tally_outcomes
+from platformsim.metrics import characteristics_from_counts
+from oracles import rejection_counts
 
 UNADJ = AdjustmentPolicy(AdjustmentMethod.UNADJUSTED)
 
@@ -63,13 +56,6 @@ class TestZStatistics:
                 patient[:, j].mean(), abs=4 * se_mean
             )
             assert sufficient[:, j].std() == pytest.approx(patient[:, j].std(), abs=0.03)
-
-    def test_single_draw_matches_block_stream(self):
-        design = build_fixed_design(2, 100, ControlMode.COMMON)
-        rng = np.random.Generator(np.random.Philox(np.random.SeedSequence((9, 0))))
-        single = simulate_zstats(design, (0.0, 0.0), rng)
-        block = next(iter_zstat_blocks(design, (0.0, 0.0), 8, seed=9))
-        assert single == pytest.approx(block[0], abs=1e-12)
 
     @pytest.mark.parametrize(
         "design",
@@ -151,14 +137,10 @@ class TestRunScenario:
     def test_block_counts_match_per_replication_tallies(self, effects):
         design = build_fixed_design(4, 60, ControlMode.COMMON)
         config = ScenarioConfig(design, effects, UNADJ, reps=5_000, seed=15, kfwer_levels=(1, 2))
-        replications = sample_replications(config, config.reps)
+        z = collect_zstats(design, effects, config.reps, config.seed)
+        rejected = np.abs(z) > critical_value(UNADJ, analytic_correlation(design))
         effective = [e != 0.0 for e in effects]
-        reference = aggregate_characteristics(
-            (tally_outcomes(r.rejections, effective) for r in replications),
-            kfwer_levels=(1, 2),
-            effective=effective,
-            per_arm_rejections=np.sum([r.rejections for r in replications], axis=0),
-        )
+        reference = characteristics_from_counts(**rejection_counts(rejected, effective, (1, 2)))
         assert run_scenario(config, workers=2) == reference
 
     @pytest.mark.parametrize("workers", [0, -3])
@@ -206,18 +188,3 @@ class TestConfigValidation:
         design = build_fixed_design(2, 150, ControlMode.COMMON)
         with pytest.raises(ValueError, match="finite"):
             ScenarioConfig(design, (0.0, float("inf")), UNADJ)
-
-
-class TestSampleReplications:
-    def test_results_match_decide_rejections(self):
-        design = build_fixed_design(3, 150, ControlMode.COMMON)
-        config = ScenarioConfig(design, (0.38, 0.0, 0.0), UNADJ, reps=100, seed=15)
-        corr = analytic_correlation(design)
-        results = sample_replications(config, 25)
-        assert len(results) == 25
-        z = collect_zstats(design, config.effects, 25, config.seed)
-        for i, result in enumerate(results):
-            assert isinstance(result, ReplicationResult)
-            assert result.z == pytest.approx(z[i], abs=1e-12)
-            expected = decide_rejections(np.array(result.z), UNADJ, corr)
-            assert list(result.rejections) == expected.tolist()

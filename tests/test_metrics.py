@@ -6,42 +6,43 @@ import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
-from platformsim.metrics import (
-    Estimate,
-    RejectionTally,
-    aggregate_characteristics,
-    characteristics_from_counts,
-    tally_outcomes,
-)
+from platformsim.adjust import AdjustmentMethod, AdjustmentPolicy
+from platformsim.designs import ControlMode, build_fixed_design
+from platformsim.engine import ScenarioConfig, run_scenario
+from platformsim.metrics import Estimate, characteristics_from_counts
+from oracles import rejection_counts
+
+
+def _characteristics(rejected, effective, kfwer_levels=(1,)):
+    return characteristics_from_counts(**rejection_counts(rejected, effective, kfwer_levels))
 
 
 class TestTallyOutcomes:
     def test_all_null(self):
-        tally = tally_outcomes([True, False, True], [False, False, False])
-        assert tally.false_rejections == 2
-        assert tally.true_rejections == 0
-        assert tally.total_rejections == 2
+        oc = _characteristics([[True, False, True]], [False, False, False], (1, 2, 3))
+        assert oc.fwer.value == 1.0
+        assert oc.kfwer[2].value == 1.0
+        assert oc.kfwer[3].value == 0.0
+        assert oc.pfer.value == 2.0
 
     def test_mixed_truth(self):
-        tally = tally_outcomes([True, True, False], [True, False, False])
-        assert tally.false_rejections == 1
-        assert tally.true_rejections == 1
+        oc = _characteristics([[True, True, False]], [True, False, False], (1, 2))
+        assert oc.pfer.value == 1.0
+        assert oc.kfwer[2].value == 0.0
+        assert oc.disjunctive_power.value == 1.0
+        assert oc.conjunctive_power.value == 1.0
 
     def test_nothing_rejected(self):
-        tally = tally_outcomes([False, False, False], [True, False, True])
-        assert tally.false_rejections == 0
-        assert tally.true_rejections == 0
-        assert tally.total_rejections == 0
+        oc = _characteristics([[False, False, False]], [True, False, True])
+        assert oc.fwer.value == 0.0
+        assert oc.pfer.value == 0.0
+        assert oc.disjunctive_power.value == 0.0
+        assert oc.conjunctive_power.value == 0.0
 
     def test_length_mismatch(self):
-        with pytest.raises(ValueError):
-            tally_outcomes([True, False], [False])
-
-    def test_tally_validation(self):
-        with pytest.raises(ValueError):
-            RejectionTally(
-                false_rejections=3, true_rejections=0, true_null_count=2, num_comparisons=3
-            )
+        counts = rejection_counts([[True]], [False])
+        with pytest.raises(ValueError, match="truth vector"):
+            characteristics_from_counts(**dict(counts, num_comparisons=2))
 
     @given(
         st.lists(st.booleans(), min_size=1, max_size=8),
@@ -52,14 +53,15 @@ class TestTallyOutcomes:
         effective = data.draw(
             st.lists(st.booleans(), min_size=len(rejections), max_size=len(rejections))
         )
-        tally = tally_outcomes(rejections, effective)
-        assert tally.total_rejections == sum(rejections)
-        assert tally.false_rejections <= tally.true_null_count
-        assert tally.true_rejections <= tally.num_comparisons - tally.true_null_count
-
-
-def _tallies_from_matrix(rejected, effective):
-    return [tally_outcomes(row, effective) for row in rejected]
+        oc = _characteristics([rejections], effective)
+        false_rej = sum(r and not e for r, e in zip(rejections, effective))
+        true_rej = sum(r and e for r, e in zip(rejections, effective))
+        assert false_rej + true_rej == sum(rejections)
+        assert oc.pfer.value == false_rej <= effective.count(False)
+        assert oc.fwer.value == (false_rej >= 1)
+        if any(effective):
+            assert oc.disjunctive_power.value == (true_rej >= 1)
+            assert oc.conjunctive_power.value == (true_rej == effective.count(True))
 
 
 class TestAggregation:
@@ -73,13 +75,7 @@ class TestAggregation:
                 [False, True, False],
             ]
         )
-        tallies = _tallies_from_matrix(rejected, effective)
-        oc = aggregate_characteristics(
-            tallies,
-            kfwer_levels=(1, 2),
-            effective=effective,
-            per_arm_rejections=rejected.sum(axis=0),
-        )
+        oc = _characteristics(rejected, effective, kfwer_levels=(1, 2))
         assert oc.fwer.value == 0.5
         assert oc.kfwer[2].value == 0.25
         assert oc.pfer.value == 0.75
@@ -89,57 +85,43 @@ class TestAggregation:
         assert oc.conjunctive_power.value == 0.5
 
     def test_pfer_se_matches_stdlib(self):
-        effective = [False, False]
         rejected = np.array(
             [[True, False], [True, True], [False, False], [False, True], [True, True]]
         )
-        tallies = _tallies_from_matrix(rejected, effective)
-        oc = aggregate_characteristics(tallies)
+        oc = _characteristics(rejected, [False, False])
         false_counts = rejected.sum(axis=1)
         expected_se = statistics.stdev(false_counts.tolist()) / math.sqrt(len(false_counts))
         assert oc.pfer.se == pytest.approx(expected_se, abs=1e-12)
 
     def test_proportion_se(self):
-        oc = aggregate_characteristics(
-            _tallies_from_matrix(np.array([[True], [False], [False], [False]]), [False])
-        )
+        oc = _characteristics(np.array([[True], [False], [False], [False]]), [False])
         assert oc.fwer.se == pytest.approx(math.sqrt(0.25 * 0.75 / 4), abs=1e-12)
 
     def test_degenerate_all_zero(self):
-        tallies = [
-            tally_outcomes([False, False, False], [False, False, False]) for _ in range(100)
-        ]
-        oc = aggregate_characteristics(tallies)
+        oc = _characteristics(np.zeros((100, 3), dtype=bool), [False, False, False])
         assert oc.fwer == Estimate(0.0, 0.0)
         assert oc.pfer == Estimate(0.0, 0.0)
 
     def test_global_null_reports_no_power(self):
-        tallies = [tally_outcomes([True, False], [False, False]) for _ in range(10)]
-        oc = aggregate_characteristics(tallies)
+        oc = _characteristics([[True, False]] * 10, [False, False])
         assert oc.marginal_power is None
         assert oc.disjunctive_power is None
         assert oc.conjunctive_power is None
 
     def test_without_per_arm_counts_marginal_power_is_unavailable(self):
-        tallies = [tally_outcomes([True, True], [False, True]) for _ in range(10)]
-        oc = aggregate_characteristics(tallies)
+        counts = rejection_counts([[True, True]] * 10, [False, True])
+        oc = characteristics_from_counts(**dict(counts, per_arm_rejections=None))
         assert oc.marginal_power is None
         assert oc.disjunctive_power.value == 1.0
 
     def test_kfwer_always_includes_level_one(self):
-        tallies = [tally_outcomes([True], [False]) for _ in range(4)]
-        oc = aggregate_characteristics(tallies, kfwer_levels=())
-        assert 1 in oc.kfwer
-
-    def test_mixed_families_rejected(self):
-        a = tally_outcomes([True, False], [False, False])
-        b = tally_outcomes([True, False, False], [False, False, False])
-        with pytest.raises(ValueError):
-            aggregate_characteristics([a, b])
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            aggregate_characteristics([])
+        counts = rejection_counts([[True]] * 4, [False])
+        with pytest.raises(ValueError, match="k=1"):
+            characteristics_from_counts(**dict(counts, kfwer_counts={}))
+        design = build_fixed_design(2, 50, ControlMode.COMMON)
+        policy = AdjustmentPolicy(AdjustmentMethod.UNADJUSTED)
+        oc = run_scenario(ScenarioConfig(design, (0.0, 0.0), policy, reps=100, kfwer_levels=(2,)))
+        assert sorted(oc.kfwer) == [1, 2]
 
     @given(st.data())
     @settings(max_examples=60)
@@ -156,14 +138,8 @@ class TestAggregation:
                 )
             )
         )
-        tallies = _tallies_from_matrix(rejected, effective)
         levels = tuple(range(1, m + 1))
-        oc = aggregate_characteristics(
-            tallies,
-            kfwer_levels=levels,
-            effective=effective,
-            per_arm_rejections=rejected.sum(axis=0),
-        )
+        oc = _characteristics(rejected, effective, kfwer_levels=levels)
         # k-FWER non-increasing in k, FWER is its first entry
         values = [oc.kfwer[k].value for k in levels]
         assert all(a >= b for a, b in zip(values, values[1:]))
@@ -188,13 +164,7 @@ class TestPartialAggregation:
         rejected = np.array(
             [[True, False], [True, True], [False, True], [False, False], [True, True]]
         )
-        tallies = _tallies_from_matrix(rejected, effective)
-        whole = aggregate_characteristics(
-            tallies,
-            kfwer_levels=(1,),
-            effective=effective,
-            per_arm_rejections=rejected.sum(axis=0),
-        )
+        whole = _characteristics(rejected, effective)
         # merge two worker partials by adding counts, then rebuild
         first, second = rejected[:3], rejected[3:]
         def counts(part):

@@ -1,10 +1,13 @@
 import csv
 import json
+import re
 import subprocess
 import sys
 from pathlib import Path
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import HealthCheck, given, settings
 
 import platformsim
 from platformsim.adjust import AdjustmentMethod, critical_value
@@ -14,11 +17,14 @@ from platformsim.designs import ControlMode, build_fixed_design, build_staggered
 from platformsim.distributions import Sidedness
 from platformsim.engine import SimulationMode
 from platformsim.presets import (
+    _CONFIG_KEYS,
     available_presets,
     load_config,
     run_config,
     run_preset,
 )
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def write_config(tmp_path, payload, name="scenario.json"):
@@ -101,6 +107,39 @@ class TestLoadConfig:
         config = load_config(write_config(tmp_path, payload))
         threshold = critical_value(config.policy, analytic_correlation(config.design))
         assert 7.5 < threshold < 9.0
+
+    @given(st.data())
+    @settings(max_examples=150, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_random_configs_run_or_name_a_field(self, tmp_path, data):
+        m = data.draw(st.integers(1, 6), label="m")
+        n = data.draw(st.one_of(st.integers(1, 400), st.integers(1, 2**64)), label="n")
+        effect = st.one_of(st.floats(), st.integers())
+        payload = {
+            "m": m,
+            "n": n,
+            "control": data.draw(st.sampled_from(["common", "individual"])),
+            "effects": data.draw(st.lists(effect, min_size=m, max_size=m), label="effects"),
+            "alpha": data.draw(st.floats(0.0, 1.0), label="alpha"),
+            "adjustment": data.draw(st.sampled_from(["unadjusted", "bonferroni", "dunnett"])),
+            "sidedness": data.draw(st.sampled_from(["one_sided", "two_sided"])),
+            "reps": data.draw(st.integers(1, 200), label="reps"),
+        }
+        optional = {
+            "shift": st.integers(0, 450),
+            "kfwer_levels": st.lists(st.integers(-1, 8), max_size=4),
+            "seed": st.integers(-5, 2**70),
+        }
+        for key, strategy in optional.items():
+            value = data.draw(st.none() | strategy, label=key)
+            if value is not None:
+                payload[key] = value
+        path = write_config(tmp_path, payload)
+        try:
+            run_config(path, out_dir=tmp_path / "out")
+        except ValueError as exc:
+            named = re.search(r"config field '(\w+)'", str(exc))
+            assert named and named.group(1) in _CONFIG_KEYS, str(exc)
 
     def test_invalid_json(self, tmp_path):
         path = tmp_path / "broken.json"
@@ -338,6 +377,17 @@ class TestCli:
         assert "seed must be at least 0" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [("kfwer_levels", [5]), ("effects", [float("nan"), 0, 0]), ("shift", 151)],
+    )
+    def test_out_of_range_field_names_field(self, tmp_path, capsys, field, value):
+        path = write_config(tmp_path, dict(MINIMAL, reps=200, **{field: value}))
+        code = main(["--config", str(path), "--out", str(tmp_path / "o")])
+        assert code == 1
+        assert f"config field '{field}'" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     @pytest.mark.parametrize("alpha", [1e-20, 1e-300])
     def test_tiny_alpha_names_field(self, tmp_path, capsys, alpha):
         path = write_config(tmp_path, dict(MINIMAL, reps=200, alpha=alpha))
@@ -354,3 +404,21 @@ class TestCli:
         )
         assert proc.returncode == 0
         assert "--preset" in proc.stdout
+
+
+class TestPublicApi:
+    def test_readme_quick_start_runs(self):
+        blocks = re.findall(r"```python\n(.*?)```", README.read_text(encoding="utf-8"), re.S)
+        assert blocks
+        for block in blocks:
+            exec(compile(block, str(README), "exec"), {})
+
+    def test_every_export_is_used_by_readme_cli_or_presets(self):
+        package = Path(platformsim.__file__).parent
+        texts = [README.read_text(encoding="utf-8")] + [
+            (package / name).read_text(encoding="utf-8") for name in ("cli.py", "presets.py")
+        ]
+        assert len(platformsim.__all__) <= 30
+        for name in platformsim.__all__:
+            assert getattr(platformsim, name) is not None
+            assert any(re.search(rf"\b{name}\b", text) for text in texts), name

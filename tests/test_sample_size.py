@@ -10,7 +10,6 @@ from platformsim.distributions import Sidedness, normal_cdf, normal_quantile
 from platformsim.engine import ScenarioConfig, run_scenario
 from platformsim.sample_size import (
     PowerTarget,
-    analytic_two_arm_power,
     comparison_mean_shifts,
     fixed_template,
     marginal_power,
@@ -89,15 +88,9 @@ SEARCH_CASES = (
 
 class TestAnalyticPower:
     def test_reference_sample_sizes(self):
-        assert analytic_two_arm_power(150, 0.38, 0.05) == pytest.approx(0.9084, abs=5e-5)
-        assert analytic_two_arm_power(100, 0.38, 0.05) == pytest.approx(0.7664, abs=5e-5)
-
-    def test_vanishing_effect_leaves_one_tail(self):
-        assert analytic_two_arm_power(150, 1e-12, 0.05) == pytest.approx(0.025, abs=1e-4)
-
-    def test_rejects_empty_arms(self):
-        with pytest.raises(ValueError):
-            analytic_two_arm_power(0, 0.38, 0.05)
+        c = normal_quantile(0.975)
+        assert marginal_power(150, 150, 0.38, c) == pytest.approx(0.9084, abs=5e-5)
+        assert marginal_power(100, 100, 0.38, c) == pytest.approx(0.7664, abs=5e-5)
 
     def test_marginal_power_includes_far_tail(self):
         # with delta 0 both tails contribute alpha/2 each
@@ -139,7 +132,7 @@ class TestRequiredPerArmN:
     def test_huge_effect_small_target(self):
         # smallest n with Phi(3 sqrt(n/2) - 1.96) >= 0.5: already true at n=1
         goal = PowerTarget(0.5, 3.0)
-        assert analytic_two_arm_power(1, 3.0, 0.05) >= 0.5
+        assert marginal_power(1, 1, 3.0, normal_quantile(0.975)) >= 0.5
         assert required_per_arm_n(goal, UNADJ, fixed_template(1, ControlMode.COMMON)) == 1
 
     def test_returned_n_is_minimal(self):
