@@ -55,9 +55,6 @@ class CorrelationMatrix:
     def as_array(self) -> np.ndarray:
         return np.array(self.entries, dtype=float)
 
-    def entry(self, i: int, j: int) -> float:
-        return self.entries[i][j]
-
     @classmethod
     def identity(cls, dim: int) -> "CorrelationMatrix":
         if dim < 1:
@@ -90,8 +87,8 @@ def analytic_correlation(design: PlatformDesign) -> CorrelationMatrix:
     rows = [[1.0] * m for _ in range(m)]
     for a in range(m):
         for b in range(a + 1, m):
-            # same overlap as design.shared_control_count(a, b); the exact
-            # product factor[a] * factor[b] is symmetric, so one entry serves both
+            # control patients concurrent to both arms; the exact product
+            # factor[a] * factor[b] is symmetric, so one entry serves both
             overlap = sum(control[t] for t in active[a] & active[b])
             rows[a][b] = rows[b][a] = overlap / math.sqrt(factor[a] * factor[b])
     return CorrelationMatrix(tuple(tuple(row) for row in rows))

@@ -117,18 +117,6 @@ class PlatformDesign:
         control = self._control_row(arm)
         return sum(control[t] for t in self.active_periods(arm))
 
-    def shared_control_count(self, arm_a: int, arm_b: int) -> int:
-        """Control patients concurrent to both arms' recruitment windows."""
-        if arm_a == arm_b:
-            raise ValueError("shared control count needs two distinct arms")
-        self._check_arm(arm_a)
-        self._check_arm(arm_b)
-        if self.control_mode is ControlMode.INDIVIDUAL:
-            return 0
-        control = self.recruitment[0]
-        both = set(self.active_periods(arm_a)) & set(self.active_periods(arm_b))
-        return sum(control[t] for t in both)
-
     def total_sample_size(self) -> int:
         """Total patients recruited across all arms and periods."""
         return sum(sum(row) for row in self.recruitment)

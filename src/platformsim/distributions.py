@@ -9,7 +9,10 @@ comparisons are independent, and every joint probability becomes a
 one-dimensional integral over the factor. One adaptive Gauss-Hermite kernel
 evaluates it for both uses here: the simultaneous coverage whose root is the
 Dunnett threshold, and the Poisson-binomial law of the number of rejections.
-A matrix without one-factor structure is rejected with an error.
+The same nodes give the coverage's slope, so the threshold is found by a
+bracketed Newton iteration started at the Sidak bound, with a residual of at
+most 1e-6; it depends only on the matrix, not on what was solved before. A
+matrix without one-factor structure is rejected with an error.
 """
 
 from __future__ import annotations
@@ -21,13 +24,13 @@ from functools import lru_cache
 
 import numpy as np
 from scipy import special
-from scipy.optimize import brentq
 
 from .correlation import CorrelationMatrix
 
 STRUCTURE_TOL = 1e-12
 _QUAD_STOP = 1e-9
 _QUAD_NODE_COUNTS = (64, 128, 256, 512, 1024, 2048, 4096)
+_SQRT_2PI = math.sqrt(2.0 * math.pi)
 
 
 class ConvergenceError(RuntimeError):
@@ -81,17 +84,6 @@ class MvnSpec:
             )
         return cls(correlation, loadings)
 
-    @classmethod
-    def equicorrelated(cls, dim: int, rho: float) -> "MvnSpec":
-        if dim < 1:
-            raise ValueError("dimension must be positive")
-        if not 0.0 <= rho < 1.0:
-            raise ValueError("common correlation must lie in [0, 1)")
-        entries = tuple(
-            tuple(1.0 if i == j else rho for j in range(dim)) for i in range(dim)
-        )
-        return cls.from_correlation(CorrelationMatrix(entries))
-
 
 def _fit_factor_loadings(a: np.ndarray):
     """Loadings lambda with a[i, j] = lambda_i lambda_j off-diagonal, or None.
@@ -126,56 +118,82 @@ def _fit_factor_loadings(a: np.ndarray):
 @lru_cache(maxsize=None)
 def _hermite_nodes(n: int):
     x, w = special.roots_hermitenorm(n)
-    return x, w / math.sqrt(2.0 * math.pi)
+    return x, w / _SQRT_2PI
 
 
-def _inside(x, lam, scale, mu, lower, upper) -> np.ndarray:
-    """P(lower <= Z_j <= upper | factor = x) per node (rows) and comparison (columns).
+def _bounds(x, lam, scale, mu, lower, upper):
+    """Standardized bounds (hi, lo) of each comparison's own noise given the factor.
 
-    Z_j = mu_j + lam_j x + scale_j e_j with e_j independent standard normals.
-    ``mu`` None means no mean shift and ``lower`` None an open lower end.
+    Z_j = mu_j + lam_j x + scale_j e_j with e_j independent standard normals,
+    so lower <= Z_j <= upper exactly when lo <= e_j <= hi; rows are nodes and
+    columns comparisons. ``mu`` None means no mean shift and ``lower`` None an
+    open lower end (lo None).
     """
     shifted = x[:, None] * lam
     if mu is not None:
         shifted = mu + shifted
-    inside = special.ndtr((upper - shifted) / scale)
-    if lower is not None:
-        inside = inside - special.ndtr((lower - shifted) / scale)
+    lo = None if lower is None else (lower - shifted) / scale
+    return (upper - shifted) / scale, lo
+
+
+def _inside(hi, lo) -> np.ndarray:
+    """P(lo <= e_j <= hi) per node and comparison."""
+    inside = special.ndtr(hi)
+    if lo is not None:
+        inside = inside - special.ndtr(lo)
     return inside
 
 
-def _all_inside(inside: np.ndarray) -> np.ndarray:
+def _all_inside(hi, lo, scale):
     """Per node: P(every comparison stays inside its bounds)."""
-    return np.prod(np.clip(inside, 0.0, 1.0), axis=1)
+    return (np.prod(np.clip(_inside(hi, lo), 0.0, 1.0), axis=1),)
 
 
-def _count_law(inside: np.ndarray) -> np.ndarray:
+def _coverage_and_slope(hi, lo, scale):
+    """Per node: coverage and its derivative in the threshold c.
+
+    The bounds are upper = c and lower = -c or open, so d P_j / dc is
+    (phi(hi_j) + phi(lo_j)) / scale_j, times the other comparisons' P_k.
+    """
+    inside = np.clip(_inside(hi, lo), 0.0, 1.0)
+    density = np.exp(-0.5 * hi * hi)
+    if lo is not None:
+        density = density + np.exp(-0.5 * lo * lo)
+    ones = np.ones((len(inside), 1))
+    before = np.cumprod(np.hstack([ones, inside[:, :-1]]), axis=1)
+    after = np.cumprod(np.hstack([ones, inside[:, :0:-1]]), axis=1)[:, ::-1]
+    slope = (density / (_SQRT_2PI * scale) * before * after).sum(axis=1)
+    return np.prod(inside, axis=1), slope
+
+
+def _count_law(hi, lo, scale):
     """Per node: Poisson-binomial law of the number of comparisons outside."""
-    outside = np.clip(1.0 - inside, 0.0, 1.0)
+    outside = np.clip(1.0 - _inside(hi, lo), 0.0, 1.0)
     dist = np.zeros((len(outside), outside.shape[1] + 1))
     dist[:, 0] = 1.0
     for p in outside.T[:, :, None]:
         stay = 1.0 - p
         dist[:, 1:] = dist[:, 1:] * stay + dist[:, :-1] * p
         dist[:, :1] *= stay
-    return dist
+    return (dist,)
 
 
 def _factor_integral(lam: np.ndarray, reduce, lower, upper, mu=None):
-    """Integral of ``reduce(inside probabilities)`` over the shared factor.
+    """Integrals over the shared factor of the per-node parts ``reduce(hi, lo, scale)`` returns.
 
-    The Gauss-Hermite node count doubles until two successive estimates
-    agree to within 1e-9 in every entry.
+    The Gauss-Hermite node count doubles until two successive estimates of
+    the first part agree to within 1e-9 in every entry; any later part (the
+    coverage slope) is integrated on the same nodes.
     """
     scale = np.sqrt(1.0 - lam * lam)
     previous = None
     for n in _QUAD_NODE_COUNTS:
         x, w = _hermite_nodes(n)
-        estimate = w @ reduce(_inside(x, lam, scale, mu, lower, upper))
-        if previous is not None and np.all(abs(estimate - previous) < _QUAD_STOP):
+        estimates = [w @ part for part in reduce(*_bounds(x, lam, scale, mu, lower, upper), scale)]
+        if previous is not None and np.all(abs(estimates[0] - previous) < _QUAD_STOP):
             break
-        previous = estimate
-    return estimate
+        previous = estimates[0]
+    return estimates
 
 
 def factor_rectangle_probability(spec: MvnSpec, lower, upper) -> float:
@@ -190,8 +208,8 @@ def factor_rectangle_probability(spec: MvnSpec, lower, upper) -> float:
     lam = np.asarray(spec.factor_loadings)
     if not lam.any():
         # independent comparisons: the integrand is constant, so one node is exact
-        return float(_all_inside(_inside(np.zeros(1), lam, 1.0, None, lower, upper))[0])
-    estimate = _factor_integral(lam, _all_inside, lower, upper)
+        return float(_all_inside(*_bounds(np.zeros(1), lam, 1.0, None, lower, upper), 1.0)[0][0])
+    (estimate,) = _factor_integral(lam, _all_inside, lower, upper)
     return min(max(float(estimate), 0.0), 1.0)
 
 
@@ -202,44 +220,48 @@ def dunnett_critical_value(
 ) -> float:
     """Smallest threshold whose simultaneous coverage reaches 1 - alpha.
 
-    The bracketing interval is [per-comparison threshold, Bonferroni
-    threshold]; coverage is monotone in the threshold, so a Brent root
-    search converges, and the residual |coverage - (1 - alpha)| stays below
-    1e-6.
+    Newton's method on the coverage, started at the Sidak threshold
+    Phi^-1(1 - (1 - (1 - alpha)^(1/m)) / s), with s = 2 two-sided and 1
+    one-sided. Sidak's inequality (two-sided) and Slepian's (one-sided, with
+    nonnegative loadings) give that threshold coverage at least 1 - alpha,
+    and the per-comparison threshold has coverage at most 1 - alpha, so the
+    two bracket the root. The slope comes from the same quadrature as the
+    coverage. A step that leaves the bracket is replaced by bisection, the
+    search stops when a step is below 1e-9, and the residual
+    |coverage - (1 - alpha)| must be at most 1e-6. The start depends only on
+    (m, alpha, sidedness), so a threshold is a pure function of its matrix,
+    whatever was solved before it.
     """
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must lie strictly between 0 and 1")
     m = spec.dim
     two_sided = sidedness is Sidedness.TWO_SIDED
-    tail = alpha / 2.0 if two_sided else alpha
-    low = normal_quantile(1.0 - tail)
+    sides = 2.0 if two_sided else 1.0
+    low = normal_quantile(1.0 - alpha / sides)
     if m == 1:
         return low
-    high = normal_quantile(1.0 - tail / m)
-    target = 1.0 - alpha
-
-    def objective(c):
-        return factor_rectangle_probability(spec, -c if two_sided else None, c) - target
-
-    f_low = objective(low)
-    if f_low >= 0.0:
-        return low
-    f_high = objective(high)
-    widened = 0
-    while f_high < 0.0:
-        # Bonferroni bound should already cover; allow a little numerical slack
-        widened += 1
-        if widened > 3:
-            raise ConvergenceError("failed to bracket the critical value")
-        high += 0.25
-        f_high = objective(high)
-    try:
-        root = brentq(objective, low, high, xtol=1e-12, rtol=8.9e-16, maxiter=200)
-    except RuntimeError as exc:
-        raise ConvergenceError(f"critical-value search did not converge: {exc}") from exc
-    if abs(objective(root)) > 1e-6:
+    # Sidak: each comparison's tail is 1 - (1 - alpha)^(1/m), split over the sides
+    high = -float(special.ndtri(-math.expm1(math.log1p(-alpha) / m) / sides))
+    lam = np.asarray(spec.factor_loadings)
+    c = high
+    for _ in range(100):
+        coverage, slope = _factor_integral(lam, _coverage_and_slope, -c if two_sided else None, c)
+        shortfall = float(coverage) - (1.0 - alpha)
+        if shortfall < 0.0:
+            low = c
+        else:
+            high = c
+        step = -shortfall / slope if slope > 0.0 else math.inf
+        if not low <= c + step <= high:
+            step = 0.5 * (low + high) - c
+        c += step
+        if abs(step) < 1e-9:
+            break
+    else:
+        raise ConvergenceError("critical-value search did not converge")
+    if abs(shortfall) > 1e-6:
         raise ConvergenceError("critical-value residual exceeds tolerance")
-    return float(root)
+    return float(c)
 
 
 def rejection_count_pmf(
@@ -259,5 +281,6 @@ def rejection_count_pmf(
         raise ValueError("mean shifts must match the spec dimension")
     lower = -critical_value if sidedness is Sidedness.TWO_SIDED else None
     lam = np.asarray(spec.factor_loadings)
-    pmf = np.clip(_factor_integral(lam, _count_law, lower, critical_value, mu), 0.0, 1.0)
+    (pmf,) = _factor_integral(lam, _count_law, lower, critical_value, mu)
+    pmf = np.clip(pmf, 0.0, 1.0)
     return pmf / pmf.sum()

@@ -1,6 +1,26 @@
-"""Reference counts the tests compare the engine against."""
+"""Reference values and fixtures the tests compare the package against."""
 
 import numpy as np
+
+from platformsim.correlation import CorrelationMatrix
+from platformsim.designs import ControlMode
+from platformsim.distributions import MvnSpec
+
+
+def equicorrelated_spec(dim, rho):
+    """One-factor spec whose off-diagonal correlations all equal ``rho``."""
+    entries = tuple(tuple(1.0 if i == j else rho for j in range(dim)) for i in range(dim))
+    return MvnSpec.from_correlation(CorrelationMatrix(entries))
+
+
+def shared_control_count(design, arm_a, arm_b):
+    """Control patients concurrent to both arms' recruitment windows."""
+    if arm_a == arm_b:
+        raise ValueError("shared control count needs two distinct arms")
+    both = set(design.active_periods(arm_a)) & set(design.active_periods(arm_b))
+    if design.control_mode is ControlMode.INDIVIDUAL:
+        return 0
+    return sum(design.recruitment[0][t] for t in both)
 
 
 def rejection_counts(rejected, effective, kfwer_levels=(1,)):

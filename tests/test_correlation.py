@@ -14,6 +14,7 @@ from platformsim.designs import (
     build_staggered_design,
 )
 from platformsim.engine import iter_zstat_blocks
+from oracles import shared_control_count
 from strategies import multi_period_common_designs, single_period_common_designs, staggered_params
 
 
@@ -33,16 +34,16 @@ class TestAnalyticCorrelation:
 
     def test_reference_staggered_entries(self):
         matrix = analytic_correlation(build_staggered_design(150, 80))
-        assert matrix.entry(0, 1) == pytest.approx(0.5, abs=1e-12)
+        assert matrix.entries[0][1] == pytest.approx(0.5, abs=1e-12)
         # hand evaluation: 75 * 70 / 22500
-        assert matrix.entry(0, 2) == pytest.approx(75 * 70 / 22500, abs=1e-12)
-        assert matrix.entry(0, 2) == pytest.approx(0.2333, abs=5e-5)
+        assert matrix.entries[0][2] == pytest.approx(75 * 70 / 22500, abs=1e-12)
+        assert matrix.entries[0][2] == pytest.approx(0.2333, abs=5e-5)
 
     def test_disjoint_recruitment_is_uncorrelated(self):
         matrix = analytic_correlation(build_staggered_design(150, 150))
-        assert matrix.entry(0, 2) == 0.0
-        assert matrix.entry(1, 2) == 0.0
-        assert matrix.entry(0, 1) == pytest.approx(0.5, abs=1e-12)
+        assert matrix.entries[0][2] == 0.0
+        assert matrix.entries[1][2] == 0.0
+        assert matrix.entries[0][1] == pytest.approx(0.5, abs=1e-12)
 
     def test_individual_controls_identity(self):
         matrix = analytic_correlation(build_fixed_design(4, 150, ControlMode.INDIVIDUAL))
@@ -63,7 +64,7 @@ class TestAnalyticCorrelation:
                 # both arms share the whole control window
                 n_a, n_b = design.treatment_total(a), design.treatment_total(b)
                 expected = 1.0 / math.sqrt((control / n_a + 1.0) * (control / n_b + 1.0))
-                assert matrix.entry(a, b) == pytest.approx(expected, abs=1e-12)
+                assert matrix.entries[a][b] == pytest.approx(expected, abs=1e-12)
 
     @given(staggered_params(max_n=250))
     @settings(max_examples=60)
@@ -74,13 +75,13 @@ class TestAnalyticCorrelation:
         # controls before the late arm, concurrent to both, and after the early arms close
         before, shared, after = shift, n - shift, shift
         expected = 0.5 * shared / math.sqrt((before + shared) * (shared + after))
-        assert matrix.entry(1, 2) == pytest.approx(expected, abs=1e-12)
-        assert matrix.entry(0, 2) == pytest.approx(expected, abs=1e-12)
+        assert matrix.entries[1][2] == pytest.approx(expected, abs=1e-12)
+        assert matrix.entries[0][2] == pytest.approx(expected, abs=1e-12)
 
     @given(multi_period_common_designs())
     @settings(max_examples=80)
     def test_entries_equal_pairwise_reference(self, design):
-        # entry by entry from design.shared_control_count, both triangles
+        # entry by entry from the shared control count, both triangles
         # computed separately; the matrix must hold the very same floats
         m = design.num_arms
         conc = [design.concurrent_control_count(j) for j in range(m)]
@@ -92,7 +93,7 @@ class TestAnalyticCorrelation:
             tuple(
                 1.0
                 if a == b
-                else design.shared_control_count(a, b) / math.sqrt(factor[a] * factor[b])
+                else shared_control_count(design, a, b) / math.sqrt(factor[a] * factor[b])
                 for b in range(m)
             )
             for a in range(m)
@@ -148,7 +149,7 @@ class TestCorrelationMatrixValidation:
         control, early, _, late = build_staggered_design(150, 80).recruitment
         sub = analytic_correlation(PlatformDesign(ControlMode.COMMON, (control, early, late)))
         assert sub.dim == 2
-        assert sub.entry(0, 1) == matrix.entry(0, 2)
+        assert sub.entries[0][1] == matrix.entries[0][2]
 
 
 class TestEmpiricalCorrelation:

@@ -9,6 +9,7 @@ from platformsim.designs import (
     build_fixed_design,
     build_staggered_design,
 )
+from oracles import shared_control_count
 from strategies import fixed_designs, staggered_params
 
 
@@ -77,9 +78,9 @@ class TestBuildStaggeredDesign:
 
     def test_full_shift_disjoint_controls(self):
         design = build_staggered_design(150, 150)
-        assert design.shared_control_count(0, 2) == 0
-        assert design.shared_control_count(1, 2) == 0
-        assert design.shared_control_count(0, 1) == 150
+        assert shared_control_count(design, 0, 2) == 0
+        assert shared_control_count(design, 1, 2) == 0
+        assert shared_control_count(design, 0, 1) == 150
 
     def test_rejects_shift_above_n(self):
         with pytest.raises(ValueError):
@@ -163,14 +164,14 @@ class TestCounts:
 
     def test_shared_controls_reference_design(self):
         design = build_staggered_design(150, 80)
-        assert design.shared_control_count(0, 1) == 150
-        assert design.shared_control_count(0, 2) == 70
-        assert design.shared_control_count(1, 2) == 70
+        assert shared_control_count(design, 0, 1) == 150
+        assert shared_control_count(design, 0, 2) == 70
+        assert shared_control_count(design, 1, 2) == 70
 
     def test_shared_rejects_equal_arms(self):
         design = build_fixed_design(3, 150, ControlMode.COMMON)
         with pytest.raises(ValueError):
-            design.shared_control_count(1, 1)
+            shared_control_count(design, 1, 1)
 
     def test_arm_index_out_of_range(self):
         design = build_fixed_design(3, 150, ControlMode.COMMON)
@@ -184,8 +185,8 @@ class TestCounts:
         design = build_staggered_design(n, shift)
         if a == b:
             return
-        shared = design.shared_control_count(a, b)
-        assert shared == design.shared_control_count(b, a)
+        shared = shared_control_count(design, a, b)
+        assert shared == shared_control_count(design, b, a)
         assert shared <= min(
             design.concurrent_control_count(a), design.concurrent_control_count(b)
         )

@@ -8,6 +8,7 @@ import hypothesis.strategies as st
 from scipy.optimize import brentq
 from scipy.stats import multivariate_normal
 
+from platformsim import adjust, distributions
 from platformsim.correlation import CorrelationMatrix, analytic_correlation
 from platformsim.designs import (
     ControlMode,
@@ -25,6 +26,7 @@ from platformsim.distributions import (
     rejection_count_pmf,
 )
 from platformsim.presets import SPONSOR_BUDGET, _fixed_total_design
+from oracles import equicorrelated_spec
 from strategies import staggered_params
 
 mpmath.mp.dps = 40
@@ -121,7 +123,7 @@ class TestStructureDetection:
         assert spec.factor_loadings == (0.0,) * 4
 
     def test_equicorrelated(self):
-        spec = MvnSpec.equicorrelated(3, 0.5)
+        spec = equicorrelated_spec(3, 0.5)
         assert spec.factor_loadings == pytest.approx((math.sqrt(0.5),) * 3)
 
     def test_product_form(self):
@@ -184,7 +186,7 @@ class TestMaxAbsMvnCdf:
         assert max_abs_mvn_cdf(Z_0975, spec) == pytest.approx(0.857375, abs=1e-9)
 
     def test_equicorrelated_half(self):
-        spec = MvnSpec.equicorrelated(3, 0.5)
+        spec = equicorrelated_spec(3, 0.5)
         value = max_abs_mvn_cdf(Z_0975, spec)
         # published complement 0.1247 carries Monte Carlo noise of ~0.0015
         assert 1.0 - value == pytest.approx(0.1247, abs=0.004)
@@ -192,11 +194,11 @@ class TestMaxAbsMvnCdf:
         assert 1.0 - value == pytest.approx(0.125443, abs=1e-5)
 
     def test_zero_width_band(self):
-        spec = MvnSpec.equicorrelated(3, 0.5)
+        spec = equicorrelated_spec(3, 0.5)
         assert max_abs_mvn_cdf(0.0, spec) == 0.0
 
     def test_monotone_in_width(self):
-        spec = MvnSpec.equicorrelated(4, 0.3)
+        spec = equicorrelated_spec(4, 0.3)
         grid = [max_abs_mvn_cdf(c, spec) for c in np.linspace(0.0, 4.0, 17)]
         assert all(a <= b + 1e-12 for a, b in zip(grid, grid[1:]))
 
@@ -224,7 +226,7 @@ class TestMaxAbsMvnCdf:
             z = lam * w + math.sqrt(1 - lam * lam) * eps
             hits += int((np.abs(z).max(axis=1) <= Z_0975).sum())
         estimate = hits / reps
-        spec = MvnSpec.equicorrelated(3, 0.5)
+        spec = equicorrelated_spec(3, 0.5)
         se = math.sqrt(estimate * (1 - estimate) / reps)
         assert abs(max_abs_mvn_cdf(Z_0975, spec) - estimate) <= 4 * se
 
@@ -245,7 +247,7 @@ class TestDunnettCriticalValue:
         assert dunnett_critical_value(spec, 0.05) == pytest.approx(sidak, abs=1e-8)
 
     def test_equicorrelated_half_dim3_against_mc_oracle(self):
-        spec = MvnSpec.equicorrelated(3, 0.5)
+        spec = equicorrelated_spec(3, 0.5)
         value = dunnett_critical_value(spec, 0.05)
         assert value == pytest.approx(2.35, abs=0.01)
         # 10^7 draws: rejection fraction within 3 MC standard errors of 0.05
@@ -272,18 +274,18 @@ class TestDunnettCriticalValue:
 
     def test_monotone_in_common_correlation(self):
         values = [
-            dunnett_critical_value(MvnSpec.equicorrelated(4, rho), 0.05)
+            dunnett_critical_value(equicorrelated_spec(4, rho), 0.05)
             for rho in np.arange(0.0, 0.95, 0.1)
         ]
         assert all(a >= b - 1e-9 for a, b in zip(values, values[1:]))
 
     def test_coverage_residual(self):
-        spec = MvnSpec.equicorrelated(5, 0.5)
+        spec = equicorrelated_spec(5, 0.5)
         value = dunnett_critical_value(spec, 0.05)
         assert abs(max_abs_mvn_cdf(value, spec) - 0.95) <= 1e-6
 
     def test_one_sided_coverage_residual(self):
-        spec = MvnSpec.equicorrelated(3, 0.5)
+        spec = equicorrelated_spec(3, 0.5)
         value = dunnett_critical_value(spec, 0.05, Sidedness.ONE_SIDED)
         covered = factor_rectangle_probability(
             spec, np.full(3, -np.inf), np.full(3, value)
@@ -309,12 +311,105 @@ class TestDunnettCriticalValue:
 
     def test_rejects_bad_alpha(self):
         with pytest.raises(ValueError):
-            dunnett_critical_value(MvnSpec.equicorrelated(2, 0.5), 0.0)
+            dunnett_critical_value(equicorrelated_spec(2, 0.5), 0.0)
+
+
+def one_factor_correlation(loadings):
+    """Correlation matrix with corr[i, j] = lambda_i * lambda_j off the diagonal."""
+    m = len(loadings)
+    return CorrelationMatrix(
+        tuple(
+            tuple(1.0 if i == j else loadings[i] * loadings[j] for j in range(m))
+            for i in range(m)
+        )
+    )
+
+
+one_factor_loadings = st.lists(
+    st.floats(0.0, 0.97, exclude_max=True), min_size=2, max_size=10
+)
+
+
+class TestDunnettNewton:
+    """The Sidak-started Newton solve against a tight Brent root of the same coverage."""
+
+    @given(
+        one_factor_loadings,
+        st.floats(1e-6, 0.999),
+        st.sampled_from(list(Sidedness)),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_matches_brent_root_of_the_coverage(self, loadings, alpha, sidedness):
+        spec = MvnSpec.from_correlation(one_factor_correlation(loadings))
+        two_sided = sidedness is Sidedness.TWO_SIDED
+        sides = 2.0 if two_sided else 1.0
+        m = len(loadings)
+
+        def shortfall(c):
+            covered = factor_rectangle_probability(spec, -c if two_sided else None, c)
+            return covered - (1.0 - alpha)
+
+        per_comparison = normal_quantile(1.0 - alpha / sides)
+        sidak = normal_quantile(1.0 - (1.0 - (1.0 - alpha) ** (1.0 / m)) / sides)
+        root = brentq(shortfall, per_comparison - 0.5, sidak + 0.5, xtol=1e-14)
+        value = dunnett_critical_value(spec, alpha, sidedness)
+        assert abs(value - root) <= 1e-9
+        assert abs(shortfall(value)) <= 1e-6
+        assert per_comparison - 1e-9 <= value <= sidak + 1e-9
+
+    @given(
+        one_factor_loadings,
+        one_factor_loadings,
+        st.floats(1e-6, 0.999),
+        st.sampled_from(list(Sidedness)),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_threshold_does_not_depend_on_call_order(self, first, second, alpha, sidedness):
+        a = one_factor_correlation(first)
+        b = one_factor_correlation(second)
+        adjust._dunnett_threshold.cache_clear()
+        a_first = adjust._dunnett_threshold(a, alpha, sidedness)
+        b_second = adjust._dunnett_threshold(b, alpha, sidedness)
+        adjust._dunnett_threshold.cache_clear()
+        b_first = adjust._dunnett_threshold(b, alpha, sidedness)
+        a_second = adjust._dunnett_threshold(a, alpha, sidedness)
+        assert a_first.hex() == a_second.hex()
+        assert b_first.hex() == b_second.hex()
+
+    @pytest.mark.parametrize("sidedness", list(Sidedness))
+    def test_few_coverage_evaluations_per_solve(self, monkeypatch, sidedness):
+        # the fig3 fixed-total designs and the staggered designs the
+        # required-n search meets
+        designs = [
+            _fixed_total_design(m, ratio)
+            for m in range(2, 11)
+            for ratio in (1.0, math.sqrt(m))
+        ] + [
+            build_staggered_design(n, shift)
+            for n in range(150, 190)
+            for shift in (37, 75, 120)
+        ]
+        kernel = distributions._factor_integral
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return kernel(*args, **kwargs)
+
+        monkeypatch.setattr(distributions, "_factor_integral", counted)
+        evaluations = []
+        for design in designs:
+            spec = MvnSpec.from_correlation(analytic_correlation(design))
+            calls.clear()
+            dunnett_critical_value(spec, 0.05, sidedness)
+            evaluations.append(len(calls))
+        assert max(evaluations) <= 6
+        assert sum(evaluations) / len(evaluations) <= 5.0
 
 
 class TestRejectionCounts:
     def test_pmf_matches_brute_force(self):
-        spec = MvnSpec.equicorrelated(3, 0.5)
+        spec = equicorrelated_spec(3, 0.5)
         shifts = np.array([1.0, 0.0, -0.5])
         c = 1.96
         pmf = rejection_count_pmf(spec, shifts, c)
@@ -343,7 +438,7 @@ class TestRejectionCounts:
         with pytest.raises(ValueError, match="not one-factor"):
             MvnSpec.from_correlation(CorrelationMatrix(entries))
         with pytest.raises(ValueError, match="mean shifts"):
-            rejection_count_pmf(MvnSpec.equicorrelated(3, 0.5), np.zeros(2), 1.96)
+            rejection_count_pmf(equicorrelated_spec(3, 0.5), np.zeros(2), 1.96)
 
 
 class TestFactorRectangle:
@@ -357,7 +452,7 @@ class TestFactorRectangle:
         )
 
     def test_agrees_with_qmc_general_path(self):
-        spec = MvnSpec.equicorrelated(3, 0.4)
+        spec = equicorrelated_spec(3, 0.4)
         lower = np.array([-1.0, -2.0, -0.5])
         upper = np.array([1.5, 2.5, 0.75])
         exact = factor_rectangle_probability(spec, lower, upper)

@@ -322,15 +322,15 @@ class TestCli:
             assert "mode must be 'patient' or 'sufficient', got 'bogus'" in err
         assert not (tmp_path / "o").exists()
 
-    def test_import_leaves_scipy_stats_unloaded(self):
+    def test_import_leaves_scipy_stats_and_optimize_unloaded(self):
         src = Path(platformsim.__file__).resolve().parents[1]
         probe = (
             f"import sys; sys.path.insert(0, {str(src)!r}); import platformsim.cli; "
-            "print('scipy.stats' in sys.modules)"
+            "print([name in sys.modules for name in ('scipy.stats', 'scipy.optimize')])"
         )
         proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.strip() == "False"
+        assert proc.stdout.strip() == "[False, False]"
 
     def test_config_run(self, tmp_path):
         path = write_config(tmp_path, dict(MINIMAL, reps=400))

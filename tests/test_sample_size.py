@@ -332,7 +332,7 @@ class TestSplitFixedTotal:
                 rows = ((split.control,),) + ((split.per_treatment,),) * m
                 return analytic_correlation(
                     PlatformDesign(ControlMode.COMMON, rows)
-                ).entry(0, 1)
+                ).entries[0][1]
             assert corr_for(wide) < corr_for(equal)
 
     def test_infeasible_totals_rejected(self):
