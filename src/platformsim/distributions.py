@@ -13,24 +13,35 @@ The same nodes give the coverage's slope, so the threshold is found by a
 bracketed Newton iteration started at the Sidak bound, with a residual of at
 most 1e-6; it depends only on the matrix, not on what was solved before. A
 matrix without one-factor structure is rejected with an error.
+
+Only numpy and the standard library are needed: Phi is math.erfc, its
+inverse statistics.NormalDist.inv_cdf (Wichura's AS241), and the nodes come
+from Newton's method on the Hermite recurrence. The 64- and 128-node rules
+run as one stacked pass (their sorted union of nodes, one weight row per
+rule), and with bounds +-c the lower bound's terms are the upper bound's at
+the mirrored node.
 """
 
 from __future__ import annotations
 
 import math
+import statistics
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
 
 import numpy as np
-from scipy import special
 
 from .correlation import CorrelationMatrix
 
 STRUCTURE_TOL = 1e-12
 _QUAD_STOP = 1e-9
 _QUAD_NODE_COUNTS = (64, 128, 256, 512, 1024, 2048, 4096)
+# the first two rules share one pass; every later rule gets its own
+_QUAD_STAGES = (_QUAD_NODE_COUNTS[:2],) + tuple((n,) for n in _QUAD_NODE_COUNTS[2:])
+_SQRT2 = math.sqrt(2.0)
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
+_STANDARD_NORMAL = statistics.NormalDist()
 
 
 class ConvergenceError(RuntimeError):
@@ -47,7 +58,7 @@ def normal_cdf(x: float) -> float:
     x = float(x)
     if not math.isfinite(x):
         raise ValueError("argument must be finite")
-    return float(special.ndtr(x))
+    return 0.5 * math.erfc(-x / _SQRT2)
 
 
 def normal_quantile(p: float) -> float:
@@ -55,7 +66,7 @@ def normal_quantile(p: float) -> float:
     p = float(p)
     if not 0.0 < p < 1.0:
         raise ValueError("probability must lie strictly between 0 and 1")
-    return float(special.ndtri(p))
+    return _STANDARD_NORMAL.inv_cdf(p)
 
 
 @dataclass(frozen=True)
@@ -89,7 +100,9 @@ def _fit_factor_loadings(a: np.ndarray):
     """Loadings lambda with a[i, j] = lambda_i lambda_j off-diagonal, or None.
 
     Comparisons without a positive correlation get loading 0; the rest must
-    form one factor, and each loading is solved from two others.
+    form one factor. Each loading lambda_j is solved from the pair (i, k) of
+    other linked comparisons with the largest a[i, k], as
+    a[j, i] a[j, k] / a[i, k], so a tiny loading elsewhere cannot spoil it.
     """
     m = len(a)
     positive = a > STRUCTURE_TOL
@@ -101,8 +114,11 @@ def _fit_factor_loadings(a: np.ndarray):
         lam[i] = lam[j] = math.sqrt(a[i, j])
     elif len(linked) > 2:
         for j in linked:
-            i, k = [x for x in linked if x != j][:2]
-            if a[i, k] <= STRUCTURE_TOL:
+            others = linked[linked != j]
+            pairs = a[np.ix_(others, others)]
+            np.fill_diagonal(pairs, -np.inf)
+            i, k = others[list(divmod(int(np.argmax(pairs)), len(others)))]
+            if a[i, k] <= 0.0:
                 return None
             ratio = a[j, i] * a[j, k] / a[i, k]
             if ratio < 0.0:
@@ -117,58 +133,109 @@ def _fit_factor_loadings(a: np.ndarray):
 
 @lru_cache(maxsize=None)
 def _hermite_nodes(n: int):
-    x, w = special.roots_hermitenorm(n)
-    return x, w / _SQRT_2PI
+    """Gauss-Hermite rule for the standard normal density (n even), without weights below 1e-20.
+
+    Newton's method, from Tricomi's asymptotic nodes, finds the positive roots
+    of He_n. It runs on the ratios r_k = p_k / p_(k-1) of the orthonormal
+    recurrence p_(k+1) = (x p_k - sqrt(k) p_(k-1)) / sqrt(k+1), which cannot
+    overflow: the step p_n / p_n' is r_n / sqrt(n) and the weight
+    1 / (n p_(n-1)^2) is summed in logs. A node is dropped once its weight is
+    below the cut; the poorly started ones near the edge sqrt(4n) all are.
+    """
+    half = np.arange(1, n // 2 + 1)
+    nu = 2.0 * n + 1.0
+    target = (2.0 * n - 4.0 * half + 3.0) * math.pi / nu
+    tau = np.full(len(half), 0.5 * math.pi)
+    for _ in range(5):
+        tau -= (tau - np.sin(tau) - target) / (1.0 - np.cos(tau))
+    sig = np.cos(0.5 * tau) ** 2
+    x = np.sqrt(2.0 * nu * sig - (2.5 / (1.0 - sig) ** 2 - 2.0 / (1.0 - sig) - 0.5) / (3.0 * nu))
+    root = np.sqrt(np.arange(n + 1.0))
+    for _ in range(10):
+        ratio, log_p = x, np.zeros(len(x))
+        for k in range(1, n):
+            log_p += np.log(np.abs(ratio))
+            ratio = (x - root[k] / ratio) / root[k + 1]
+        weights = np.exp(-math.log(n) - 2.0 * log_p)
+        kept = weights >= 1e-20
+        step = (ratio / root[n])[kept]
+        x, weights = x[kept] - step, weights[kept]
+        if np.abs(step).max() < 1e-14:
+            break
+    else:
+        raise ConvergenceError(f"Gauss-Hermite nodes for n={n} did not converge")
+    return np.concatenate([-x[::-1], x]), np.concatenate([weights[::-1], weights])
 
 
-def _bounds(x, lam, scale, mu, lower, upper):
-    """Standardized bounds (hi, lo) of each comparison's own noise given the factor.
+@lru_cache(maxsize=None)
+def _stacked_rule(counts: tuple[int, ...]):
+    """Sorted union of the nodes of several rules, with one weight row per rule.
+
+    Like every rule, the union is symmetric: reversing the nodes negates them.
+    """
+    rules = [_hermite_nodes(n) for n in counts]
+    x, w = (np.concatenate(parts) for parts in zip(*rules))
+    row = np.repeat(np.arange(len(rules)), [len(nodes) for nodes, _ in rules])
+    order = np.argsort(x)
+    return x[order], np.where(row == np.arange(len(rules))[:, None], w, 0.0)[:, order]
+
+
+def _cdf_pair(h):
+    """(Phi(h), Phi(-h)) per entry, both from one erfc of |h|."""
+    tail = np.fromiter(map(math.erfc, (np.abs(h) / _SQRT2).ravel().tolist()), float, h.size)
+    tail = 0.5 * tail.reshape(h.shape)
+    positive = h > 0.0
+    return np.where(positive, 1.0 - tail, tail), np.where(positive, tail, 1.0 - tail)
+
+
+def _conditional(x, lam, scale, mu, lower, upper):
+    """Per node (row) and comparison: P_j = P(lower <= Z_j <= upper | factor) and dP_j/dt.
 
     Z_j = mu_j + lam_j x + scale_j e_j with e_j independent standard normals,
-    so lower <= Z_j <= upper exactly when lo <= e_j <= hi; rows are nodes and
-    columns comparisons. ``mu`` None means no mean shift and ``lower`` None an
-    open lower end (lo None).
+    so lower <= Z_j <= upper exactly when lo_j <= e_j <= hi_j. The growth
+    dP_j/dt of bounds widened to (lower - t, upper + t) is
+    (phi(hi_j) + phi(lo_j)) / scale_j. ``mu`` None means no mean shift and
+    ``lower`` None an open lower end. For bounds +-c without a shift, lo_j
+    at node x is -hi_j at node -x: the rows of hi reversed.
     """
     shifted = x[:, None] * lam
     if mu is not None:
         shifted = mu + shifted
-    lo = None if lower is None else (lower - shifted) / scale
-    return (upper - shifted) / scale, lo
+    hi = (upper - shifted) / scale
+    below_hi, above_hi = _cdf_pair(hi)
+    density = np.exp(-0.5 * hi * hi)
+    if lower is None:
+        inside = below_hi
+    elif mu is None and np.array_equal(lower, np.negative(upper)):
+        inside = below_hi - above_hi[::-1]
+        density = density + density[::-1]
+    else:
+        lo = (lower - shifted) / scale
+        inside = below_hi - _cdf_pair(lo)[0]
+        density = density + np.exp(-0.5 * lo * lo)
+    return np.clip(inside, 0.0, 1.0), density / (_SQRT_2PI * scale)
 
 
-def _inside(hi, lo) -> np.ndarray:
-    """P(lo <= e_j <= hi) per node and comparison."""
-    inside = special.ndtr(hi)
-    if lo is not None:
-        inside = inside - special.ndtr(lo)
-    return inside
-
-
-def _all_inside(hi, lo, scale):
+def _all_inside(inside, growth):
     """Per node: P(every comparison stays inside its bounds)."""
-    return (np.prod(np.clip(_inside(hi, lo), 0.0, 1.0), axis=1),)
+    return (np.prod(inside, axis=1),)
 
 
-def _coverage_and_slope(hi, lo, scale):
+def _coverage_and_slope(inside, growth):
     """Per node: coverage and its derivative in the threshold c.
 
-    The bounds are upper = c and lower = -c or open, so d P_j / dc is
-    (phi(hi_j) + phi(lo_j)) / scale_j, times the other comparisons' P_k.
+    The bounds are upper = c and lower = -c or open, so d P_j / dc is the
+    growth of P_j times the other comparisons' P_k.
     """
-    inside = np.clip(_inside(hi, lo), 0.0, 1.0)
-    density = np.exp(-0.5 * hi * hi)
-    if lo is not None:
-        density = density + np.exp(-0.5 * lo * lo)
     ones = np.ones((len(inside), 1))
     before = np.cumprod(np.hstack([ones, inside[:, :-1]]), axis=1)
     after = np.cumprod(np.hstack([ones, inside[:, :0:-1]]), axis=1)[:, ::-1]
-    slope = (density / (_SQRT_2PI * scale) * before * after).sum(axis=1)
-    return np.prod(inside, axis=1), slope
+    return np.prod(inside, axis=1), (growth * before * after).sum(axis=1)
 
 
-def _count_law(hi, lo, scale):
+def _count_law(inside, growth):
     """Per node: Poisson-binomial law of the number of comparisons outside."""
-    outside = np.clip(1.0 - _inside(hi, lo), 0.0, 1.0)
+    outside = 1.0 - inside
     dist = np.zeros((len(outside), outside.shape[1] + 1))
     dist[:, 0] = 1.0
     for p in outside.T[:, :, None]:
@@ -179,21 +246,23 @@ def _count_law(hi, lo, scale):
 
 
 def _factor_integral(lam: np.ndarray, reduce, lower, upper, mu=None):
-    """Integrals over the shared factor of the per-node parts ``reduce(hi, lo, scale)`` returns.
+    """Integrals over the shared factor of the per-node parts ``reduce(inside, growth)`` returns.
 
     The Gauss-Hermite node count doubles until two successive estimates of
     the first part agree to within 1e-9 in every entry; any later part (the
-    coverage slope) is integrated on the same nodes.
+    coverage slope) is integrated on the same nodes. A stage of several rules
+    gives one estimate per weight row.
     """
     scale = np.sqrt(1.0 - lam * lam)
     previous = None
-    for n in _QUAD_NODE_COUNTS:
-        x, w = _hermite_nodes(n)
-        estimates = [w @ part for part in reduce(*_bounds(x, lam, scale, mu, lower, upper), scale)]
-        if previous is not None and np.all(abs(estimates[0] - previous) < _QUAD_STOP):
-            break
-        previous = estimates[0]
-    return estimates
+    for counts in _QUAD_STAGES:
+        x, weights = _stacked_rule(counts)
+        parts = [weights @ part for part in reduce(*_conditional(x, lam, scale, mu, lower, upper))]
+        for row, estimate in enumerate(parts[0]):
+            if previous is not None and np.all(abs(estimate - previous) < _QUAD_STOP):
+                return [part[row] for part in parts]
+            previous = estimate
+    return [part[-1] for part in parts]
 
 
 def factor_rectangle_probability(spec: MvnSpec, lower, upper) -> float:
@@ -208,7 +277,7 @@ def factor_rectangle_probability(spec: MvnSpec, lower, upper) -> float:
     lam = np.asarray(spec.factor_loadings)
     if not lam.any():
         # independent comparisons: the integrand is constant, so one node is exact
-        return float(_all_inside(*_bounds(np.zeros(1), lam, 1.0, None, lower, upper), 1.0)[0][0])
+        return float(_all_inside(*_conditional(np.zeros(1), lam, 1.0, None, lower, upper))[0][0])
     (estimate,) = _factor_integral(lam, _all_inside, lower, upper)
     return min(max(float(estimate), 0.0), 1.0)
 
@@ -241,7 +310,7 @@ def dunnett_critical_value(
     if m == 1:
         return low
     # Sidak: each comparison's tail is 1 - (1 - alpha)^(1/m), split over the sides
-    high = -float(special.ndtri(-math.expm1(math.log1p(-alpha) / m) / sides))
+    high = -normal_quantile(-math.expm1(math.log1p(-alpha) / m) / sides)
     lam = np.asarray(spec.factor_loadings)
     c = high
     for _ in range(100):

@@ -3,9 +3,10 @@ import math
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 import hypothesis.strategies as st
 from scipy.optimize import brentq
+from scipy.special import ndtr, ndtri, roots_hermitenorm
 from scipy.stats import multivariate_normal
 
 from platformsim import adjust, distributions
@@ -117,6 +118,65 @@ class TestNormalQuantile:
         assert abs(normal_cdf(normal_quantile(p)) - p) <= 1e-12
 
 
+def quantile_oracle(p):
+    """High-precision quantile: a root of the mpmath normal CDF."""
+    p = mpmath.mpf(p)
+    return float(mpmath.findroot(lambda x: mpmath.ncdf(x) - p, float(ndtri(float(p)))))
+
+
+class TestAgainstScipySpecial:
+    """The numpy-only normal functions and Gauss-Hermite rules against scipy.special."""
+
+    @pytest.mark.parametrize("n", distributions._QUAD_NODE_COUNTS)
+    def test_hermite_rule_matches_roots_hermitenorm(self, n):
+        x, w = distributions._hermite_nodes(n)
+        reference_x, reference_w = roots_hermitenorm(n)
+        reference_w = reference_w / math.sqrt(2.0 * math.pi)
+        # the rule drops the nodes of weight below 1e-20, which sit at both ends
+        drop = (n - len(x)) // 2
+        kept = slice(drop, n - drop)
+        assert len(x) == len(w) and np.array_equal(x[::-1], -x)
+        assert reference_w[drop - 1] < 1e-20 <= reference_w[drop]
+        assert np.abs(x - reference_x[kept]).max() <= 1e-12
+        assert np.abs(w / reference_w[kept] - 1.0).max() <= 1e-11
+        assert reference_w[:drop].sum() + reference_w[n - drop:].sum() < 1e-17
+
+    def test_cdf_pair_matches_ndtr(self):
+        h = np.append(np.linspace(-40.0, 40.0, 80_001), [0.0, np.inf, -np.inf]).reshape(-1, 4)
+        below, above = distributions._cdf_pair(h)
+        assert np.abs(below - ndtr(h)).max() <= 2.3e-16
+        assert np.abs(above - ndtr(-h)).max() <= 2.3e-16
+        assert max(abs(normal_cdf(x) - ndtr(x)) for x in h[:-1].ravel()) <= 2.3e-16
+
+    def test_lower_tail_relative_to_mpmath(self):
+        # Phi's relative condition number in the lower tail is about x^2, so
+        # rounding x / sqrt(2) alone costs up to x^2 2^-52 relative (1.5e-13
+        # at x = -37; scipy's ndtr errs 2.2e-13 there)
+        x = np.linspace(-37.0, -1.0, 721)
+        below, _ = distributions._cdf_pair(x[:, None])
+        _, mirrored = distributions._cdf_pair(-x[:, None])
+        for point, pair, flipped in zip(x, below[:, 0], mirrored[:, 0]):
+            exact = float(mpmath.ncdf(point))
+            tolerance = (1e-14 + point * point * 2.0**-52) * exact
+            for value in (pair, flipped, normal_cdf(point)):
+                assert abs(value - exact) <= tolerance
+
+    def test_quantile_matches_ndtri_and_mpmath(self):
+        p = np.concatenate([
+            np.logspace(-300.0, -1.0, 300),
+            np.linspace(0.01, 0.99, 981),
+            1.0 - np.logspace(-15.0, -1.0, 141),
+            [1.0 - 2.0**-53],
+        ])
+        for prob in p:
+            value, reference = normal_quantile(prob), float(ndtri(prob))
+            # ndtri is itself off by up to 8.6e-16 relative on this grid
+            assert abs(value - reference) <= 2e-15 * abs(reference)
+        for prob in p[::10]:
+            exact = quantile_oracle(prob)
+            assert abs(normal_quantile(prob) - exact) <= 1e-15 * abs(exact)
+
+
 class TestStructureDetection:
     def test_identity_is_equicorrelated_zero(self):
         spec = MvnSpec.from_correlation(CorrelationMatrix.identity(4))
@@ -192,6 +252,16 @@ class TestMaxAbsMvnCdf:
         assert 1.0 - value == pytest.approx(0.1247, abs=0.004)
         # independent check against the brute-force sampler below
         assert 1.0 - value == pytest.approx(0.125443, abs=1e-5)
+
+    @pytest.mark.parametrize("c", [0.5, 1.96, 3.5])
+    def test_mirrored_lower_bound_matches_direct_evaluation(self, c):
+        # bounds +-c without a shift take lo from hi at the mirrored node; a
+        # zero mean shift forces the direct evaluation of lo
+        lam = np.array([0.9, 0.6, 0.3, 0.05])
+        integrate = distributions._factor_integral
+        mirrored = integrate(lam, distributions._coverage_and_slope, -c, c)
+        direct = integrate(lam, distributions._coverage_and_slope, -c, c, np.zeros(4))
+        assert np.allclose(mirrored, direct, rtol=0.0, atol=1e-15)
 
     def test_zero_width_band(self):
         spec = equicorrelated_spec(3, 0.5)
@@ -338,6 +408,8 @@ class TestDunnettNewton:
         st.floats(1e-6, 0.999),
         st.sampled_from(list(Sidedness)),
     )
+    @example(loadings=[0.5, 5.960464477539063e-08, 5.960464477539063e-08], alpha=0.5,
+             sidedness=Sidedness.ONE_SIDED)
     @settings(max_examples=80, deadline=None)
     def test_matches_brent_root_of_the_coverage(self, loadings, alpha, sidedness):
         spec = MvnSpec.from_correlation(one_factor_correlation(loadings))

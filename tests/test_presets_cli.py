@@ -322,15 +322,25 @@ class TestCli:
             assert "mode must be 'patient' or 'sufficient', got 'bogus'" in err
         assert not (tmp_path / "o").exists()
 
-    def test_import_leaves_scipy_stats_and_optimize_unloaded(self):
+    def test_runs_without_scipy(self, tmp_path):
+        # sys.modules["scipy"] = None makes every scipy import fail in the probe
         src = Path(platformsim.__file__).resolve().parents[1]
+        config = write_config(tmp_path, dict(MINIMAL, adjustment="dunnett", shift=75, reps=200))
+        runs = [
+            ["--config", str(config), "--out", str(tmp_path / "config")],
+            ["--preset", "table3", "--reps", "200", "--out", str(tmp_path / "table3")],
+        ]
         probe = (
-            f"import sys; sys.path.insert(0, {str(src)!r}); import platformsim.cli; "
-            "print([name in sys.modules for name in ('scipy.stats', 'scipy.optimize')])"
+            f"import sys; sys.modules['scipy'] = None; sys.path.insert(0, {str(src)!r}); "
+            f"from platformsim.cli import main; codes = [main(argv) for argv in {runs!r}]; "
+            "print(codes, [name for name, module in sys.modules.items() "
+            "if name.split('.')[0] == 'scipy' and module is not None])"
         )
         proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.strip() == "[False, False]"
+        assert proc.stdout.strip().splitlines()[-1] == "[0, 0] []"
+        assert (tmp_path / "config" / "results.csv").exists()
+        assert (tmp_path / "table3" / "results.csv").exists()
 
     def test_config_run(self, tmp_path):
         path = write_config(tmp_path, dict(MINIMAL, reps=400))
