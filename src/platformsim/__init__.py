@@ -17,7 +17,7 @@ from .designs import (
     build_staggered_design,
 )
 from .distributions import Sidedness
-from .engine import ScenarioConfig, SimulationMode, run_scenario
+from .engine import ScenarioConfig, SimulationMode, run_scenario, run_scenarios
 from .presets import available_presets, load_config, run_config, run_preset
 from .sample_size import (
     PowerTarget,
@@ -48,6 +48,7 @@ __all__ = [
     "run_config",
     "run_preset",
     "run_scenario",
+    "run_scenarios",
     "split_fixed_total",
     "staggered_template",
 ]

@@ -4,17 +4,21 @@ Replications are generated in fixed-size blocks. Each block draws from its
 own counter-derived random stream keyed by (scenario seed, block index) and
 is tallied into integer counts, so results are bitwise independent of how
 blocks are distributed over worker threads and replications never share
-state. Blocks overlap on threads because the normal fill, the z product and
-the large reductions run with the GIL released. Code that runs on a worker
-thread calls only private helpers of this module: the benchmark's span
-tracer wraps the public functions and is not thread-safe.
+state. Scenarios that use common random numbers (equal seed, replication
+count, mode and draw shape) form one draw group, and ``run_scenarios`` draws
+each block of a group once: every distinct design and effect vector in the
+group turns those draws into z-statistics once, and every policy and
+sidedness that shares them is tallied from them. Blocks overlap on threads
+because the normal fill, the z product and the large reductions run with
+the GIL released. Code that runs on a worker thread calls only private
+helpers of this module: the benchmark's span tracer wraps the public
+functions and is not thread-safe.
 """
 
 from __future__ import annotations
 
 import concurrent.futures
-import functools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
@@ -115,34 +119,44 @@ def _block_rng(seed: int, block_index: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(np.random.SeedSequence((seed, block_index))))
 
 
-def _draw_cell_means(plan: _SimPlan, rng, count: int, mode: SimulationMode) -> np.ndarray:
+def _draw_shape(plan: _SimPlan, mode: SimulationMode):
+    """What fixes a block's draws besides its stream: the cell count, or each cell's patients."""
     if mode is SimulationMode.SUFFICIENT_STATISTIC:
-        means = rng.standard_normal((count, len(plan.cells)))
-        means *= plan.cell_scales
-        means += plan.cell_means
-        return means
-    means = np.empty((count, len(plan.cells)))
-    for i, (_, _, patients) in enumerate(plan.cells):
-        draws = rng.standard_normal((count, patients))
-        means[:, i] = draws.mean(axis=1) + plan.cell_means[i]
-    return means
+        return len(plan.cells)
+    return tuple(count for _, _, count in plan.cells)
 
 
-def _zstat_block(plan: _SimPlan, seed: int, block_index: int, count: int, mode: SimulationMode):
+def _draw_units(seed: int, block_index: int, rows: int, shape, mode: SimulationMode) -> np.ndarray:
+    """One block's centred cell means: unit normals, or means of unit patient outcomes."""
     rng = _block_rng(seed, block_index)
-    means = _draw_cell_means(plan, rng, count, mode)
-    z = _sliced_zstats(means, plan.weights)
+    if mode is SimulationMode.SUFFICIENT_STATISTIC:
+        return rng.standard_normal((rows, shape))
+    units = np.empty((rows, len(shape)))
+    for i, patients in enumerate(shape):
+        units[:, i] = rng.standard_normal((rows, patients)).mean(axis=1)
+    return units
+
+
+def _zstats(units: np.ndarray, plan: _SimPlan, mode: SimulationMode, block_index: int):
+    """z-statistics of one block, computed in row slices of ``_Z_SLICE_ROWS``.
+
+    Each slice turns its units into cell means (``units * cell_scales +
+    cell_means``; patient means are already on their scale) and multiplies
+    them by ``weights.T``, so no block-sized array of cell means exists.
+    """
+    z = np.empty((len(units), len(plan.weights)))
+    buffer = np.empty((min(len(units), _Z_SLICE_ROWS), units.shape[1]))
+    for start in range(0, len(units), _Z_SLICE_ROWS):
+        rows = slice(start, start + _Z_SLICE_ROWS)
+        means = buffer[: len(z[rows])]
+        if mode is SimulationMode.SUFFICIENT_STATISTIC:
+            np.multiply(units[rows], plan.cell_scales, out=means)
+            means += plan.cell_means
+        else:
+            np.add(units[rows], plan.cell_means, out=means)
+        np.matmul(means, plan.weights.T, out=z[rows])
     if not np.all(np.isfinite(z)):
         raise RuntimeError(f"non-finite z-statistics in block {block_index}")
-    return z
-
-
-def _sliced_zstats(means: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """``means @ weights.T`` computed in row slices of ``_Z_SLICE_ROWS``."""
-    z = np.empty((len(means), len(weights)))
-    for start in range(0, len(means), _Z_SLICE_ROWS):
-        rows = slice(start, start + _Z_SLICE_ROWS)
-        np.matmul(means[rows], weights.T, out=z[rows])
     return z
 
 
@@ -163,8 +177,9 @@ def iter_zstat_blocks(
 ):
     """Yield blocks of simulated z-statistic vectors, shape (block, num_arms)."""
     plan = _build_plan(design, effects)
-    for block_index, count in enumerate(_block_sizes(reps)):
-        yield _zstat_block(plan, seed, block_index, count, mode)
+    shape = _draw_shape(plan, mode)
+    for block_index, rows in enumerate(_block_sizes(reps)):
+        yield _zstats(_draw_units(seed, block_index, rows, shape, mode), plan, mode, block_index)
 
 
 def _rejected(z: np.ndarray, threshold: float, sidedness: Sidedness) -> np.ndarray:
@@ -176,45 +191,100 @@ def _rejected(z: np.ndarray, threshold: float, sidedness: Sidedness) -> np.ndarr
     return score > threshold
 
 
-def _block_tally(plan, threshold, sidedness, effective, seed, mode, block_index, count):
-    """Joint histogram of (false, true) rejections per replication, and per-arm rejections."""
-    rejected = _rejected(_zstat_block(plan, seed, block_index, count, mode), threshold, sidedness)
-    eff = np.asarray(effective)
-    n_true = int(eff.sum())
-    false_rej = rejected[:, ~eff].sum(axis=1)
-    true_rej = rejected[:, eff].sum(axis=1)
-    joint = np.bincount(
-        false_rej * (n_true + 1) + true_rej, minlength=(len(eff) - n_true + 1) * (n_true + 1)
-    )
-    return joint, rejected.sum(axis=0)
+@dataclass(frozen=True)
+class _DrawGroup:
+    """Scenarios that draw the same random numbers, by the plan that turns them into z."""
+
+    seed: int
+    reps: int
+    mode: SimulationMode
+    shape: object  # see _draw_shape
+    # (design, effects) -> (plan, effective arms, [(scenario index, threshold, sidedness)])
+    members: dict = field(default_factory=dict)
 
 
-def run_scenario(config: ScenarioConfig, workers: int = 1) -> OperatingCharacteristics:
-    """Run all replications of a scenario and aggregate the tallies.
+def _draw_groups(configs) -> list[_DrawGroup]:
+    groups = {}
+    for index, config in enumerate(configs):
+        plan = _build_plan(config.design, config.effects)
+        key = (config.seed, config.reps, config.mode, _draw_shape(plan, config.mode))
+        if key not in groups:
+            groups[key] = _DrawGroup(*key)
+        effective = np.array([e != 0.0 for e in config.effects])
+        members = groups[key].members
+        member = members.setdefault((config.design, config.effects), (plan, effective, []))
+        threshold = critical_value(config.policy, analytic_correlation(config.design))
+        member[2].append((index, threshold, config.policy.sidedness))
+    return list(groups.values())
 
-    Blocks run on up to ``workers`` threads. The report is bitwise
-    deterministic given (config, seed) and does not depend on ``workers``:
-    blocks own disjoint random streams and all aggregation happens on
-    integer counts merged in block order.
+
+def _group_block(group: _DrawGroup, block_index: int, rows: int):
+    """(scenario index, joint histogram of (false, true) rejections, per-arm rejections)
+    of every scenario in ``group`` on one block."""
+    units = _draw_units(group.seed, block_index, rows, group.shape, group.mode)
+    members = list(group.members.values())
+    tallies = []
+    for i, (plan, effective, rules) in enumerate(members):
+        z = _zstats(units, plan, group.mode, block_index)
+        if i == len(members) - 1:
+            del units  # lower peak memory: the draws are not held through the last tally
+        n_true = int(effective.sum())
+        for index, threshold, sidedness in rules:
+            rejected = _rejected(z, threshold, sidedness)
+            false_rej = rejected[:, ~effective].sum(axis=1)
+            true_rej = rejected[:, effective].sum(axis=1)
+            joint = np.bincount(
+                false_rej * (n_true + 1) + true_rej,
+                minlength=(len(effective) - n_true + 1) * (n_true + 1),
+            )
+            tallies.append((index, joint, rejected.sum(axis=0)))
+    return tallies
+
+
+def run_scenarios(configs, workers: int = 1) -> list[OperatingCharacteristics]:
+    """Run every scenario's replications and aggregate the tallies, in config order.
+
+    Scenarios with equal seed, reps, mode and draw shape (the number of
+    cells, or the patients per cell in patient mode) draw the same random
+    numbers, so each of their blocks is drawn once; those that also share
+    design and effects share its z-statistics. (group, block) tasks run on
+    up to ``workers`` threads. Each report is bitwise equal to running its
+    scenario alone and does not depend on ``workers``: blocks own disjoint
+    random streams and every tally is an integer count.
     """
     if workers < 1:
         raise ValueError(f"workers must be at least 1, got {workers}")
-    correlation = analytic_correlation(config.design)
-    threshold = critical_value(config.policy, correlation)
-    effective = tuple(e != 0.0 for e in config.effects)
-    levels = tuple(sorted(set(config.kfwer_levels) | {1}))
-    plan = _build_plan(config.design, config.effects)
-    tally = functools.partial(
-        _block_tally, plan, threshold, config.policy.sidedness, effective, config.seed, config.mode
-    )
-    sizes = _block_sizes(config.reps)
-    if workers > 1 and len(sizes) > 1:
-        with concurrent.futures.ThreadPoolExecutor(max_workers=min(workers, len(sizes))) as pool:
-            partials = list(pool.map(tally, range(len(sizes)), sizes))
+    configs = list(configs)
+    tasks = [
+        (group, block_index, rows)
+        for group in _draw_groups(configs)
+        for block_index, rows in enumerate(_block_sizes(group.reps))
+    ]
+    totals = [None] * len(configs)  # running [joint, per-arm] counts of each scenario
+
+    def add(tallies):
+        for index, joint, per_arm in tallies:
+            if totals[index] is None:
+                totals[index] = [joint, per_arm]
+            else:
+                totals[index][0] += joint
+                totals[index][1] += per_arm
+
+    if workers > 1 and len(tasks) > 1:
+        with concurrent.futures.ThreadPoolExecutor(max_workers=min(workers, len(tasks))) as pool:
+            for tallies in pool.map(_group_block, *zip(*tasks)):
+                add(tallies)
     else:
-        partials = list(map(tally, range(len(sizes)), sizes))
+        for task in tasks:
+            add(_group_block(*task))
+    return [_characteristics(c, *total) for c, total in zip(configs, totals)]
+
+
+def _characteristics(config: ScenarioConfig, joint, per_arm) -> OperatingCharacteristics:
+    effective = tuple(e != 0.0 for e in config.effects)
     n_true = sum(effective)
-    joint = np.sum([p[0] for p in partials], axis=0).reshape(-1, n_true + 1)
+    levels = tuple(sorted(set(config.kfwer_levels) | {1}))
+    joint = joint.reshape(-1, n_true + 1)
     false_hist = joint.sum(axis=1)  # replications by number of false rejections
     true_hist = joint.sum(axis=0)  # replications by number of true rejections
     false_counts = np.arange(len(false_hist))
@@ -227,5 +297,10 @@ def run_scenario(config: ScenarioConfig, workers: int = 1) -> OperatingCharacter
         false_rejection_sq_sum=int((false_counts * false_counts) @ false_hist),
         disjunctive_count=int(true_hist[1:].sum()),
         conjunctive_count=int(true_hist[n_true]),
-        per_arm_rejections=np.sum([p[1] for p in partials], axis=0),
+        per_arm_rejections=per_arm,
     )
+
+
+def run_scenario(config: ScenarioConfig, workers: int = 1) -> OperatingCharacteristics:
+    """Run all replications of one scenario: ``run_scenarios([config], workers)[0]``."""
+    return run_scenarios([config], workers)[0]

@@ -18,10 +18,13 @@ results.csv, a structured results.json and per-figure plotdata CSVs.
 
 from __future__ import annotations
 
+import contextlib
 import csv
+import functools
 import hashlib
 import json
 import math
+import os
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Callable
@@ -36,7 +39,7 @@ from .designs import (
     build_staggered_design,
 )
 from .distributions import Sidedness
-from .engine import ScenarioConfig, SimulationMode, run_scenario
+from .engine import ScenarioConfig, SimulationMode, run_scenario, run_scenarios
 from .sample_size import (
     PowerTarget,
     fixed_template,
@@ -144,20 +147,26 @@ def _exact_row(preset, sweep, design_label, adjustment, metric, value):
     return _row(preset, sweep, design_label, adjustment, metric, value, "", "", "")
 
 
-def _scenario_record(label, sweep, adjustment, design, effects, oc, seed, ctx):
+def _scenario_record(label, sweep, adjustment, config, oc):
     return {
         "kind": "simulation",
         "design_label": label,
         "sweep_value": sweep,
         "adjustment": adjustment,
-        "seed": seed,
-        "reps": ctx.reps,
-        "mode": ctx.mode.value,
-        "effects": list(effects),
-        "design": design.to_dict(),
-        "correlation": [list(r) for r in analytic_correlation(design).entries],
+        "seed": config.seed,
+        "reps": config.reps,
+        "mode": config.mode.value,
+        "effects": list(config.effects),
+        "design": config.design.to_dict(),
+        "correlation": [list(r) for r in analytic_correlation(config.design).entries],
         "metrics": oc.to_dict(),
     }
+
+
+def _emit_simulated(preset, sweep, label, adjustment, metrics, config, oc, rows, scenarios):
+    """Append the result rows and the scenario record of one simulated scenario."""
+    rows += _estimate_rows(preset, sweep, label, adjustment, oc, config.seed, metrics)
+    scenarios.append(_scenario_record(label, sweep, adjustment, config, oc))
 
 
 ERROR_METRICS = ("fwer", "kfwer_2", "kfwer_3", "pfer")
@@ -203,28 +212,28 @@ class _Simulated:
     seed_by: tuple[str, ...] = ()
     reference: bool = False
 
-    def run(self, preset, spec, sweep, ctx, rows, scenarios):
+    def steps(self, preset, spec, sweep, ctx):
         design = self.design(sweep)
         effects = _EFFECTS[spec.effects](design.num_arms)
+        steps = []
         for adjustment in self.adjustments:
             key = (preset, self.label)
             key += (sweep,) if "sweep" in self.seed_by else ()
             key += (adjustment,) if "adjustment" in self.seed_by else ()
-            seed = _scenario_seed(ctx.seed, *key)
             config = ScenarioConfig(
                 design=design,
                 effects=effects,
                 policy=_POLICIES[adjustment],
                 reps=ctx.reps,
-                seed=seed,
+                seed=_scenario_seed(ctx.seed, *key),
                 mode=ctx.mode,
                 kfwer_levels=_levels(design.num_arms),
             )
-            oc = run_scenario(config, workers=ctx.workers)
-            rows += _estimate_rows(preset, sweep, self.label, adjustment, oc, seed, spec.metrics)
-            scenarios.append(
-                _scenario_record(self.label, sweep, adjustment, design, effects, oc, seed, ctx)
+            emit = functools.partial(
+                _emit_simulated, preset, sweep, self.label, adjustment, spec.metrics, config
             )
+            steps.append((config, emit))
+        return steps
 
 
 @dataclass(frozen=True)
@@ -237,18 +246,24 @@ class _RequiredN:
     arm: int = 0
     reference: bool = False
 
-    def run(self, preset, spec, sweep, ctx, rows, scenarios):
+    def steps(self, preset, spec, sweep, ctx):
         template = self.template(sweep)
         target = PowerTarget(POWER_GOAL, EFFECT_SIZE)
+        found = []
         for adjustment in self.adjustments:
             n = required_per_arm_n(target, _POLICIES[adjustment], template, arm=self.arm)
-            total = template(n).total_sample_size()
-            for metric, value in (("required_n_per_arm", n), ("required_total_n", total)):
-                rows.append(_exact_row(preset, sweep, self.label, adjustment, metric, value))
-            scenarios.append(
-                dict(kind="exact", design_label=self.label, sweep_value=sweep,
-                     adjustment=adjustment, required_n_per_arm=n, required_total_n=total)
-            )
+            found.append((adjustment, n, template(n).total_sample_size()))
+
+        def emit(_oc, rows, scenarios):
+            for adjustment, n, total in found:
+                for metric, value in (("required_n_per_arm", n), ("required_total_n", total)):
+                    rows.append(_exact_row(preset, sweep, self.label, adjustment, metric, value))
+                scenarios.append(
+                    dict(kind="exact", design_label=self.label, sweep_value=sweep,
+                         adjustment=adjustment, required_n_per_arm=n, required_total_n=total)
+                )
+
+        return [(None, emit)]
 
 
 @dataclass(frozen=True)
@@ -257,9 +272,10 @@ class _ComparisonN:
 
     reference = False  # not a field: the comparison size is read at each sweep value
 
-    def run(self, preset, spec, sweep, ctx, rows, scenarios):
+    def steps(self, preset, spec, sweep, ctx):
         n = build_budget_design(sweep, SPONSOR_BUDGET).comparison_n
-        rows.append(_exact_row(preset, sweep, "common", "", "comparison_n", n))
+        row = _exact_row(preset, sweep, "common", "", "comparison_n", n)
+        return [(None, lambda _oc, rows, scenarios: rows.append(row))]
 
 
 @dataclass(frozen=True)
@@ -314,16 +330,27 @@ def _pivot(rows, index, grid, columns, metrics):
 
 
 def _run_spec(preset, spec, ctx):
-    """Rows, scenario records and plot tables of one preset spec."""
-    rows, scenarios = [], []
+    """Rows, scenario records and plot tables of one preset spec.
+
+    Every series lists its steps in report order: a step is a scenario to
+    simulate (or None) and a function that appends its rows and records.
+    All simulated scenarios then run in one ``run_scenarios`` call, so those
+    that share a seed draw their random numbers once.
+    """
     grid = None if spec.grid is None else spec.grid(ctx)
+    steps = []
     for sweep in (None,) if grid is None else grid:
         for series in spec.series:
             if not series.reference:
-                series.run(preset, spec, sweep, ctx, rows, scenarios)
+                steps += series.steps(preset, spec, sweep, ctx)
     for series in spec.series:
         if series.reference:
-            series.run(preset, spec, None, ctx, rows, scenarios)
+            steps += series.steps(preset, spec, None, ctx)
+    configs = [config for config, _ in steps if config is not None]
+    results = iter(run_scenarios(configs, workers=ctx.workers))
+    rows, scenarios = [], []
+    for config, emit in steps:
+        emit(None if config is None else next(results), rows, scenarios)
     plotdata = {
         stem: _pivot(rows, index, grid, columns, spec.metrics)
         for stem, index, columns in spec.plots
@@ -488,8 +515,21 @@ def _sort_key(row):
     return (row["preset"], sweep_key, row["design"], row["adjustment"], row["metric"])
 
 
+@contextlib.contextmanager
+def _replacing(path: Path):
+    """Open a temporary sibling of ``path`` for writing and rename it onto ``path``
+    once written, so a failed run leaves the previous file or none, never part of one."""
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "w", encoding="utf-8", newline="") as fh:
+            yield fh
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
+
+
 def _write_csv(path: Path, header, table):
-    with open(path, "w", encoding="utf-8", newline="") as fh:
+    with _replacing(path) as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
         for line in table:
@@ -514,7 +554,7 @@ def _write_reports(name, rows, scenarios, plotdata, ctx, out_dir) -> PresetResul
         "mode": ctx.mode.value,
         "scenarios": scenarios,
     }
-    with open(results_json, "w", encoding="utf-8", newline="") as fh:
+    with _replacing(results_json) as fh:
         json.dump(payload, fh, indent=2)
         fh.write("\n")
     plot_paths = []
@@ -724,8 +764,6 @@ def run_config(path, overrides=None, out_dir="results") -> PresetResult:
     metrics = ["fwer"] + [f"kfwer_{k}" for k in sorted(config.kfwer_levels) if k > 1] + ["pfer"]
     metrics += [f"marginal_power_{j + 1}" for j in range(config.design.num_arms)]
     metrics += ["disjunctive_power", "conjunctive_power"]
-    rows = _estimate_rows("custom", None, label, adjustment, oc, config.seed, metrics)
-    scenarios = [
-        _scenario_record(label, None, adjustment, config.design, config.effects, oc, config.seed, ctx)
-    ]
+    rows, scenarios = [], []
+    _emit_simulated("custom", None, label, adjustment, metrics, config, oc, rows, scenarios)
     return _write_reports("custom", rows, scenarios, {}, ctx, out_dir)

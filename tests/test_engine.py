@@ -1,5 +1,6 @@
 import math
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -12,9 +13,18 @@ from platformsim.designs import (
     build_fixed_design,
     build_staggered_design,
 )
-from platformsim.engine import ScenarioConfig, SimulationMode, iter_zstat_blocks, run_scenario
-from platformsim.engine import _build_plan, _sliced_zstats
+from platformsim import engine
+from platformsim.distributions import Sidedness
+from platformsim.engine import (
+    ScenarioConfig,
+    SimulationMode,
+    iter_zstat_blocks,
+    run_scenario,
+    run_scenarios,
+)
+from platformsim.engine import _build_plan, _zstats
 from platformsim.metrics import characteristics_from_counts
+from platformsim.presets import run_preset
 from oracles import rejection_counts
 
 UNADJ = AdjustmentPolicy(AdjustmentMethod.UNADJUSTED)
@@ -70,9 +80,10 @@ class TestZStatistics:
         plan = _build_plan(design, (0.38,) + (0.0,) * (design.num_arms - 1))
         rng = np.random.default_rng(14)
         for rows in (4096, 848, 1):
-            means = plan.cell_means + rng.standard_normal((rows, len(plan.cells))) * plan.cell_scales
-            sliced = _sliced_zstats(means, plan.weights)
-            assert sliced.tobytes() == (means @ plan.weights.T).tobytes()
+            units = rng.standard_normal((rows, len(plan.cells)))
+            sliced = _zstats(units, plan, SimulationMode.SUFFICIENT_STATISTIC, 0)
+            full = (units * plan.cell_scales + plan.cell_means) @ plan.weights.T
+            assert sliced.tobytes() == full.tobytes()
 
 
 class TestRunScenario:
@@ -188,3 +199,93 @@ class TestConfigValidation:
         design = build_fixed_design(2, 150, ControlMode.COMMON)
         with pytest.raises(ValueError, match="finite"):
             ScenarioConfig(design, (0.0, float("inf")), UNADJ)
+
+
+def _oracle(config):
+    """Report of ``config`` counted replication by replication from its z-statistics."""
+    z = collect_zstats(config.design, config.effects, config.reps, config.seed, config.mode)
+    score = np.abs(z) if config.policy.sidedness is Sidedness.TWO_SIDED else z
+    rejected = score > critical_value(config.policy, analytic_correlation(config.design))
+    effective = [e != 0.0 for e in config.effects]
+    counts = rejection_counts(rejected, effective, config.kfwer_levels)
+    return characteristics_from_counts(**counts)
+
+
+def _mixed_batch():
+    fixed = build_fixed_design(3, 150, ControlMode.COMMON)
+    base = ScenarioConfig(fixed, (0.38, 0.0, 0.0), UNADJ, reps=5_000, seed=21)
+    policies = [
+        AdjustmentPolicy(method, 0.05, sidedness)
+        for method in AdjustmentMethod
+        for sidedness in Sidedness
+    ]
+    # one seed, one design, every policy and sidedness: one draw, one z
+    batch = [replace(base, policy=policy) for policy in policies]
+    # one seed, different designs with four cells each: one draw, three z
+    batch += [
+        replace(base, seed=22, policy=policies[0]),
+        replace(base, design=build_fixed_design(3, 60, ControlMode.COMMON), seed=22),
+        ScenarioConfig(build_fixed_design(2, 100, ControlMode.INDIVIDUAL), (0.0, 0.2),
+                       policies[4], reps=5_000, seed=22, kfwer_levels=(1, 2)),
+    ]
+    # the first seed again at other reps, in patient mode, and distinct seeds
+    batch += [
+        replace(base, reps=9_000),
+        replace(base, design=build_fixed_design(3, 20, ControlMode.COMMON),
+                mode=SimulationMode.PATIENT_LEVEL),
+        replace(base, design=build_staggered_design(150, 80), seed=23),
+        replace(base, effects=(0.0,) * 3, seed=24, policy=policies[2]),
+    ]
+    return batch
+
+
+class TestRunScenarios:
+    def test_batch_equals_single_runs_and_per_replication_counts(self):
+        batch = _mixed_batch()
+        reports = run_scenarios(batch)
+        assert reports == [run_scenario(config) for config in batch]
+        assert reports == [_oracle(config) for config in batch]
+
+    def test_batch_does_not_depend_on_worker_count(self):
+        batch = _mixed_batch()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            assert run_scenarios(batch, workers=1) == run_scenarios(batch, workers=3)
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_empty_batch(self):
+        assert run_scenarios([], workers=2) == []
+
+
+class TestCommonRandomNumbers:
+    """A run opens one stream per block of each draw group, however many scenarios share it."""
+
+    @pytest.fixture
+    def opened(self, monkeypatch):
+        streams = []
+        block_rng = engine._block_rng
+
+        def counting(seed, block_index):
+            streams.append((seed, block_index))
+            return block_rng(seed, block_index)
+
+        monkeypatch.setattr(engine, "_block_rng", counting)
+        return streams
+
+    @pytest.mark.parametrize(
+        "preset, groups",
+        # table3: one seed for the three common-control policies, one for IC.
+        # fig5: one seed for every shift, whose designs have three cell counts, and IC.
+        [("table3", 2), ("fig5_flex_fwer", 4)],
+    )
+    def test_preset_opens_one_stream_per_group_and_block(self, opened, tmp_path, preset, groups):
+        run_preset(preset, {"reps": 50_000}, out_dir=tmp_path)
+        assert len(opened) == groups * 13
+        assert len({seed for seed, _ in opened}) == 2
+
+    def test_single_scenario_opens_one_stream_per_block(self, opened):
+        design = build_fixed_design(3, 150, ControlMode.COMMON)
+        run_scenario(ScenarioConfig(design, (0.0,) * 3, UNADJ, reps=50_000, seed=25))
+        assert sorted(opened) == [(25, block) for block in range(13)]

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 
 import platformsim
+from platformsim import presets
 from platformsim.adjust import AdjustmentMethod, critical_value
 from platformsim.cli import main
 from platformsim.correlation import analytic_correlation
@@ -210,6 +211,26 @@ class TestRunPreset:
         b = run_preset("table4", overrides={"reps": 2_000}, out_dir=tmp_path / "b")
         assert a.results_csv.read_bytes() == b.results_csv.read_bytes()
         assert a.results_json.read_bytes() == b.results_json.read_bytes()
+
+    def test_failed_write_leaves_no_partial_results(self, tmp_path, monkeypatch):
+        earlier = run_preset("table3", overrides={"reps": 200}, out_dir=tmp_path / "earlier")
+        files = output_files(earlier)
+        cells = []
+        format_cell = presets._format_cell
+
+        def failing(value):
+            cells.append(value)
+            if len(cells) == 100:  # part-way through results.csv
+                raise OSError("no space left")
+            return format_cell(value)
+
+        monkeypatch.setattr(presets, "_format_cell", failing)
+        for out in (tmp_path / "earlier", tmp_path / "fresh"):
+            cells.clear()
+            with pytest.raises(OSError, match="no space"):
+                run_preset("table3", overrides={"reps": 200, "seed": 9}, out_dir=out)
+        assert output_files(earlier) == files
+        assert not any(path.is_file() for path in (tmp_path / "fresh").rglob("*"))
 
     def test_worker_count_invariance(self, tmp_path):
         a = run_preset(
