@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 
@@ -62,6 +63,7 @@ class CorrelationMatrix:
         return cls(tuple(tuple(1.0 if i == j else 0.0 for j in range(dim)) for i in range(dim)))
 
 
+@lru_cache(maxsize=None)
 def analytic_correlation(design: PlatformDesign) -> CorrelationMatrix:
     """Correlation matrix of the comparison z-statistics for a design.
 
@@ -69,7 +71,8 @@ def analytic_correlation(design: PlatformDesign) -> CorrelationMatrix:
     is the identity. With a common control, the correlation of two
     comparisons equals the shared control count divided by the product of
     the concurrent control counts, rescaled by both statistics' standard
-    errors. Raises if some arm has no concurrent control patients.
+    errors. Raises if some arm has no concurrent control patients. Each
+    design's matrix is computed once per process and then read from a cache.
     """
     m = design.num_arms
     if design.control_mode is ControlMode.INDIVIDUAL:

@@ -11,8 +11,11 @@ evaluates it for both uses here: the simultaneous coverage whose root is the
 Dunnett threshold, and the Poisson-binomial law of the number of rejections.
 The same nodes give the coverage's slope, so the threshold is found by a
 bracketed Newton iteration started at the Sidak bound, with a residual of at
-most 1e-6; it depends only on the matrix, not on what was solved before. A
-matrix without one-factor structure is rejected with an error.
+most 1e-6. Matrices of one dimension are solved together: each keeps its own
+bracket, node count and stop, and every quadrature pass reduces each one on
+its own, so a threshold depends only on its matrix, not on what was solved
+before or beside it. A matrix without one-factor structure is rejected with
+an error.
 
 Only numpy and the standard library are needed: Phi is math.erfc, its
 inverse statistics.NormalDist.inv_cdf (Wichura's AS241), and the nodes come
@@ -42,6 +45,8 @@ _QUAD_STAGES = (_QUAD_NODE_COUNTS[:2],) + tuple((n,) for n in _QUAD_NODE_COUNTS[
 _SQRT2 = math.sqrt(2.0)
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 _STANDARD_NORMAL = statistics.NormalDist()
+# erfc arguments per Python list: a batched pass holds at most this many float objects
+_ERFC_CHUNK = 4096
 
 
 class ConvergenceError(RuntimeError):
@@ -182,43 +187,49 @@ def _stacked_rule(counts: tuple[int, ...]):
 
 def _cdf_pair(h):
     """(Phi(h), Phi(-h)) per entry, both from one erfc of |h|."""
-    tail = np.fromiter(map(math.erfc, (np.abs(h) / _SQRT2).ravel().tolist()), float, h.size)
+    scaled = (np.abs(h) / _SQRT2).ravel()
+    tail = np.empty(h.size)
+    for start in range(0, h.size, _ERFC_CHUNK):
+        part = scaled[start : start + _ERFC_CHUNK].tolist()
+        tail[start : start + len(part)] = np.fromiter(map(math.erfc, part), float, len(part))
     tail = 0.5 * tail.reshape(h.shape)
     positive = h > 0.0
     return np.where(positive, 1.0 - tail, tail), np.where(positive, tail, 1.0 - tail)
 
 
 def _conditional(x, lam, scale, mu, lower, upper):
-    """Per node (row) and comparison: P_j = P(lower <= Z_j <= upper | factor) and dP_j/dt.
+    """Per problem (row), node and comparison: P_j = P(lower <= Z_j <= upper | factor) and dP_j/dt.
 
     Z_j = mu_j + lam_j x + scale_j e_j with e_j independent standard normals,
     so lower <= Z_j <= upper exactly when lo_j <= e_j <= hi_j. The growth
     dP_j/dt of bounds widened to (lower - t, upper + t) is
-    (phi(hi_j) + phi(lo_j)) / scale_j. ``mu`` None means no mean shift and
-    ``lower`` None an open lower end. For bounds +-c without a shift, lo_j
-    at node x is -hi_j at node -x: the rows of hi reversed.
+    (phi(hi_j) + phi(lo_j)) / scale_j. ``lam``, ``scale`` and ``mu`` hold one
+    row per problem and the bounds one row of 1 or m entries; ``mu`` None
+    means no mean shift and ``lower`` None an open lower end. For bounds +-c
+    without a shift, lo_j at node x is -hi_j at node -x: the nodes of hi
+    reversed.
     """
-    shifted = x[:, None] * lam
+    shifted = x[:, None] * lam[:, None, :]
     if mu is not None:
-        shifted = mu + shifted
-    hi = (upper - shifted) / scale
+        shifted = mu[:, None, :] + shifted
+    hi = (upper[:, None, :] - shifted) / scale[:, None, :]
     below_hi, above_hi = _cdf_pair(hi)
     density = np.exp(-0.5 * hi * hi)
     if lower is None:
         inside = below_hi
     elif mu is None and np.array_equal(lower, np.negative(upper)):
-        inside = below_hi - above_hi[::-1]
-        density = density + density[::-1]
+        inside = below_hi - above_hi[:, ::-1]
+        density = density + density[:, ::-1]
     else:
-        lo = (lower - shifted) / scale
+        lo = (lower[:, None, :] - shifted) / scale[:, None, :]
         inside = below_hi - _cdf_pair(lo)[0]
         density = density + np.exp(-0.5 * lo * lo)
-    return np.clip(inside, 0.0, 1.0), density / (_SQRT_2PI * scale)
+    return np.clip(inside, 0.0, 1.0), density / (_SQRT_2PI * scale[:, None, :])
 
 
 def _all_inside(inside, growth):
     """Per node: P(every comparison stays inside its bounds)."""
-    return (np.prod(inside, axis=1),)
+    return (np.prod(inside, axis=-1),)
 
 
 def _coverage_and_slope(inside, growth):
@@ -227,42 +238,79 @@ def _coverage_and_slope(inside, growth):
     The bounds are upper = c and lower = -c or open, so d P_j / dc is the
     growth of P_j times the other comparisons' P_k.
     """
-    ones = np.ones((len(inside), 1))
-    before = np.cumprod(np.hstack([ones, inside[:, :-1]]), axis=1)
-    after = np.cumprod(np.hstack([ones, inside[:, :0:-1]]), axis=1)[:, ::-1]
-    return np.prod(inside, axis=1), (growth * before * after).sum(axis=1)
+    ones = np.ones(inside.shape[:-1] + (1,))
+    before = np.cumprod(np.concatenate([ones, inside[..., :-1]], axis=-1), axis=-1)
+    after = np.cumprod(np.concatenate([ones, inside[..., :0:-1]], axis=-1), axis=-1)[..., ::-1]
+    return np.prod(inside, axis=-1), (growth * before * after).sum(axis=-1)
 
 
 def _count_law(inside, growth):
     """Per node: Poisson-binomial law of the number of comparisons outside."""
     outside = 1.0 - inside
-    dist = np.zeros((len(outside), outside.shape[1] + 1))
-    dist[:, 0] = 1.0
-    for p in outside.T[:, :, None]:
+    dist = np.zeros(outside.shape[:-1] + (outside.shape[-1] + 1,))
+    dist[..., 0] = 1.0
+    for j in range(outside.shape[-1]):
+        p = outside[..., j : j + 1]
         stay = 1.0 - p
-        dist[:, 1:] = dist[:, 1:] * stay + dist[:, :-1] * p
-        dist[:, :1] *= stay
+        dist[..., 1:] = dist[..., 1:] * stay + dist[..., :-1] * p
+        dist[..., :1] *= stay
     return (dist,)
+
+
+def _integrate(weights, part):
+    """sum_n weights[r, n] part[k, n, ...] as an array [k, r, ...].
+
+    A stacked matrix product: numpy makes one product per row k, never one
+    across rows, so a row's integral is the one it gets alone.
+    """
+    if part.ndim == 2:
+        return (weights @ part[:, :, None])[:, :, 0]
+    return weights @ part
 
 
 def _factor_integral(lam: np.ndarray, reduce, lower, upper, mu=None):
     """Integrals over the shared factor of the per-node parts ``reduce(inside, growth)`` returns.
 
-    The Gauss-Hermite node count doubles until two successive estimates of
-    the first part agree to within 1e-9 in every entry; any later part (the
-    coverage slope) is integrated on the same nodes. A stage of several rules
-    gives one estimate per weight row.
+    Each row of ``lam`` (and of ``mu`` and the bounds, see ``_conditional``)
+    is its own problem, and each part comes back with one row per problem.
+    A row doubles its Gauss-Hermite node count until two successive
+    estimates of its first part agree to within 1e-9 in every entry, and
+    then leaves the pass; any later part (the coverage slope) is integrated
+    on the same nodes. A stage of several rules gives one estimate per
+    weight row. A row's result is the same whichever rows share its pass.
     """
     scale = np.sqrt(1.0 - lam * lam)
-    previous = None
+    index = np.arange(len(lam))  # the problem of each row still integrating
+    out = previous = None
     for counts in _QUAD_STAGES:
         x, weights = _stacked_rule(counts)
-        parts = [weights @ part for part in reduce(*_conditional(x, lam, scale, mu, lower, upper))]
-        for row, estimate in enumerate(parts[0]):
-            if previous is not None and np.all(abs(estimate - previous) < _QUAD_STOP):
-                return [part[row] for part in parts]
+        parts = [_integrate(weights, p) for p in reduce(*_conditional(x, lam, scale, mu, lower, upper))]
+        done = np.zeros(len(index), dtype=bool)
+        for rule in range(len(counts)):
+            estimate = parts[0][:, rule]
+            if previous is not None:
+                gap = np.abs(estimate - previous).reshape(len(index), -1)
+                agree = ~done & (gap < _QUAD_STOP).all(axis=1)
+                if out is None:
+                    if agree.all():  # every problem stops here
+                        return [part[:, rule] for part in parts]
+                    out = [np.empty(index.shape + part.shape[2:]) for part in parts]
+                for total, part in zip(out, parts):
+                    total[index[agree]] = part[agree, rule]
+                done |= agree
             previous = estimate
-    return [part[-1] for part in parts]
+        if done.all():
+            return out
+        keep = ~done
+        index, previous, lam, scale = index[keep], previous[keep], lam[keep], scale[keep]
+        mu, lower, upper = (None if a is None else a[keep] for a in (mu, lower, upper))
+        last = [part[keep, -1] for part in parts]
+    # problems that never agreed keep the estimate of the largest rule
+    if out is None:
+        return last
+    for total, part in zip(out, last):
+        total[index] = part
+    return out
 
 
 def factor_rectangle_probability(spec: MvnSpec, lower, upper) -> float:
@@ -274,12 +322,67 @@ def factor_rectangle_probability(spec: MvnSpec, lower, upper) -> float:
     for bound in (lower, upper):
         if np.ndim(bound) and np.shape(bound) != (spec.dim,):
             raise ValueError("bound vectors must match the spec dimension")
-    lam = np.asarray(spec.factor_loadings)
+    lower, upper = (
+        None if bound is None else np.reshape(np.asarray(bound, float), (1, -1))
+        for bound in (lower, upper)
+    )
+    lam = np.asarray([spec.factor_loadings])
     if not lam.any():
         # independent comparisons: the integrand is constant, so one node is exact
-        return float(_all_inside(*_conditional(np.zeros(1), lam, 1.0, None, lower, upper))[0][0])
+        inside = _conditional(np.zeros(1), lam, np.ones_like(lam), None, lower, upper)
+        return float(_all_inside(*inside)[0][0, 0])
     (estimate,) = _factor_integral(lam, _all_inside, lower, upper)
-    return min(max(float(estimate), 0.0), 1.0)
+    return min(max(float(estimate[0]), 0.0), 1.0)
+
+
+def dunnett_critical_values(loadings, alpha: float, sidedness: Sidedness = Sidedness.TWO_SIDED):
+    """Dunnett thresholds of several one-factor matrices of one dimension, solved together.
+
+    ``loadings`` holds one row of factor loadings per matrix. Each row runs
+    its own bracketed Newton iteration (see ``dunnett_critical_value``) and
+    leaves the batch once its step is below 1e-9, when its residual must be
+    at most 1e-6. All rows share one quadrature pass per iteration, and each
+    row's threshold is the one it gets when solved alone, bit for bit.
+    Returns an array with one threshold per row.
+    """
+    if not 0.0 < alpha < 1.0:
+        raise ValueError("alpha must lie strictly between 0 and 1")
+    lam = np.asarray(loadings, dtype=float)
+    k, m = lam.shape
+    two_sided = sidedness is Sidedness.TWO_SIDED
+    sides = 2.0 if two_sided else 1.0
+    low = np.full(k, normal_quantile(1.0 - alpha / sides))
+    if m == 1:
+        return low
+    # Sidak: each comparison's tail is 1 - (1 - alpha)^(1/m), split over the sides
+    high = np.full(k, -normal_quantile(-math.expm1(math.log1p(-alpha) / m) / sides))
+    c = high.copy()
+    solved = np.empty(k)
+    index = np.arange(k)  # the matrix of each row still iterating
+    for _ in range(100):
+        bound = c[:, None]
+        coverage, slope = _factor_integral(
+            lam, _coverage_and_slope, -bound if two_sided else None, bound
+        )
+        shortfall = coverage - (1.0 - alpha)
+        short = shortfall < 0.0
+        low = np.where(short, c, low)
+        high = np.where(short, high, c)
+        step = np.full(len(c), np.inf)
+        np.divide(-shortfall, slope, out=step, where=slope > 0.0)
+        bracketed = (low <= c + step) & (c + step <= high)
+        step = np.where(bracketed, step, 0.5 * (low + high) - c)
+        c = c + step
+        done = np.abs(step) < 1e-9
+        if done.any():
+            if (np.abs(shortfall[done]) > 1e-6).any():
+                raise ConvergenceError("critical-value residual exceeds tolerance")
+            solved[index[done]] = c[done]
+            keep = ~done
+            if not keep.any():
+                return solved
+            index, lam, low, high, c = index[keep], lam[keep], low[keep], high[keep], c[keep]
+    raise ConvergenceError("critical-value search did not converge")
 
 
 def dunnett_critical_value(
@@ -299,38 +402,10 @@ def dunnett_critical_value(
     search stops when a step is below 1e-9, and the residual
     |coverage - (1 - alpha)| must be at most 1e-6. The start depends only on
     (m, alpha, sidedness), so a threshold is a pure function of its matrix,
-    whatever was solved before it.
+    whatever was solved before it. This is ``dunnett_critical_values`` for
+    one matrix.
     """
-    if not 0.0 < alpha < 1.0:
-        raise ValueError("alpha must lie strictly between 0 and 1")
-    m = spec.dim
-    two_sided = sidedness is Sidedness.TWO_SIDED
-    sides = 2.0 if two_sided else 1.0
-    low = normal_quantile(1.0 - alpha / sides)
-    if m == 1:
-        return low
-    # Sidak: each comparison's tail is 1 - (1 - alpha)^(1/m), split over the sides
-    high = -normal_quantile(-math.expm1(math.log1p(-alpha) / m) / sides)
-    lam = np.asarray(spec.factor_loadings)
-    c = high
-    for _ in range(100):
-        coverage, slope = _factor_integral(lam, _coverage_and_slope, -c if two_sided else None, c)
-        shortfall = float(coverage) - (1.0 - alpha)
-        if shortfall < 0.0:
-            low = c
-        else:
-            high = c
-        step = -shortfall / slope if slope > 0.0 else math.inf
-        if not low <= c + step <= high:
-            step = 0.5 * (low + high) - c
-        c += step
-        if abs(step) < 1e-9:
-            break
-    else:
-        raise ConvergenceError("critical-value search did not converge")
-    if abs(shortfall) > 1e-6:
-        raise ConvergenceError("critical-value residual exceeds tolerance")
-    return float(c)
+    return float(dunnett_critical_values([spec.factor_loadings], alpha, sidedness)[0])
 
 
 def rejection_count_pmf(
@@ -348,8 +423,9 @@ def rejection_count_pmf(
     mu = np.asarray(mean_shifts, dtype=float)
     if mu.shape != (spec.dim,):
         raise ValueError("mean shifts must match the spec dimension")
-    lower = -critical_value if sidedness is Sidedness.TWO_SIDED else None
-    lam = np.asarray(spec.factor_loadings)
-    (pmf,) = _factor_integral(lam, _count_law, lower, critical_value, mu)
-    pmf = np.clip(pmf, 0.0, 1.0)
+    upper = np.array([[float(critical_value)]])
+    lower = -upper if sidedness is Sidedness.TWO_SIDED else None
+    lam = np.asarray([spec.factor_loadings])
+    (pmf,) = _factor_integral(lam, _count_law, lower, upper, mu[None])
+    pmf = np.clip(pmf[0], 0.0, 1.0)
     return pmf / pmf.sum()

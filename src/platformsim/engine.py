@@ -23,8 +23,7 @@ from enum import Enum
 
 import numpy as np
 
-from .adjust import AdjustmentPolicy, critical_value
-from .correlation import analytic_correlation
+from .adjust import AdjustmentPolicy, critical_values
 from .designs import ControlMode, PlatformDesign
 from .distributions import Sidedness
 from .metrics import OperatingCharacteristics, characteristics_from_counts
@@ -34,6 +33,8 @@ BLOCK_SIZE = 4096
 # OpenBLAS hands larger ones to its own helper threads, which keep spinning
 # after the product and take the core a second worker thread needs.
 _Z_SLICE_ROWS = 512
+# Most normals one patient-mode draw holds (8 MiB), so a block's memory does not grow with n.
+_PATIENT_CHUNK = 2**20
 
 
 class SimulationMode(Enum):
@@ -127,13 +128,22 @@ def _draw_shape(plan: _SimPlan, mode: SimulationMode):
 
 
 def _draw_units(seed: int, block_index: int, rows: int, shape, mode: SimulationMode) -> np.ndarray:
-    """One block's centred cell means: unit normals, or means of unit patient outcomes."""
+    """One block's centred cell means: unit normals, or means of unit patient outcomes.
+
+    A cell's patient outcomes are drawn in consecutive chunks of rows, at
+    most ``_PATIENT_CHUNK`` normals each (one row if a row alone has more),
+    from the block's one stream. The stream fills rows in order and each
+    row's mean is its own sum, so the means equal those of one whole draw.
+    """
     rng = _block_rng(seed, block_index)
     if mode is SimulationMode.SUFFICIENT_STATISTIC:
         return rng.standard_normal((rows, shape))
     units = np.empty((rows, len(shape)))
     for i, patients in enumerate(shape):
-        units[:, i] = rng.standard_normal((rows, patients)).mean(axis=1)
+        chunk = max(1, _PATIENT_CHUNK // patients)
+        for start in range(0, rows, chunk):
+            stop = min(start + chunk, rows)
+            units[start:stop, i] = rng.standard_normal((stop - start, patients)).mean(axis=1)
     return units
 
 
@@ -204,8 +214,10 @@ class _DrawGroup:
 
 
 def _draw_groups(configs) -> list[_DrawGroup]:
+    # one threshold call for the batch: its new Dunnett matrices are solved together
+    thresholds = critical_values((config.policy, config.design) for config in configs)
     groups = {}
-    for index, config in enumerate(configs):
+    for index, (config, threshold) in enumerate(zip(configs, thresholds)):
         plan = _build_plan(config.design, config.effects)
         key = (config.seed, config.reps, config.mode, _draw_shape(plan, config.mode))
         if key not in groups:
@@ -213,7 +225,6 @@ def _draw_groups(configs) -> list[_DrawGroup]:
         effective = np.array([e != 0.0 for e in config.effects])
         members = groups[key].members
         member = members.setdefault((config.design, config.effects), (plan, effective, []))
-        threshold = critical_value(config.policy, analytic_correlation(config.design))
         member[2].append((index, threshold, config.policy.sidedness))
     return list(groups.values())
 

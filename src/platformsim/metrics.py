@@ -74,6 +74,12 @@ class OperatingCharacteristics:
 
 
 def proportion_estimate(count: int, reps: int) -> Estimate:
+    """The share p = count / reps with its Wald standard error sqrt(p (1 - p) / reps).
+
+    This is the ``mc_se`` of every proportion in the reports. It is 0 when
+    0 or all ``reps`` replications count, which says only that no
+    replication disagreed, not that the estimate is exact.
+    """
     p = count / reps
     return Estimate(p, math.sqrt(p * (1.0 - p) / reps))
 

@@ -29,7 +29,7 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Callable
 
-from .adjust import AdjustmentMethod, AdjustmentPolicy, critical_value
+from .adjust import AdjustmentMethod, AdjustmentPolicy, critical_values
 from .correlation import analytic_correlation
 from .designs import (
     ControlMode,
@@ -43,7 +43,7 @@ from .engine import ScenarioConfig, SimulationMode, run_scenario, run_scenarios
 from .sample_size import (
     PowerTarget,
     fixed_template,
-    required_per_arm_n,
+    required_per_arm_ns,
     split_fixed_total,
     staggered_template,
 )
@@ -249,21 +249,22 @@ class _RequiredN:
     def steps(self, preset, spec, sweep, ctx):
         template = self.template(sweep)
         target = PowerTarget(POWER_GOAL, EFFECT_SIZE)
-        found = []
-        for adjustment in self.adjustments:
-            n = required_per_arm_n(target, _POLICIES[adjustment], template, arm=self.arm)
-            found.append((adjustment, n, template(n).total_sample_size()))
+        return [
+            (
+                (target, _POLICIES[adjustment], template, self.arm),
+                functools.partial(self._emit, preset, sweep, adjustment, template),
+            )
+            for adjustment in self.adjustments
+        ]
 
-        def emit(_oc, rows, scenarios):
-            for adjustment, n, total in found:
-                for metric, value in (("required_n_per_arm", n), ("required_total_n", total)):
-                    rows.append(_exact_row(preset, sweep, self.label, adjustment, metric, value))
-                scenarios.append(
-                    dict(kind="exact", design_label=self.label, sweep_value=sweep,
-                         adjustment=adjustment, required_n_per_arm=n, required_total_n=total)
-                )
-
-        return [(None, emit)]
+    def _emit(self, preset, sweep, adjustment, template, n, rows, scenarios):
+        total = template(n).total_sample_size()
+        for metric, value in (("required_n_per_arm", n), ("required_total_n", total)):
+            rows.append(_exact_row(preset, sweep, self.label, adjustment, metric, value))
+        scenarios.append(
+            dict(kind="exact", design_label=self.label, sweep_value=sweep,
+                 adjustment=adjustment, required_n_per_arm=n, required_total_n=total)
+        )
 
 
 @dataclass(frozen=True)
@@ -332,10 +333,13 @@ def _pivot(rows, index, grid, columns, metrics):
 def _run_spec(preset, spec, ctx):
     """Rows, scenario records and plot tables of one preset spec.
 
-    Every series lists its steps in report order: a step is a scenario to
-    simulate (or None) and a function that appends its rows and records.
-    All simulated scenarios then run in one ``run_scenarios`` call, so those
-    that share a seed draw their random numbers once.
+    Every series lists its steps in report order: a step is a request (a
+    scenario to simulate, the argument tuple of a required-n search, or
+    None) and a function that appends its rows and records given the
+    answer. All searches then run in one ``required_per_arm_ns`` call, whose
+    lockstep rounds solve their Dunnett thresholds in batches, and all
+    simulated scenarios in one ``run_scenarios`` call, so those that share a
+    seed draw their random numbers once.
     """
     grid = None if spec.grid is None else spec.grid(ctx)
     steps = []
@@ -346,11 +350,18 @@ def _run_spec(preset, spec, ctx):
     for series in spec.series:
         if series.reference:
             steps += series.steps(preset, spec, None, ctx)
-    configs = [config for config, _ in steps if config is not None]
-    results = iter(run_scenarios(configs, workers=ctx.workers))
+    sized = iter(required_per_arm_ns([r for r, _ in steps if isinstance(r, tuple)]))
+    configs = [r for r, _ in steps if isinstance(r, ScenarioConfig)]
+    simulated = iter(run_scenarios(configs, workers=ctx.workers))
     rows, scenarios = [], []
-    for config, emit in steps:
-        emit(None if config is None else next(results), rows, scenarios)
+    for request, emit in steps:
+        if request is None:
+            answer = None
+        elif isinstance(request, ScenarioConfig):
+            answer = next(simulated)
+        else:
+            answer = next(sized)
+        emit(answer, rows, scenarios)
     plotdata = {
         stem: _pivot(rows, index, grid, columns, spec.metrics)
         for stem, index, columns in spec.plots
@@ -720,7 +731,7 @@ def load_config(path) -> ScenarioConfig:
         raise ValueError("config field 'sidedness' must be 'one_sided' or 'two_sided'") from exc
     policy = AdjustmentPolicy(AdjustmentMethod(adjustment), float(alpha), sidedness)
     try:
-        critical_value(policy, analytic_correlation(design))  # cached for the run
+        critical_values([(policy, design)])  # cached for the run
     except ValueError as exc:
         msg = f"config field 'alpha' is too small for a finite threshold, got {alpha}"
         raise ValueError(msg) from exc

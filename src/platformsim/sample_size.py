@@ -14,8 +14,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .adjust import AdjustmentMethod, AdjustmentPolicy, critical_value
-from .correlation import CorrelationMatrix, analytic_correlation
+from .adjust import AdjustmentMethod, AdjustmentPolicy, closed_form_threshold, critical_values
 from .designs import ControlMode, PlatformDesign, build_fixed_design, build_staggered_design
 from .distributions import Sidedness, normal_cdf, normal_quantile
 
@@ -95,17 +94,6 @@ def staggered_template(shift: int) -> Callable[[int], PlatformDesign]:
     return build
 
 
-def _policy_power(design: PlatformDesign, policy: AdjustmentPolicy, delta: float, arm: int) -> float:
-    threshold = critical_value(policy, analytic_correlation(design))
-    return marginal_power(
-        design.treatment_total(arm),
-        design.concurrent_control_count(arm),
-        delta,
-        threshold,
-        policy.sidedness,
-    )
-
-
 def _per_side_n(threshold: float, target: PowerTarget) -> int:
     """Closed-form two-arm size: delta sqrt(n / 2) reaches threshold + z_target."""
     z_target = normal_quantile(target.target)
@@ -130,37 +118,78 @@ def required_per_arm_n(
     evaluations. ``template`` maps a candidate n to the design it induces;
     candidates it rejects with a ``ValueError`` count as infeasible. Errors
     from the threshold itself propagate. Raises if no n up to ``max_n``
-    reaches the target.
+    reaches the target. This is ``required_per_arm_ns`` for one search.
+    """
+    return required_per_arm_ns([(target, policy, template, arm, max_n)])[0]
+
+
+def required_per_arm_ns(searches) -> list[int]:
+    """``required_per_arm_n(*search)`` of each search, run in lockstep rounds.
+
+    Each round advances every unfinished search to the next design whose
+    threshold it needs, and the round's thresholds come from one
+    ``critical_values`` call, so its new Dunnett matrices are solved in one
+    batch. Every search asks for the same candidates, and calls its template
+    the same way, as it does alone.
+    """
+    searches = [tuple(search) for search in searches]
+    runs = [_search(*search) for search in searches]
+    found = [None] * len(runs)
+    sends = [(index, None) for index in range(len(runs))]  # None starts a search
+    while sends:
+        waiting = {}  # search index -> the design whose threshold it waits for
+        for index, threshold in sends:
+            try:
+                waiting[index] = runs[index].send(threshold)
+            except StopIteration as stop:
+                found[index] = stop.value
+        thresholds = critical_values((searches[i][1], design) for i, design in waiting.items())
+        sends = list(zip(waiting, thresholds))
+    return found
+
+
+def _search(target, policy, template, arm=0, max_n=10_000_000):
+    """The search of ``required_per_arm_n`` as a generator.
+
+    It yields each design whose threshold it needs, is sent that threshold,
+    and returns the smallest n.
     """
     if target.alpha != policy.alpha:
         raise ValueError("power target and policy disagree on alpha")
     if target.sidedness is not policy.sidedness:
         raise ValueError("power target and policy disagree on sidedness")
 
-    def meets(n: int) -> bool:
+    def meets(n: int):
         try:
             design = template(n)
         except ValueError:
             return False
-        return _policy_power(design, policy, target.delta, arm) >= target.target
+        n_control = design.concurrent_control_count(arm)
+        if n_control == 0:
+            raise ValueError(f"arm {arm} has no concurrent control patients")
+        threshold = yield design
+        power = marginal_power(
+            design.treatment_total(arm), n_control, target.delta, threshold, policy.sidedness
+        )
+        return power >= target.target
 
     # the probe size comes from the threshold of a single unadjusted comparison
     single = replace(policy, method=AdjustmentMethod.UNADJUSTED)
-    probe = _per_side_n(critical_value(single, CorrelationMatrix(((1.0,),))), target)
+    probe = _per_side_n(closed_form_threshold(single, 1), target)
     try:
         design = template(probe)
     except ValueError:  # the template rejects the probe size
         guess = probe
     else:
-        guess = _per_side_n(critical_value(policy, analytic_correlation(design)), target)
+        guess = _per_side_n((yield design), target)
     guess = min(guess, max_n)
     # invariant once bracketed: lo misses the target (or is 0), hi meets it
     step = 1
-    if meets(guess):
+    if (yield from meets(guess)):
         hi = guess
         while True:
             lo = max(hi - step, 0)
-            if lo == 0 or not meets(lo):
+            if lo == 0 or not (yield from meets(lo)):
                 break
             hi, step = lo, step * 2
     else:
@@ -169,12 +198,12 @@ def required_per_arm_n(
             if lo >= max_n:
                 raise ValueError("no feasible sample size below the search cap")
             hi = min(lo + step, max_n)
-            if meets(hi):
+            if (yield from meets(hi)):
                 break
             lo, step = hi, step * 2
     while hi - lo > 1:
         mid = (lo + hi) // 2
-        if meets(mid):
+        if (yield from meets(mid)):
             hi = mid
         else:
             lo = mid

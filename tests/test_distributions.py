@@ -257,10 +257,11 @@ class TestMaxAbsMvnCdf:
     def test_mirrored_lower_bound_matches_direct_evaluation(self, c):
         # bounds +-c without a shift take lo from hi at the mirrored node; a
         # zero mean shift forces the direct evaluation of lo
-        lam = np.array([0.9, 0.6, 0.3, 0.05])
+        lam = np.array([[0.9, 0.6, 0.3, 0.05]])  # one problem: one row
+        bound = np.array([[c]])
         integrate = distributions._factor_integral
-        mirrored = integrate(lam, distributions._coverage_and_slope, -c, c)
-        direct = integrate(lam, distributions._coverage_and_slope, -c, c, np.zeros(4))
+        mirrored = integrate(lam, distributions._coverage_and_slope, -bound, bound)
+        direct = integrate(lam, distributions._coverage_and_slope, -bound, bound, np.zeros((1, 4)))
         assert np.allclose(mirrored, direct, rtol=0.0, atol=1e-15)
 
     def test_zero_width_band(self):
@@ -439,14 +440,52 @@ class TestDunnettNewton:
     def test_threshold_does_not_depend_on_call_order(self, first, second, alpha, sidedness):
         a = one_factor_correlation(first)
         b = one_factor_correlation(second)
-        adjust._dunnett_threshold.cache_clear()
-        a_first = adjust._dunnett_threshold(a, alpha, sidedness)
-        b_second = adjust._dunnett_threshold(b, alpha, sidedness)
-        adjust._dunnett_threshold.cache_clear()
-        b_first = adjust._dunnett_threshold(b, alpha, sidedness)
-        a_second = adjust._dunnett_threshold(a, alpha, sidedness)
+        adjust._dunnett_cache.clear()
+        (a_first,) = adjust._dunnett_thresholds([a], alpha, sidedness)
+        (b_second,) = adjust._dunnett_thresholds([b], alpha, sidedness)
+        adjust._dunnett_cache.clear()
+        (b_first,) = adjust._dunnett_thresholds([b], alpha, sidedness)
+        (a_second,) = adjust._dunnett_thresholds([a], alpha, sidedness)
         assert a_first.hex() == a_second.hex()
         assert b_first.hex() == b_second.hex()
+
+    @given(
+        st.integers(2, 10).flatmap(
+            lambda m: st.lists(
+                st.lists(st.floats(0.0, 0.97, exclude_max=True), min_size=m, max_size=m),
+                min_size=1,
+                max_size=8,
+            )
+        ),
+        st.data(),
+        st.floats(1e-6, 0.5),
+        st.sampled_from(list(Sidedness)),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_threshold_does_not_depend_on_its_batch(self, batch, data, alpha, sidedness):
+        specs = [MvnSpec.from_correlation(one_factor_correlation(row)) for row in batch]
+        solved = distributions.dunnett_critical_values(
+            [spec.factor_loadings for spec in specs], alpha, sidedness
+        )
+        pick = data.draw(st.integers(0, len(specs) - 1))
+        alone = dunnett_critical_value(specs[pick], alpha, sidedness)
+        assert float(solved[pick]).hex() == alone.hex()
+
+    @pytest.mark.parametrize("stop", [distributions._QUAD_STOP, 0.0])
+    def test_rows_leave_the_quadrature_at_their_own_stage(self, monkeypatch, stop):
+        # at the default stop these 12 rows leave after 1 to 6 node counts;
+        # a stop of 0 makes every row fall through to the largest rule
+        monkeypatch.setattr(distributions, "_QUAD_STOP", stop)
+        rng = np.random.default_rng(1)
+        lam = rng.uniform(0.0, 0.99, size=(12, 3))
+        lam[0] = 0.999
+        c = rng.uniform(1.0, 3.0, size=(12, 1))
+        kernel, reduce = distributions._factor_integral, distributions._coverage_and_slope
+        together = kernel(lam, reduce, -c, c)
+        for i in range(len(lam)):
+            alone = kernel(lam[i : i + 1], reduce, -c[i : i + 1], c[i : i + 1])
+            for batch_part, single_part in zip(together, alone):
+                assert batch_part[i].hex() == single_part[0].hex()
 
     @pytest.mark.parametrize("sidedness", list(Sidedness))
     def test_few_coverage_evaluations_per_solve(self, monkeypatch, sidedness):

@@ -1,5 +1,6 @@
 import math
 import sys
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -289,3 +290,32 @@ class TestCommonRandomNumbers:
         design = build_fixed_design(3, 150, ControlMode.COMMON)
         run_scenario(ScenarioConfig(design, (0.0,) * 3, UNADJ, reps=50_000, seed=25))
         assert sorted(opened) == [(25, block) for block in range(13)]
+
+
+class TestPatientDrawMemory:
+    """Patient-mode draws are taken in row chunks, so a block's memory does not grow with n."""
+
+    def test_chunked_draw_equals_one_whole_draw(self):
+        # 4096 x 1,500 normals per cell is six chunks; a whole draw of each cell is the oracle
+        shape = (1_500, 700)
+        units = engine._draw_units(11, 2, engine.BLOCK_SIZE, shape, SimulationMode.PATIENT_LEVEL)
+        rng = engine._block_rng(11, 2)
+        for i, patients in enumerate(shape):
+            whole = rng.standard_normal((engine.BLOCK_SIZE, patients)).mean(axis=1)
+            assert np.array_equal(units[:, i], whole)
+
+    def test_block_peak_is_bounded_independently_of_n(self):
+        design = build_fixed_design(2, 6_000, ControlMode.COMMON)
+        config = ScenarioConfig(
+            design, (0.0, 0.0), UNADJ, reps=engine.BLOCK_SIZE, seed=5,
+            mode=SimulationMode.PATIENT_LEVEL, kfwer_levels=(1,),
+        )
+        (group,) = engine._draw_groups([config])
+        tracemalloc.start()
+        try:
+            engine._group_block(group, 0, engine.BLOCK_SIZE)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # one chunk of 2**20 normals is 8 MiB; drawing a whole cell at n = 6,000 took 188 MiB
+        assert peak < 12 * 2**20

@@ -1,5 +1,6 @@
 import csv
 import json
+import os
 import re
 import subprocess
 import sys
@@ -10,7 +11,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 
 import platformsim
-from platformsim import presets
+from platformsim import adjust, engine, presets, sample_size
 from platformsim.adjust import AdjustmentMethod, critical_value
 from platformsim.cli import main
 from platformsim.correlation import analytic_correlation
@@ -277,6 +278,38 @@ class TestRunPreset:
         assert rows[0]["mc_se"] == ""
 
 
+class TestDerivedOnce:
+    """fig6 over every shift derives each design's correlation once, and only where needed."""
+
+    def test_fig6_correlations(self, monkeypatch, tmp_path):
+        asked = {method: set() for method in AdjustmentMethod}  # designs each method asked about
+        simulated = set()
+        thresholds, scenarios = adjust.critical_values, presets.run_scenarios
+
+        def asking(requests):
+            requests = list(requests)
+            for policy, design in requests:
+                asked[policy.method].add(design)
+            return thresholds(requests)
+
+        def simulating(configs, workers=1):
+            simulated.update(config.design for config in configs)
+            return scenarios(configs, workers)
+
+        monkeypatch.setattr(sample_size, "critical_values", asking)
+        monkeypatch.setattr(engine, "critical_values", asking)
+        monkeypatch.setattr(presets, "run_scenarios", simulating)
+        analytic_correlation.cache_clear()
+        run_preset("fig6_flex_n_and_power", {"reps": 100, "sweep": range(151)}, out_dir=tmp_path)
+        computed = analytic_correlation.cache_info()
+        needed = asked[AdjustmentMethod.DUNNETT] | simulated
+        # every needed matrix is computed, so as many computations as needed
+        # designs means each once and none for any other design
+        assert computed.misses == computed.currsize == len(needed)
+        others = asked[AdjustmentMethod.UNADJUSTED] | asked[AdjustmentMethod.BONFERRONI]
+        assert len(others - needed) > 100  # candidates only non-Dunnett searches asked about
+
+
 class TestRunConfig:
     def test_custom_run_produces_reports(self, tmp_path):
         path = write_config(tmp_path, dict(MINIMAL, reps=1_500, effects=[0.38, 0, 0]))
@@ -428,10 +461,14 @@ class TestCli:
         assert not (tmp_path / "o").exists()
 
     def test_console_script_help(self):
+        # the child does not read pytest's pythonpath setting, so it is given the checkout's src
+        src = str(Path(platformsim.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
         proc = subprocess.run(
             [sys.executable, "-m", "platformsim.cli", "--help"],
             capture_output=True,
             text=True,
+            env=dict(os.environ, PYTHONPATH=path),
         )
         assert proc.returncode == 0
         assert "--preset" in proc.stdout

@@ -1,7 +1,9 @@
 import math
 
+import hypothesis.strategies as st
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 from platformsim.adjust import AdjustmentMethod, AdjustmentPolicy, critical_value
 from platformsim.correlation import analytic_correlation
@@ -14,6 +16,7 @@ from platformsim.sample_size import (
     fixed_template,
     marginal_power,
     required_per_arm_n,
+    required_per_arm_ns,
     split_fixed_total,
     staggered_template,
 )
@@ -297,6 +300,57 @@ class TestGallopingSearch:
             run_scenario(config)
         # the other policies do not need the factor form
         assert required_per_arm_n(TARGET, BONF, chain) > 0
+
+
+def _search_cases():
+    """(template kind, parameter, policy, goal, delta) of one required-n search."""
+    template = st.one_of(
+        st.tuples(st.just("common"), st.integers(1, 6)),
+        st.tuples(st.just("individual"), st.integers(1, 4)),
+        st.tuples(st.just("staggered"), st.integers(0, 220)),
+    )
+    return st.tuples(
+        template,
+        st.sampled_from([UNADJ, BONF, DUNN]),
+        st.sampled_from([0.5, 0.8, 0.9]),
+        st.sampled_from([0.2, 0.38, 1.0]),
+    )
+
+
+def _make_template(kind, parameter):
+    if kind == "staggered":
+        return staggered_template(parameter), 2
+    return fixed_template(parameter, ControlMode(kind)), 0
+
+
+class TestLockstepSearch:
+    """``required_per_arm_ns`` against running the same searches one at a time."""
+
+    @given(st.lists(_search_cases(), min_size=1, max_size=6))
+    @settings(max_examples=40, deadline=None)
+    def test_matches_searches_run_one_at_a_time(self, cases):
+        together, alone = [], []
+        for (kind, parameter), policy, goal, delta in cases:
+            template, arm = _make_template(kind, parameter)
+            for calls in (together, alone):
+                recorded, asked = _recording(template)
+                calls.append(((PowerTarget(goal, delta), policy, recorded, arm), asked))
+        found = required_per_arm_ns([search for search, _ in together])
+        expected = [required_per_arm_n(*search) for search, _ in alone]
+        assert found == expected
+        assert [asked for _, asked in together] == [asked for _, asked in alone]
+
+    def test_empty_batch(self):
+        assert required_per_arm_ns([]) == []
+
+    @pytest.mark.parametrize("policy", [UNADJ, BONF, DUNN])
+    def test_arm_without_concurrent_controls_is_an_error(self, policy):
+        # the second arm recruits only after the control arm has closed
+        def template(n):
+            return PlatformDesign(ControlMode.COMMON, ((n, 0), (n, 0), (0, n)))
+
+        with pytest.raises(ValueError, match="arm 1 has no concurrent control patients"):
+            required_per_arm_n(TARGET, policy, template, arm=1)
 
 
 class TestSplitFixedTotal:
