@@ -8,9 +8,11 @@ state. Scenarios that use common random numbers (equal seed, replication
 count, mode and draw shape) form one draw group, and ``run_scenarios`` draws
 each block of a group once: every distinct design and effect vector in the
 group turns those draws into z-statistics once, and every policy and
-sidedness that shares them is tallied from them. Blocks overlap on threads
-because the normal fill, the z product and the large reductions run with
-the GIL released. Code that runs on a worker thread calls only private
+sidedness that shares them is tallied from them, with two matrix products
+of its 0/1 rejections. Blocks overlap on threads because the normal fill,
+the z product and the tallies' comparisons and products run with the GIL
+released; between those calls a block holds it only for numpy's per-call
+overhead. Code that runs on a worker thread calls only private
 helpers of this module: the benchmark's span tracer wraps the public
 functions and is not thread-safe.
 """
@@ -155,15 +157,25 @@ def _zstats(units: np.ndarray, plan: _SimPlan, mode: SimulationMode, block_index
     them by ``weights.T``, so no block-sized array of cell means exists.
     """
     z = np.empty((len(units), len(plan.weights)))
-    buffer = np.empty((min(len(units), _Z_SLICE_ROWS), units.shape[1]))
+    slice_rows = min(len(units), _Z_SLICE_ROWS)
+    buffer = np.empty((slice_rows, units.shape[1]))
+    # Full (slice rows, cells) operands, built once per call: against a (cells,)
+    # vector broadcast over rows, numpy's inner loop runs over one row's few
+    # cells at a time. Elementwise results are the same bits in any loop order.
+    offsets = np.tile(plan.cell_means, (slice_rows, 1))
+    if mode is SimulationMode.SUFFICIENT_STATISTIC:
+        scales = np.tile(plan.cell_scales, (slice_rows, 1))
     for start in range(0, len(units), _Z_SLICE_ROWS):
         rows = slice(start, start + _Z_SLICE_ROWS)
-        means = buffer[: len(z[rows])]
+        n = len(z[rows])
+        means = buffer[:n]
         if mode is SimulationMode.SUFFICIENT_STATISTIC:
-            np.multiply(units[rows], plan.cell_scales, out=means)
-            means += plan.cell_means
+            np.multiply(units[rows], scales[:n], out=means)
+            means += offsets[:n]
         else:
-            np.add(units[rows], plan.cell_means, out=means)
+            np.add(units[rows], offsets[:n], out=means)
+        # weights.T must stay a transposed view: BLAS sums a C-contiguous copy
+        # in another order, which changes z in the last bit and so the reports.
         np.matmul(means, plan.weights.T, out=z[rows])
     if not np.all(np.isfinite(z)):
         raise RuntimeError(f"non-finite z-statistics in block {block_index}")
@@ -209,46 +221,69 @@ class _DrawGroup:
     reps: int
     mode: SimulationMode
     shape: object  # see _draw_shape
-    # (design, effects) -> (plan, effective arms, [(scenario index, threshold, sidedness)])
+    # (design, effects) -> (plan, tally key, joint bins, [(scenario index, threshold, sidedness)])
     members: dict = field(default_factory=dict)
+
+
+def _tally_key(effects):
+    """Weights that map a replication's 0/1 rejections to its joint (false, true) index.
+
+    The index is false * (n_true + 1) + true, so an effective arm weighs 1 and
+    a null arm n_true + 1; it takes (m - n_true + 1) * (n_true + 1) values.
+    """
+    effective = [e != 0.0 for e in effects]
+    n_true = sum(effective)
+    key = np.array([1.0 if e else n_true + 1.0 for e in effective])
+    return key, (len(effective) - n_true + 1) * (n_true + 1)
 
 
 def _draw_groups(configs) -> list[_DrawGroup]:
     # one threshold call for the batch: its new Dunnett matrices are solved together
     thresholds = critical_values((config.policy, config.design) for config in configs)
     groups = {}
+    plans = {}  # (design, effects) -> plan, built once for every config that shares it
     for index, (config, threshold) in enumerate(zip(configs, thresholds)):
-        plan = _build_plan(config.design, config.effects)
-        key = (config.seed, config.reps, config.mode, _draw_shape(plan, config.mode))
-        if key not in groups:
-            groups[key] = _DrawGroup(*key)
-        effective = np.array([e != 0.0 for e in config.effects])
-        members = groups[key].members
-        member = members.setdefault((config.design, config.effects), (plan, effective, []))
-        member[2].append((index, threshold, config.policy.sidedness))
+        member_key = (config.design, config.effects)
+        if member_key not in plans:
+            plans[member_key] = _build_plan(*member_key)
+        plan = plans[member_key]
+        group_key = (config.seed, config.reps, config.mode, _draw_shape(plan, config.mode))
+        if group_key not in groups:
+            groups[group_key] = _DrawGroup(*group_key)
+        members = groups[group_key].members
+        if member_key not in members:
+            tally_key, bins = _tally_key(config.effects)
+            members[member_key] = (plan, tally_key, bins, [])
+        members[member_key][3].append((index, threshold, config.policy.sidedness))
     return list(groups.values())
 
 
 def _group_block(group: _DrawGroup, block_index: int, rows: int):
     """(scenario index, joint histogram of (false, true) rejections, per-arm rejections)
-    of every scenario in ``group`` on one block."""
+    of every scenario in ``group`` on one block.
+
+    A rule's rejections are a 0/1 float block, so both tallies are matrix
+    products: its rows times the tally key give each replication's joint
+    index, and a row of ones times it gives the per-arm counts. These are
+    sums of at most ``BLOCK_SIZE`` zeros and ones (times small integer keys),
+    exact in float64.
+    """
     units = _draw_units(group.seed, block_index, rows, group.shape, group.mode)
     members = list(group.members.values())
+    ones = np.ones(rows)
     tallies = []
-    for i, (plan, effective, rules) in enumerate(members):
+    for i, (plan, tally_key, bins, rules) in enumerate(members):
         z = _zstats(units, plan, group.mode, block_index)
         if i == len(members) - 1:
             del units  # lower peak memory: the draws are not held through the last tally
-        n_true = int(effective.sum())
+        # |z| is taken once per member: the two-sided rule on z is the one-sided rule on |z|
+        scores = {Sidedness.ONE_SIDED: z}
         for index, threshold, sidedness in rules:
-            rejected = _rejected(z, threshold, sidedness)
-            false_rej = rejected[:, ~effective].sum(axis=1)
-            true_rej = rejected[:, effective].sum(axis=1)
-            joint = np.bincount(
-                false_rej * (n_true + 1) + true_rej,
-                minlength=(len(effective) - n_true + 1) * (n_true + 1),
-            )
-            tallies.append((index, joint, rejected.sum(axis=0)))
+            if sidedness not in scores:
+                scores[sidedness] = np.abs(z)
+            rejected = _rejected(scores[sidedness], threshold, Sidedness.ONE_SIDED).astype(float)
+            joint = np.bincount((rejected @ tally_key).astype(np.intp), minlength=bins)
+            tallies.append((index, joint, (ones @ rejected).astype(np.int64)))
     return tallies
 
 

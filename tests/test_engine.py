@@ -3,8 +3,10 @@ import sys
 import tracemalloc
 from dataclasses import replace
 
+import hypothesis.strategies as st
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 from platformsim.adjust import AdjustmentMethod, AdjustmentPolicy, critical_value
 from platformsim.correlation import analytic_correlation
@@ -29,6 +31,11 @@ from platformsim.presets import run_preset
 from oracles import rejection_counts
 
 UNADJ = AdjustmentPolicy(AdjustmentMethod.UNADJUSTED)
+POLICIES = [
+    AdjustmentPolicy(method, 0.05, sidedness)
+    for method in AdjustmentMethod
+    for sidedness in Sidedness
+]
 
 
 def collect_zstats(design, effects, reps, seed, mode=SimulationMode.SUFFICIENT_STATISTIC):
@@ -69,21 +76,29 @@ class TestZStatistics:
             assert sufficient[:, j].std() == pytest.approx(patient[:, j].std(), abs=0.03)
 
     @pytest.mark.parametrize(
-        "design",
+        "design, mode",
         [
-            build_fixed_design(10, 150, ControlMode.COMMON),
-            build_fixed_design(10, 150, ControlMode.INDIVIDUAL),
-            build_staggered_design(150, 80),
+            pytest.param(design, mode, id=name + ("-patient" if mode is SimulationMode.PATIENT_LEVEL else ""))
+            for name, design in [
+                ("cc-k3", build_fixed_design(2, 150, ControlMode.COMMON)),
+                ("cc-m10", build_fixed_design(10, 150, ControlMode.COMMON)),
+                ("ic-m10", build_fixed_design(10, 150, ControlMode.INDIVIDUAL)),
+                ("staggered", build_staggered_design(150, 80)),
+            ]
+            for mode in (SimulationMode.SUFFICIENT_STATISTIC, SimulationMode.PATIENT_LEVEL)
         ],
-        ids=["cc-m10", "ic-m10", "staggered"],
     )
-    def test_sliced_product_equals_full_product(self, design):
+    def test_sliced_product_equals_full_product(self, design, mode):
         plan = _build_plan(design, (0.38,) + (0.0,) * (design.num_arms - 1))
         rng = np.random.default_rng(14)
         for rows in (4096, 848, 1):
             units = rng.standard_normal((rows, len(plan.cells)))
-            sliced = _zstats(units, plan, SimulationMode.SUFFICIENT_STATISTIC, 0)
-            full = (units * plan.cell_scales + plan.cell_means) @ plan.weights.T
+            sliced = _zstats(units, plan, mode, 0)
+            if mode is SimulationMode.SUFFICIENT_STATISTIC:
+                means = units * plan.cell_scales + plan.cell_means
+            else:
+                means = units + plan.cell_means
+            full = means @ plan.weights.T
             assert sliced.tobytes() == full.tobytes()
 
 
@@ -215,19 +230,14 @@ def _oracle(config):
 def _mixed_batch():
     fixed = build_fixed_design(3, 150, ControlMode.COMMON)
     base = ScenarioConfig(fixed, (0.38, 0.0, 0.0), UNADJ, reps=5_000, seed=21)
-    policies = [
-        AdjustmentPolicy(method, 0.05, sidedness)
-        for method in AdjustmentMethod
-        for sidedness in Sidedness
-    ]
     # one seed, one design, every policy and sidedness: one draw, one z
-    batch = [replace(base, policy=policy) for policy in policies]
+    batch = [replace(base, policy=policy) for policy in POLICIES]
     # one seed, different designs with four cells each: one draw, three z
     batch += [
-        replace(base, seed=22, policy=policies[0]),
+        replace(base, seed=22, policy=POLICIES[0]),
         replace(base, design=build_fixed_design(3, 60, ControlMode.COMMON), seed=22),
         ScenarioConfig(build_fixed_design(2, 100, ControlMode.INDIVIDUAL), (0.0, 0.2),
-                       policies[4], reps=5_000, seed=22, kfwer_levels=(1, 2)),
+                       POLICIES[4], reps=5_000, seed=22, kfwer_levels=(1, 2)),
     ]
     # the first seed again at other reps, in patient mode, and distinct seeds
     batch += [
@@ -235,17 +245,74 @@ def _mixed_batch():
         replace(base, design=build_fixed_design(3, 20, ControlMode.COMMON),
                 mode=SimulationMode.PATIENT_LEVEL),
         replace(base, design=build_staggered_design(150, 80), seed=23),
-        replace(base, effects=(0.0,) * 3, seed=24, policy=policies[2]),
+        replace(base, effects=(0.0,) * 3, seed=24, policy=POLICIES[2]),
     ]
     return batch
 
 
+@st.composite
+def _one_draw_group(draw):
+    """Scenarios that share one fixed design, seed and reps: every effect vector
+    drawn (all-null, all-effective or mixed) under every policy drawn."""
+    m = draw(st.integers(min_value=1, max_value=12))
+    mode = draw(st.sampled_from(list(SimulationMode)))
+    n = draw(st.integers(min_value=1, max_value=8 if mode is SimulationMode.PATIENT_LEVEL else 200))
+    design = build_fixed_design(m, n, draw(st.sampled_from(list(ControlMode))))
+    # all-null, all-effective and (for m > 1) mixed: the number of effective arms
+    kinds = [st.just(0), st.just(m)] + ([st.integers(1, m - 1)] if m > 1 else [])
+    effect = st.sampled_from([-0.6, 0.3, 0.9])
+    effect_vectors = []
+    for effective in draw(st.lists(st.one_of(kinds), min_size=1, max_size=2, unique=True)):
+        arms = draw(st.permutations(range(m)))[:effective]
+        effect_vectors.append(tuple(draw(effect) if j in arms else 0.0 for j in range(m)))
+    reps = draw(st.integers(1, 2 * engine.BLOCK_SIZE + 300).filter(lambda r: r % engine.BLOCK_SIZE))
+    seed = draw(st.integers(0, 2**32))
+    levels = tuple(draw(st.sets(st.integers(1, min(m, 4)), min_size=1)))
+    policies = draw(st.lists(st.sampled_from(POLICIES), min_size=1, max_size=4, unique=True))
+    return [
+        ScenarioConfig(design, effects, policy, reps=reps, seed=seed, mode=mode, kfwer_levels=levels)
+        for effects in effect_vectors
+        for policy in policies
+    ]
+
+
 class TestRunScenarios:
+    @given(_one_draw_group())
+    @settings(max_examples=50, deadline=None)
+    def test_tallies_equal_per_replication_counts(self, batch):
+        assert run_scenarios(batch) == [_oracle(config) for config in batch]
+
+    def test_tallies_at_forty_arms(self):
+        # 31 x 11 joint bins; a histogram of rejection patterns would need 2**40
+        design = build_fixed_design(40, 100, ControlMode.COMMON)
+        effects = (0.45,) * 10 + (0.0,) * 30
+        batch = [
+            ScenarioConfig(design, effects, policy, reps=engine.BLOCK_SIZE + 904, seed=31,
+                           kfwer_levels=(1, 2, 3))
+            for policy in (POLICIES[1], POLICIES[4])
+        ]
+        reports = run_scenarios(batch)
+        assert reports == [_oracle(config) for config in batch]
+        assert all(0 < report.fwer.value < 1 for report in reports)
+
     def test_batch_equals_single_runs_and_per_replication_counts(self):
         batch = _mixed_batch()
         reports = run_scenarios(batch)
         assert reports == [run_scenario(config) for config in batch]
         assert reports == [_oracle(config) for config in batch]
+
+    def test_each_plan_is_built_once(self, monkeypatch):
+        built = []
+        build_plan = engine._build_plan
+
+        def counting(design, effects):
+            built.append((design, effects))
+            return build_plan(design, effects)
+
+        monkeypatch.setattr(engine, "_build_plan", counting)
+        batch = _mixed_batch()
+        engine._draw_groups(batch)
+        assert sorted(built, key=repr) == sorted({(c.design, c.effects) for c in batch}, key=repr)
 
     def test_batch_does_not_depend_on_worker_count(self):
         batch = _mixed_batch()
@@ -319,3 +386,26 @@ class TestPatientDrawMemory:
             tracemalloc.stop()
         # one chunk of 2**20 normals is 8 MiB; drawing a whole cell at n = 6,000 took 188 MiB
         assert peak < 12 * 2**20
+
+
+class TestSufficientBlockMemory:
+    def test_block_peak_is_bounded(self):
+        # one member of 20 cells, tallied by six rules: every method and sidedness
+        design = build_fixed_design(10, 150, ControlMode.INDIVIDUAL)
+        effects = (0.38,) + (0.0,) * 9
+        configs = [
+            ScenarioConfig(design, effects, policy, reps=engine.BLOCK_SIZE, seed=5)
+            for policy in POLICIES
+        ]
+        (group,) = engine._draw_groups(configs)
+        tracemalloc.start()
+        try:
+            tallies = engine._group_block(group, 0, engine.BLOCK_SIZE)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(tallies) == 6
+        # about 1.3 MiB: the draws (640 KiB), z and |z|, one rule's rejections and
+        # the two (512, 20) affine tiles; tiles or rejections held for the whole
+        # block would each add about 0.6 MiB or more
+        assert peak < 1.5 * 2**20
