@@ -7,15 +7,21 @@ equicorrelated, and the staggered and budget designs have three arms, so
 every design this package builds has that form. Given the shared factor the
 comparisons are independent, and every joint probability becomes a
 one-dimensional integral over the factor. One adaptive Gauss-Hermite kernel
-evaluates it for both uses here: the simultaneous coverage whose root is the
-Dunnett threshold, and the Poisson-binomial law of the number of rejections.
-The same nodes give the coverage's slope, so the threshold is found by a
-bracketed Newton iteration started at the Sidak bound, with a residual of at
-most 1e-6. Matrices of one dimension are solved together: each keeps its own
-bracket, node count and stop, and every quadrature pass reduces each one on
-its own, so a threshold depends only on its matrix, not on what was solved
-before or beside it. A matrix without one-factor structure is rejected with
-an error.
+evaluates it with one of two per-node reducers:
+
+- the simultaneous coverage of the band and its slope in the threshold,
+  whose root is the Dunnett threshold. The search is a bracketed Newton
+  iteration started at the Sidak bound, with a residual of at most 1e-6.
+  Matrices of one dimension are solved together: each keeps its own
+  bracket, node count and stop, and every quadrature pass reduces each one
+  on its own, so a threshold depends only on its matrix, not on what was
+  solved before or beside it;
+- the joint law of (false, true) rejections: per node, the outer product of
+  the Poisson-binomial laws of the null and of the effective comparisons.
+  FWER, k-FWER, PFER and disjunctive and conjunctive power all follow from
+  it, and its zero-count entry is the band coverage.
+
+A matrix without one-factor structure is rejected with an error.
 
 Only numpy and the standard library are needed: Phi is math.erfc, its
 inverse statistics.NormalDist.inv_cdf (Wichura's AS241), and the nodes come
@@ -31,7 +37,7 @@ import math
 import statistics
 from dataclasses import dataclass
 from enum import Enum
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import numpy as np
 
@@ -76,18 +82,17 @@ def normal_quantile(p: float) -> float:
 
 @dataclass(frozen=True)
 class MvnSpec:
-    """A correlation matrix together with its one-factor loadings.
+    """The one-factor loadings of a correlation matrix.
 
     ``factor_loadings`` holds the per-dimension loadings lambda_j, each
     below 1, with corr[i, j] = lambda_i * lambda_j for i != j.
     """
 
-    correlation: CorrelationMatrix
     factor_loadings: tuple[float, ...]
 
     @property
     def dim(self) -> int:
-        return self.correlation.dim
+        return len(self.factor_loadings)
 
     @classmethod
     def from_correlation(cls, correlation: CorrelationMatrix) -> "MvnSpec":
@@ -98,7 +103,7 @@ class MvnSpec:
                 "every lambda_j < 1); Dunnett thresholds and exact rejection counts support "
                 "only one-factor designs such as the fixed, staggered and budget designs"
             )
-        return cls(correlation, loadings)
+        return cls(loadings)
 
 
 def _fit_factor_loadings(a: np.ndarray):
@@ -227,11 +232,6 @@ def _conditional(x, lam, scale, mu, lower, upper):
     return np.clip(inside, 0.0, 1.0), density / (_SQRT_2PI * scale[:, None, :])
 
 
-def _all_inside(inside, growth):
-    """Per node: P(every comparison stays inside its bounds)."""
-    return (np.prod(inside, axis=-1),)
-
-
 def _coverage_and_slope(inside, growth):
     """Per node: coverage and its derivative in the threshold c.
 
@@ -244,9 +244,8 @@ def _coverage_and_slope(inside, growth):
     return np.prod(inside, axis=-1), (growth * before * after).sum(axis=-1)
 
 
-def _count_law(inside, growth):
-    """Per node: Poisson-binomial law of the number of comparisons outside."""
-    outside = 1.0 - inside
+def _poisson_binomial(outside):
+    """Per node: law of how many comparisons are outside, from each one's chance of being outside."""
     dist = np.zeros(outside.shape[:-1] + (outside.shape[-1] + 1,))
     dist[..., 0] = 1.0
     for j in range(outside.shape[-1]):
@@ -254,7 +253,20 @@ def _count_law(inside, growth):
         stay = 1.0 - p
         dist[..., 1:] = dist[..., 1:] * stay + dist[..., :-1] * p
         dist[..., :1] *= stay
-    return (dist,)
+    return dist
+
+
+def _rejection_law(effective, inside, growth):
+    """Per node: joint law of (null, effective) comparisons outside, flattened row by row.
+
+    Given the factor the comparisons are independent, so the joint law is the
+    outer product of the Poisson-binomial laws of the two groups.
+    """
+    outside = 1.0 - inside
+    false = _poisson_binomial(outside[..., ~effective])
+    true = _poisson_binomial(outside[..., effective])
+    joint = false[..., :, None] * true[..., None, :]
+    return (joint.reshape(joint.shape[:-2] + (-1,)),)
 
 
 def _integrate(weights, part):
@@ -313,37 +325,24 @@ def _factor_integral(lam: np.ndarray, reduce, lower, upper, mu=None):
     return out
 
 
-def factor_rectangle_probability(spec: MvnSpec, lower, upper) -> float:
-    """P(lower_j <= Z_j <= upper_j for every j) for Z ~ N(0, spec.correlation).
-
-    Bounds are scalars or length-``dim`` vectors; ``lower`` None leaves the
-    lower end open. The absolute error stays well below 1e-8.
-    """
-    for bound in (lower, upper):
-        if np.ndim(bound) and np.shape(bound) != (spec.dim,):
-            raise ValueError("bound vectors must match the spec dimension")
-    lower, upper = (
-        None if bound is None else np.reshape(np.asarray(bound, float), (1, -1))
-        for bound in (lower, upper)
-    )
-    lam = np.asarray([spec.factor_loadings])
-    if not lam.any():
-        # independent comparisons: the integrand is constant, so one node is exact
-        inside = _conditional(np.zeros(1), lam, np.ones_like(lam), None, lower, upper)
-        return float(_all_inside(*inside)[0][0, 0])
-    (estimate,) = _factor_integral(lam, _all_inside, lower, upper)
-    return min(max(float(estimate[0]), 0.0), 1.0)
-
-
 def dunnett_critical_values(loadings, alpha: float, sidedness: Sidedness = Sidedness.TWO_SIDED):
     """Dunnett thresholds of several one-factor matrices of one dimension, solved together.
 
-    ``loadings`` holds one row of factor loadings per matrix. Each row runs
-    its own bracketed Newton iteration (see ``dunnett_critical_value``) and
-    leaves the batch once its step is below 1e-9, when its residual must be
-    at most 1e-6. All rows share one quadrature pass per iteration, and each
-    row's threshold is the one it gets when solved alone, bit for bit.
-    Returns an array with one threshold per row.
+    ``loadings`` holds one row of factor loadings per matrix. Each row's
+    threshold is the smallest whose simultaneous coverage reaches 1 - alpha,
+    found by Newton's method on the coverage, started at the Sidak threshold
+    Phi^-1(1 - (1 - (1 - alpha)^(1/m)) / s), with s = 2 two-sided and 1
+    one-sided. Sidak's inequality (two-sided) and Slepian's (one-sided, with
+    nonnegative loadings) give that threshold coverage at least 1 - alpha,
+    and the per-comparison threshold has coverage at most 1 - alpha, so the
+    two bracket the root. The slope comes from the same quadrature as the
+    coverage. A step that leaves the bracket is replaced by bisection; a row
+    leaves the batch once its step is below 1e-9, when its residual
+    |coverage - (1 - alpha)| must be at most 1e-6. All rows share one
+    quadrature pass per iteration, and the start depends only on
+    (m, alpha, sidedness), so each row's threshold is the one it gets when
+    solved alone, bit for bit, whatever was solved before it. Returns an
+    array with one threshold per row.
     """
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must lie strictly between 0 and 1")
@@ -385,27 +384,34 @@ def dunnett_critical_values(loadings, alpha: float, sidedness: Sidedness = Sided
     raise ConvergenceError("critical-value search did not converge")
 
 
-def dunnett_critical_value(
+def rejection_law(
     spec: MvnSpec,
-    alpha: float,
+    mean_shifts,
+    effective,
+    critical_value: float,
     sidedness: Sidedness = Sidedness.TWO_SIDED,
-) -> float:
-    """Smallest threshold whose simultaneous coverage reaches 1 - alpha.
+) -> np.ndarray:
+    """Exact joint law of false and true rejections across comparisons.
 
-    Newton's method on the coverage, started at the Sidak threshold
-    Phi^-1(1 - (1 - (1 - alpha)^(1/m)) / s), with s = 2 two-sided and 1
-    one-sided. Sidak's inequality (two-sided) and Slepian's (one-sided, with
-    nonnegative loadings) give that threshold coverage at least 1 - alpha,
-    and the per-comparison threshold has coverage at most 1 - alpha, so the
-    two bracket the root. The slope comes from the same quadrature as the
-    coverage. A step that leaves the bracket is replaced by bisection, the
-    search stops when a step is below 1e-9, and the residual
-    |coverage - (1 - alpha)| must be at most 1e-6. The start depends only on
-    (m, alpha, sidedness), so a threshold is a pure function of its matrix,
-    whatever was solved before it. This is ``dunnett_critical_values`` for
-    one matrix.
+    ``effective[j]`` is True when comparison j's null hypothesis is false,
+    so its rejection is a true one. Entry [f, t] of the (nulls + 1,
+    effectives + 1) result is P(exactly f null and t effective comparisons
+    reject); entry [0, 0] is the coverage of the band. Conditional on the
+    shared factor the comparisons reject independently, so the law is the
+    factor average of the outer product of two Poisson-binomial laws.
     """
-    return float(dunnett_critical_values([spec.factor_loadings], alpha, sidedness)[0])
+    mu = np.asarray(mean_shifts, dtype=float)
+    effective = np.asarray(effective, dtype=bool)
+    if mu.shape != (spec.dim,):
+        raise ValueError("mean shifts must match the spec dimension")
+    if effective.shape != (spec.dim,):
+        raise ValueError("the effective mask must match the spec dimension")
+    upper = np.array([[float(critical_value)]])
+    lower = -upper if sidedness is Sidedness.TWO_SIDED else None
+    lam = np.asarray([spec.factor_loadings])
+    (law,) = _factor_integral(lam, partial(_rejection_law, effective), lower, upper, mu[None])
+    law = np.clip(law[0], 0.0, 1.0).reshape(spec.dim - int(effective.sum()) + 1, -1)
+    return law / law.sum()
 
 
 def rejection_count_pmf(
@@ -416,16 +422,8 @@ def rejection_count_pmf(
 ) -> np.ndarray:
     """Exact distribution of the number of rejections across comparisons.
 
-    Conditional on the shared factor the comparisons reject independently,
-    so the rejection count follows a Poisson-binomial law averaged over the
-    factor. Entry k of the result is P(exactly k comparisons reject).
+    Entry k of the result is P(exactly k comparisons reject): the law of
+    ``rejection_law`` with every comparison counted as null.
     """
-    mu = np.asarray(mean_shifts, dtype=float)
-    if mu.shape != (spec.dim,):
-        raise ValueError("mean shifts must match the spec dimension")
-    upper = np.array([[float(critical_value)]])
-    lower = -upper if sidedness is Sidedness.TWO_SIDED else None
-    lam = np.asarray([spec.factor_loadings])
-    (pmf,) = _factor_integral(lam, _count_law, lower, upper, mu[None])
-    pmf = np.clip(pmf[0], 0.0, 1.0)
-    return pmf / pmf.sum()
+    null = np.zeros(spec.dim, dtype=bool)
+    return rejection_law(spec, mean_shifts, null, critical_value, sidedness)[:, 0]

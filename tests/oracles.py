@@ -4,13 +4,24 @@ import numpy as np
 
 from platformsim.correlation import CorrelationMatrix
 from platformsim.designs import ControlMode
-from platformsim.distributions import MvnSpec
+from platformsim.distributions import MvnSpec, Sidedness, dunnett_critical_values
+
+
+def equicorrelated_matrix(dim, rho):
+    """Correlation matrix whose off-diagonal entries all equal ``rho``."""
+    return CorrelationMatrix(
+        tuple(tuple(1.0 if i == j else rho for j in range(dim)) for i in range(dim))
+    )
 
 
 def equicorrelated_spec(dim, rho):
     """One-factor spec whose off-diagonal correlations all equal ``rho``."""
-    entries = tuple(tuple(1.0 if i == j else rho for j in range(dim)) for i in range(dim))
-    return MvnSpec.from_correlation(CorrelationMatrix(entries))
+    return MvnSpec.from_correlation(equicorrelated_matrix(dim, rho))
+
+
+def dunnett_threshold(spec, alpha, sidedness=Sidedness.TWO_SIDED):
+    """The Dunnett threshold of one spec: ``dunnett_critical_values`` for a batch of one."""
+    return float(dunnett_critical_values([spec.factor_loadings], alpha, sidedness)[0])
 
 
 def shared_control_count(design, arm_a, arm_b):

@@ -243,15 +243,15 @@ def test_criterion_06_power_crossover():
 
 
 def _exact_all_effective_powers(design_cc, m, per_side_ic):
-    """Quadrature truth for the disjunctive/conjunctive comparison."""
-    from platformsim.distributions import MvnSpec, normal_quantile, rejection_count_pmf
+    """Exact truth for the disjunctive/conjunctive comparison: the rejection law for CC."""
+    from platformsim.distributions import MvnSpec, normal_quantile, rejection_law
     from platformsim.sample_size import comparison_mean_shifts
 
     threshold = normal_quantile(1 - ALPHA / 2)
     spec = MvnSpec.from_correlation(analytic_correlation(design_cc))
     shifts = comparison_mean_shifts(design_cc, (0.38,) * m)
-    pmf = rejection_count_pmf(spec, shifts, threshold)
-    cc_disj, cc_conj = 1.0 - pmf[0], pmf[m]
+    law = rejection_law(spec, shifts, np.ones(m, dtype=bool), threshold)
+    cc_disj, cc_conj = 1.0 - law[0, 0], law[0, m]
     p_ic = marginal_power(per_side_ic, per_side_ic, 0.38, threshold)
     return cc_disj, cc_conj, 1.0 - (1.0 - p_ic) ** m, p_ic**m
 
@@ -285,10 +285,10 @@ def test_criterion_07_disjunctive_conjunctive_ordering():
     """Fig4 (600 patients, all arms effective at 0.38, unadjusted), m = 2..10.
 
     (a) Each MC disjunctive and conjunctive power, CC and IC, lies within
-        4 SE of its exact value: factor quadrature for CC, 1-(1-p)^m and
+        4 SE of its exact value: ``rejection_law`` for CC, 1-(1-p)^m and
         p^m for IC. The SE comes from the exact proportion, so a cell with
         zero MC successes (IC conjunctive at m=9, 10) still has a bar.
-        At m=2 the CC quadrature is checked against scipy's bivariate
+        At m=2 the CC law is checked against scipy's bivariate
         normal rectangle to 1e-6.
     (b) The exact values are ordered: CC conjunctive > IC conjunctive for
         every m, IC disjunctive > CC disjunctive for m = 3..10. The paper's

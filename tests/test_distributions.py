@@ -20,14 +20,13 @@ from platformsim.designs import (
 from platformsim.distributions import (
     MvnSpec,
     Sidedness,
-    dunnett_critical_value,
-    factor_rectangle_probability,
     normal_cdf,
     normal_quantile,
     rejection_count_pmf,
+    rejection_law,
 )
 from platformsim.presets import SPONSOR_BUDGET, _fixed_total_design
-from oracles import equicorrelated_spec
+from oracles import dunnett_threshold, equicorrelated_matrix, equicorrelated_spec
 from strategies import staggered_params
 
 mpmath.mp.dps = 40
@@ -57,9 +56,13 @@ def phi_tail_asymptotic(x):
     return density / z * (1 - 1 / z**2 + 3 / z**4 - 15 / z**6 + 105 / z**8)
 
 
-def max_abs_mvn_cdf(c, spec):
-    """P(max_j |Z_j| <= c) for Z ~ N(0, spec.correlation), by factor quadrature."""
-    return factor_rectangle_probability(spec, -c, c)
+def max_abs_mvn_cdf(c, spec, sidedness=Sidedness.TWO_SIDED):
+    """P(max_j |Z_j| <= c), or P(max_j Z_j <= c) one-sided, for centred Z with the spec's correlation.
+
+    This is the band coverage: the zero-count entry of the rejection law.
+    """
+    null = np.zeros(spec.dim, dtype=bool)
+    return float(rejection_law(spec, np.zeros(spec.dim), null, c, sidedness)[0, 0])
 
 
 def genz_rectangle(corr, lower, upper):
@@ -305,21 +308,21 @@ class TestMaxAbsMvnCdf:
 class TestDunnettCriticalValue:
     def test_dim1_reduces_to_normal_quantile(self):
         spec = MvnSpec.from_correlation(CorrelationMatrix.identity(1))
-        assert dunnett_critical_value(spec, 0.05) == pytest.approx(Z_0975, abs=1e-9)
+        assert dunnett_threshold(spec, 0.05) == pytest.approx(Z_0975, abs=1e-9)
 
     def test_dim1_one_sided(self):
         spec = MvnSpec.from_correlation(CorrelationMatrix.identity(1))
-        value = dunnett_critical_value(spec, 0.05, Sidedness.ONE_SIDED)
+        value = dunnett_threshold(spec, 0.05, Sidedness.ONE_SIDED)
         assert value == pytest.approx(quantile_by_bisection(0.95), abs=1e-9)
 
     def test_identity_matches_sidak_closed_form(self):
         spec = MvnSpec.from_correlation(CorrelationMatrix.identity(3))
         sidak = normal_quantile(0.5 * (1.0 + 0.95 ** (1.0 / 3.0)))
-        assert dunnett_critical_value(spec, 0.05) == pytest.approx(sidak, abs=1e-8)
+        assert dunnett_threshold(spec, 0.05) == pytest.approx(sidak, abs=1e-8)
 
     def test_equicorrelated_half_dim3_against_mc_oracle(self):
         spec = equicorrelated_spec(3, 0.5)
-        value = dunnett_critical_value(spec, 0.05)
+        value = dunnett_threshold(spec, 0.05)
         assert value == pytest.approx(2.35, abs=0.01)
         # 10^7 draws: rejection fraction within 3 MC standard errors of 0.05
         rng = np.random.default_rng(7)
@@ -339,31 +342,29 @@ class TestDunnettCriticalValue:
     def test_bracketed_by_unadjusted_and_bonferroni(self):
         for m in range(2, 11):
             spec = MvnSpec.from_correlation(CorrelationMatrix.identity(m))
-            value = dunnett_critical_value(spec, 0.05)
+            value = dunnett_threshold(spec, 0.05)
             assert normal_quantile(1 - 0.05 / 2) <= value
             assert value <= normal_quantile(1 - 0.05 / (2 * m))
 
     def test_monotone_in_common_correlation(self):
         values = [
-            dunnett_critical_value(equicorrelated_spec(4, rho), 0.05)
+            dunnett_threshold(equicorrelated_spec(4, rho), 0.05)
             for rho in np.arange(0.0, 0.95, 0.1)
         ]
         assert all(a >= b - 1e-9 for a, b in zip(values, values[1:]))
 
     def test_coverage_residual(self):
         spec = equicorrelated_spec(5, 0.5)
-        value = dunnett_critical_value(spec, 0.05)
+        value = dunnett_threshold(spec, 0.05)
         assert abs(max_abs_mvn_cdf(value, spec) - 0.95) <= 1e-6
 
     def test_one_sided_coverage_residual(self):
         spec = equicorrelated_spec(3, 0.5)
-        value = dunnett_critical_value(spec, 0.05, Sidedness.ONE_SIDED)
-        covered = factor_rectangle_probability(
-            spec, np.full(3, -np.inf), np.full(3, value)
-        )
+        value = dunnett_threshold(spec, 0.05, Sidedness.ONE_SIDED)
+        covered = max_abs_mvn_cdf(value, spec, Sidedness.ONE_SIDED)
         assert covered == pytest.approx(0.95, abs=1e-6)
         # one-sided thresholds sit below their two-sided counterparts
-        assert value < dunnett_critical_value(spec, 0.05)
+        assert value < dunnett_threshold(spec, 0.05)
 
     def test_general_path_close_to_structured(self):
         entries = (
@@ -372,7 +373,7 @@ class TestDunnettCriticalValue:
             (7 / 30, 7 / 30, 1.0),
         )
         corr = CorrelationMatrix(entries)
-        structured = dunnett_critical_value(MvnSpec.from_correlation(corr), 0.05)
+        structured = dunnett_threshold(MvnSpec.from_correlation(corr), 0.05)
 
         def general_shortfall(c):
             return genz_rectangle(corr, np.full(3, -c), np.full(3, c)) - 0.95
@@ -382,7 +383,7 @@ class TestDunnettCriticalValue:
 
     def test_rejects_bad_alpha(self):
         with pytest.raises(ValueError):
-            dunnett_critical_value(equicorrelated_spec(2, 0.5), 0.0)
+            dunnett_threshold(equicorrelated_spec(2, 0.5), 0.0)
 
 
 def one_factor_correlation(loadings):
@@ -414,18 +415,16 @@ class TestDunnettNewton:
     @settings(max_examples=80, deadline=None)
     def test_matches_brent_root_of_the_coverage(self, loadings, alpha, sidedness):
         spec = MvnSpec.from_correlation(one_factor_correlation(loadings))
-        two_sided = sidedness is Sidedness.TWO_SIDED
-        sides = 2.0 if two_sided else 1.0
+        sides = 2.0 if sidedness is Sidedness.TWO_SIDED else 1.0
         m = len(loadings)
 
         def shortfall(c):
-            covered = factor_rectangle_probability(spec, -c if two_sided else None, c)
-            return covered - (1.0 - alpha)
+            return max_abs_mvn_cdf(c, spec, sidedness) - (1.0 - alpha)
 
         per_comparison = normal_quantile(1.0 - alpha / sides)
         sidak = normal_quantile(1.0 - (1.0 - (1.0 - alpha) ** (1.0 / m)) / sides)
         root = brentq(shortfall, per_comparison - 0.5, sidak + 0.5, xtol=1e-14)
-        value = dunnett_critical_value(spec, alpha, sidedness)
+        value = dunnett_threshold(spec, alpha, sidedness)
         assert abs(value - root) <= 1e-9
         assert abs(shortfall(value)) <= 1e-6
         assert per_comparison - 1e-9 <= value <= sidak + 1e-9
@@ -468,7 +467,7 @@ class TestDunnettNewton:
             [spec.factor_loadings for spec in specs], alpha, sidedness
         )
         pick = data.draw(st.integers(0, len(specs) - 1))
-        alone = dunnett_critical_value(specs[pick], alpha, sidedness)
+        alone = dunnett_threshold(specs[pick], alpha, sidedness)
         assert float(solved[pick]).hex() == alone.hex()
 
     @pytest.mark.parametrize("stop", [distributions._QUAD_STOP, 0.0])
@@ -512,7 +511,7 @@ class TestDunnettNewton:
         for design in designs:
             spec = MvnSpec.from_correlation(analytic_correlation(design))
             calls.clear()
-            dunnett_critical_value(spec, 0.05, sidedness)
+            dunnett_threshold(spec, 0.05, sidedness)
             evaluations.append(len(calls))
         assert max(evaluations) <= 6
         assert sum(evaluations) / len(evaluations) <= 5.0
@@ -522,19 +521,51 @@ class TestRejectionCounts:
     def test_pmf_matches_brute_force(self):
         spec = equicorrelated_spec(3, 0.5)
         shifts = np.array([1.0, 0.0, -0.5])
+        effective = np.array([True, False, True])
         c = 1.96
         pmf = rejection_count_pmf(spec, shifts, c)
+        law = rejection_law(spec, shifts, effective, c)
+        assert law.shape == (2, 3)
         rng = np.random.default_rng(11)
         lam = math.sqrt(0.5)
         reps = 400_000
         w = rng.standard_normal((reps, 1))
         eps = rng.standard_normal((reps, 3))
         z = shifts + lam * w + math.sqrt(1 - lam * lam) * eps
-        counts = (np.abs(z) > c).sum(axis=1)
-        for k in range(4):
-            mc = float((counts == k).mean())
+        rejected = np.abs(z) > c
+        counts = rejected.sum(axis=1)
+        false = rejected[:, ~effective].sum(axis=1)
+        true = rejected[:, effective].sum(axis=1)
+        cells = [(pmf[k], counts == k) for k in range(4)] + [
+            (law[f, t], (false == f) & (true == t)) for f in range(2) for t in range(3)
+        ]
+        for exact, hits in cells:
+            mc = float(hits.mean())
             se = math.sqrt(max(mc * (1 - mc), 1e-9) / reps)
-            assert abs(pmf[k] - mc) <= 4 * se
+            assert abs(exact - mc) <= 4 * se
+
+    @given(
+        st.integers(2, 10).flatmap(
+            lambda m: st.tuples(
+                st.lists(st.floats(0.0, 0.97, exclude_max=True), min_size=m, max_size=m),
+                st.lists(st.floats(-4.0, 4.0), min_size=m, max_size=m),
+                st.lists(st.booleans(), min_size=m, max_size=m),
+            )
+        ),
+        st.floats(0.0, 4.0),
+        st.sampled_from(list(Sidedness)),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_law_total_count_marginal_is_the_pmf(self, case, c, sidedness):
+        loadings, shifts, effective = case
+        spec = MvnSpec.from_correlation(one_factor_correlation(loadings))
+        law = rejection_law(spec, shifts, effective, c, sidedness)
+        assert law.shape == (len(effective) - sum(effective) + 1, sum(effective) + 1)
+        total = np.zeros(len(effective) + 1)
+        for (f, t), p in np.ndenumerate(law):
+            total[f + t] += p
+        pmf = rejection_count_pmf(spec, shifts, c, sidedness)
+        assert np.abs(total - pmf).max() <= 1e-13
 
     def test_independent_case_is_binomial(self):
         spec = MvnSpec.from_correlation(CorrelationMatrix.identity(3))
@@ -553,19 +584,25 @@ class TestRejectionCounts:
 
 
 class TestFactorRectangle:
+    """Bands of shifted means: P(-c <= Z_j + mu_j <= c for every j), the law's zero-count entry."""
+
+    @staticmethod
+    def coverage(spec, shifts, c):
+        return rejection_law(spec, shifts, np.zeros(spec.dim, dtype=bool), c)[0, 0]
+
     def test_shifted_rectangle_matches_univariate_product_when_independent(self):
         spec = MvnSpec.from_correlation(CorrelationMatrix.identity(2))
-        lower = np.array([-1.0, 0.5])
-        upper = np.array([2.0, 3.0])
-        expected = (normal_cdf(2.0) - normal_cdf(-1.0)) * (normal_cdf(3.0) - normal_cdf(0.5))
-        assert factor_rectangle_probability(spec, lower, upper) == pytest.approx(
-            expected, abs=1e-12
-        )
+        shifts = np.array([-0.5, -1.75])
+        c = 1.5
+        # bands [-c - mu_j, c - mu_j]: [-1, 2] and [0.25, 3.25]
+        expected = (normal_cdf(2.0) - normal_cdf(-1.0)) * (normal_cdf(3.25) - normal_cdf(0.25))
+        assert self.coverage(spec, shifts, c) == pytest.approx(expected, abs=1e-12)
 
     def test_agrees_with_qmc_general_path(self):
-        spec = equicorrelated_spec(3, 0.4)
-        lower = np.array([-1.0, -2.0, -0.5])
-        upper = np.array([1.5, 2.5, 0.75])
-        exact = factor_rectangle_probability(spec, lower, upper)
-        estimate = genz_rectangle(spec.correlation, lower, upper)
+        corr = equicorrelated_matrix(3, 0.4)
+        spec = MvnSpec.from_correlation(corr)
+        shifts = np.array([-0.25, 0.5, 1.25])
+        c = 1.25
+        exact = self.coverage(spec, shifts, c)
+        estimate = genz_rectangle(corr, -c - shifts, c - shifts)
         assert exact == pytest.approx(estimate, abs=1e-8)

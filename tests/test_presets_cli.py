@@ -1,3 +1,4 @@
+import ast
 import csv
 import json
 import os
@@ -490,3 +491,29 @@ class TestPublicApi:
         for name in platformsim.__all__:
             assert getattr(platformsim, name) is not None
             assert any(re.search(rf"\b{name}\b", text) for text in texts), name
+
+    def test_every_public_definition_is_used_outside_the_tests(self):
+        # a public function, class or method that no package module and no
+        # benchmark script names, other than where it is defined, is test-only
+        # API; names come from the syntax tree, so strings and docstrings do
+        # not count
+        package = Path(platformsim.__file__).parent
+        paths = sorted(package.glob("*.py")) + sorted((README.parent / "bench").glob("*.py"))
+        defined, used = {}, set()
+        for path in paths:
+            tree = ast.parse(path.read_text(encoding="utf-8"))
+            for node in ast.walk(tree):
+                if isinstance(node, ast.Name):
+                    used.add(node.id)
+                elif isinstance(node, ast.Attribute):
+                    used.add(node.attr)
+                elif isinstance(node, ast.alias):
+                    used.add(node.name.rsplit(".", 1)[-1])
+            if path.parent != package:
+                continue
+            for top in tree.body:
+                for node in [top] + (top.body if isinstance(top, ast.ClassDef) else []):
+                    if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name[0] != "_":
+                        defined[node.name] = f"{path.name}:{node.lineno}"
+        unused = sorted(f"{where} {name}" for name, where in defined.items() if name not in used)
+        assert not unused
