@@ -77,14 +77,12 @@ def analytic_correlation(design: PlatformDesign) -> CorrelationMatrix:
     m = design.num_arms
     if design.control_mode is ControlMode.INDIVIDUAL:
         return CorrelationMatrix.identity(m)
-    treat = [design.treatment_total(j) for j in range(m)]
-    conc = [design.concurrent_control_count(j) for j in range(m)]
-    for j, count in enumerate(conc):
-        if count == 0:
-            raise ValueError(f"arm {j} has no concurrent control patients")
     # n0_j^2 (1/n_j + 1/n0_j) as an exact rational, so that integer-valued
     # denominators (the usual equal-allocation cases) stay exact in floats
-    factor = [Fraction(conc[j]) + Fraction(conc[j] * conc[j], treat[j]) for j in range(m)]
+    factor = [
+        Fraction(n_control) + Fraction(n_control * n_control, n_treat)
+        for n_treat, n_control in map(design.comparison_sizes, range(m))
+    ]
     control = design.recruitment[0]
     active = [set(design.active_periods(j)) for j in range(m)]
     rows = [[1.0] * m for _ in range(m)]

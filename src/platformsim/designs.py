@@ -117,6 +117,17 @@ class PlatformDesign:
         control = self._control_row(arm)
         return sum(control[t] for t in self.active_periods(arm))
 
+    def comparison_sizes(self, arm: int) -> tuple[int, int]:
+        """(treatment patients, concurrent control patients) of arm ``arm``'s comparison.
+
+        Raises if the arm has no concurrent control patients, since its
+        comparison then has no statistic.
+        """
+        n_control = self.concurrent_control_count(arm)
+        if n_control == 0:
+            raise ValueError(f"arm {arm} has no concurrent control patients")
+        return self.treatment_total(arm), n_control
+
     def total_sample_size(self) -> int:
         """Total patients recruited across all arms and periods."""
         return sum(sum(row) for row in self.recruitment)

@@ -105,10 +105,7 @@ def _build_plan(design: PlatformDesign, effects) -> _SimPlan:
     cell_scales = np.array([1.0 / np.sqrt(count) for _, _, count in cells])
     weights = np.zeros((m, len(cells)))
     for arm in range(m):
-        n_treat = design.treatment_total(arm)
-        n_control = design.concurrent_control_count(arm)
-        if n_control == 0:
-            raise ValueError(f"arm {arm} has no concurrent control patients")
+        n_treat, n_control = design.comparison_sizes(arm)
         se = np.sqrt(1.0 / n_treat + 1.0 / n_control)
         t_row = arm + 1 if common else 2 * arm
         c_row = 0 if common else 2 * arm + 1
@@ -323,28 +320,12 @@ def run_scenarios(configs, workers: int = 1) -> list[OperatingCharacteristics]:
     else:
         for task in tasks:
             add(_group_block(*task))
-    return [_characteristics(c, *total) for c, total in zip(configs, totals)]
-
-
-def _characteristics(config: ScenarioConfig, joint, per_arm) -> OperatingCharacteristics:
-    effective = tuple(e != 0.0 for e in config.effects)
-    n_true = sum(effective)
-    levels = tuple(sorted(set(config.kfwer_levels) | {1}))
-    joint = joint.reshape(-1, n_true + 1)
-    false_hist = joint.sum(axis=1)  # replications by number of false rejections
-    true_hist = joint.sum(axis=0)  # replications by number of true rejections
-    false_counts = np.arange(len(false_hist))
-    return characteristics_from_counts(
-        reps=config.reps,
-        num_comparisons=config.design.num_arms,
-        effective=effective,
-        kfwer_counts={k: int(false_hist[k:].sum()) for k in levels},
-        false_rejection_sum=int(false_counts @ false_hist),
-        false_rejection_sq_sum=int((false_counts * false_counts) @ false_hist),
-        disjunctive_count=int(true_hist[1:].sum()),
-        conjunctive_count=int(true_hist[n_true]),
-        per_arm_rejections=per_arm,
-    )
+    return [
+        characteristics_from_counts(
+            c.reps, joint, per_arm, [e != 0.0 for e in c.effects], c.kfwer_levels
+        )
+        for c, (joint, per_arm) in zip(configs, totals)
+    ]
 
 
 def run_scenario(config: ScenarioConfig, workers: int = 1) -> OperatingCharacteristics:

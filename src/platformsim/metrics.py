@@ -1,10 +1,12 @@
-"""Aggregate operating characteristics from replication-level counts.
+"""Operating characteristics read from one table of rejection counts.
 
-Each replication of a multi-arm trial yields a vector of rejection
-decisions. The engine counts false and true rejections per replication;
-averaging those counts over replications gives the family-wise error
-rates, the expected number of false rejections and the power summaries,
-each with a Monte Carlo standard error.
+Each replication rejects f true nulls (false rejections) and t false ones
+(true rejections). The engine counts the replications of each (f, t) in a
+table with rows f = 0..nulls and columns t = 0..effectives, whose exact
+twin is ``distributions.rejection_law``. k-FWER and PFER are sums over its
+row totals, disjunctive and conjunctive power over its column totals;
+marginal power reads the per-arm rejection counts. Every estimate carries
+a Monte Carlo standard error.
 """
 
 from __future__ import annotations
@@ -72,6 +74,26 @@ class OperatingCharacteristics:
             "conjunctive_power": enc(self.conjunctive_power),
         }
 
+    def estimates(self) -> dict[str, Estimate]:
+        """Every estimate by its report name, in report order.
+
+        The names are ``fwer``, ``kfwer_k`` for each level k > 1, ``pfer``,
+        ``marginal_power_j`` for each effective arm j (counted from 1),
+        ``disjunctive_power`` and ``conjunctive_power``; the power names are
+        absent under the global null.
+        """
+        named = [("fwer", self.fwer)]
+        named += [(f"kfwer_{k}", est) for k, est in sorted(self.kfwer.items()) if k > 1]
+        named.append(("pfer", self.pfer))
+        named += [
+            (f"marginal_power_{j + 1}", est) for j, est in enumerate(self.marginal_power or ())
+        ]
+        named += [
+            ("disjunctive_power", self.disjunctive_power),
+            ("conjunctive_power", self.conjunctive_power),
+        ]
+        return {name: est for name, est in named if est is not None}
+
 
 def proportion_estimate(count: int, reps: int) -> Estimate:
     """The share p = count / reps with its Wald standard error sqrt(p (1 - p) / reps).
@@ -95,39 +117,43 @@ def _mean_estimate(total: int, total_sq: int, reps: int) -> Estimate:
 
 
 def characteristics_from_counts(
-    reps: int,
-    num_comparisons: int,
-    effective,
-    kfwer_counts: dict[int, int],
-    false_rejection_sum: int,
-    false_rejection_sq_sum: int,
-    disjunctive_count: int,
-    conjunctive_count: int,
-    per_arm_rejections=None,
+    reps: int, joint, per_arm_rejections, effective, kfwer_levels
 ) -> OperatingCharacteristics:
-    """Build the aggregate report from replication-level sufficient counts."""
+    """The report of ``reps`` replications from their table of (false, true) rejections.
+
+    ``joint[f, t]`` counts the replications with f false and t true
+    rejections, shape (nulls + 1, effectives + 1); its rows joined into one
+    vector, as ``bincount`` of f * (effectives + 1) + t gives them, are
+    read the same way. ``per_arm_rejections[j]`` counts the replications
+    that rejected arm j, and ``effective[j]`` is True when arm j's null is
+    false. k-FWER is reported at ``sorted(kfwer_levels ∪ {1})``.
+    """
     eff = np.asarray(effective, dtype=bool)
-    if eff.shape != (num_comparisons,):
-        raise ValueError("truth vector must match the comparison count")
-    any_effective = bool(eff.any())
-    kfwer = {k: proportion_estimate(c, reps) for k, c in kfwer_counts.items()}
-    if 1 not in kfwer:
-        raise ValueError("k-FWER counts must include k=1")
-    marginal = None
-    if any_effective and per_arm_rejections is not None:
-        arm_counts = np.asarray(per_arm_rejections)
-        if arm_counts.shape != (num_comparisons,):
-            raise ValueError("per-arm rejection counts must match the comparison count")
-        marginal = tuple(
-            proportion_estimate(int(arm_counts[j]), reps) if eff[j] else None
-            for j in range(num_comparisons)
-        )
-    return OperatingCharacteristics(
-        reps=reps,
-        fwer=kfwer[1],
-        kfwer=kfwer,
-        pfer=_mean_estimate(false_rejection_sum, false_rejection_sq_sum, reps),
-        marginal_power=marginal,
-        disjunctive_power=proportion_estimate(disjunctive_count, reps) if any_effective else None,
-        conjunctive_power=proportion_estimate(conjunctive_count, reps) if any_effective else None,
+    n_true = int(eff.sum())
+    joint = np.asarray(joint)
+    if joint.size != (eff.size - n_true + 1) * (n_true + 1):
+        raise ValueError("joint table must have (nulls + 1) x (effectives + 1) cells")
+    joint = joint.reshape(-1, n_true + 1)
+    arm_counts = np.asarray(per_arm_rejections)
+    if arm_counts.shape != eff.shape:
+        raise ValueError("per-arm rejection counts must match the comparison count")
+    false_hist = joint.sum(axis=1)  # replications by number of false rejections
+    true_hist = joint.sum(axis=0)  # replications by number of true rejections
+    false_counts = np.arange(len(false_hist))
+    kfwer = {
+        k: proportion_estimate(int(false_hist[k:].sum()), reps)
+        for k in sorted(set(kfwer_levels) | {1})
+    }
+    pfer = _mean_estimate(
+        int(false_counts @ false_hist), int((false_counts * false_counts) @ false_hist), reps
     )
+    power = (None, None, None)  # marginal, disjunctive, conjunctive: none under the global null
+    if n_true:
+        power = (
+            tuple(
+                proportion_estimate(int(c), reps) if e else None for c, e in zip(arm_counts, eff)
+            ),
+            proportion_estimate(int(true_hist[1:].sum()), reps),
+            proportion_estimate(int(true_hist[-1]), reps),
+        )
+    return OperatingCharacteristics(reps, kfwer[1], kfwer, pfer, *power)

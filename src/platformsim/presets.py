@@ -121,28 +121,6 @@ def _row(preset, sweep, design_label, adjustment, metric, estimate, mc_se, reps,
     }
 
 
-def _estimate(oc, metric):
-    """The estimate of one named metric, or None where the scenario has none."""
-    if metric in ("fwer", "pfer", "disjunctive_power", "conjunctive_power"):
-        return getattr(oc, metric)
-    if metric.startswith("kfwer_"):
-        return oc.kfwer.get(int(metric.split("_")[1]))
-    if metric.startswith("marginal_power_"):
-        arm = int(metric.split("_")[-1]) - 1
-        return None if oc.marginal_power is None else oc.marginal_power[arm]
-    raise ValueError(f"unknown metric {metric!r}")
-
-
-def _estimate_rows(preset, sweep, design_label, adjustment, oc, seed, metrics):
-    """Rows for the named metrics of one simulated scenario."""
-    estimates = [(metric, _estimate(oc, metric)) for metric in metrics]
-    return [
-        _row(preset, sweep, design_label, adjustment, metric, est.value, est.se, oc.reps, seed)
-        for metric, est in estimates
-        if est is not None
-    ]
-
-
 def _exact_row(preset, sweep, design_label, adjustment, metric, value):
     return _row(preset, sweep, design_label, adjustment, metric, value, "", "", "")
 
@@ -164,8 +142,16 @@ def _scenario_record(label, sweep, adjustment, config, oc):
 
 
 def _emit_simulated(preset, sweep, label, adjustment, metrics, config, oc, rows, scenarios):
-    """Append the result rows and the scenario record of one simulated scenario."""
-    rows += _estimate_rows(preset, sweep, label, adjustment, oc, config.seed, metrics)
+    """Append the result rows and the scenario record of one simulated scenario.
+
+    A row is written for each estimate the scenario has among ``metrics``,
+    or for every estimate when ``metrics`` is None.
+    """
+    rows += [
+        _row(preset, sweep, label, adjustment, metric, est.value, est.se, oc.reps, config.seed)
+        for metric, est in oc.estimates().items()
+        if metrics is None or metric in metrics
+    ]
     scenarios.append(_scenario_record(label, sweep, adjustment, config, oc))
 
 
@@ -772,9 +758,6 @@ def run_config(path, overrides=None, out_dir="results") -> PresetResult:
     oc = run_scenario(config, workers=ctx.workers)
     label = config.design.control_mode.value
     adjustment = config.policy.method.value
-    metrics = ["fwer"] + [f"kfwer_{k}" for k in sorted(config.kfwer_levels) if k > 1] + ["pfer"]
-    metrics += [f"marginal_power_{j + 1}" for j in range(config.design.num_arms)]
-    metrics += ["disjunctive_power", "conjunctive_power"]
     rows, scenarios = [], []
-    _emit_simulated("custom", None, label, adjustment, metrics, config, oc, rows, scenarios)
+    _emit_simulated("custom", None, label, adjustment, None, config, oc, rows, scenarios)
     return _write_reports("custom", rows, scenarios, {}, ctx, out_dir)

@@ -19,22 +19,26 @@ from .designs import ControlMode, PlatformDesign, build_fixed_design, build_stag
 from .distributions import Sidedness, normal_cdf, normal_quantile
 
 
+# Largest per-arm n a required-n search tries before it gives up.
+MAX_N = 10_000_000
+
+
 @dataclass(frozen=True)
 class PowerTarget:
-    """A marginal power goal for a given effect size and test level."""
+    """A marginal power goal for a given effect size.
+
+    The test level and sidedness are the adjustment policy's: a search
+    takes both from the policy it is given.
+    """
 
     target: float
     delta: float
-    alpha: float = 0.05
-    sidedness: Sidedness = Sidedness.TWO_SIDED
 
     def __post_init__(self):
         if not 0.0 < self.target < 1.0:
             raise ValueError("target power must lie strictly between 0 and 1")
         if self.delta <= 0.0:
             raise ValueError("effect size must be positive")
-        if not 0.0 < self.alpha < 1.0:
-            raise ValueError("alpha must lie strictly between 0 and 1")
 
 
 def marginal_power(
@@ -65,10 +69,8 @@ def comparison_mean_shifts(design: PlatformDesign, effects) -> np.ndarray:
         raise ValueError("effects vector must match the number of arms")
     out = np.empty(m)
     for arm in range(m):
-        se = math.sqrt(
-            1.0 / design.treatment_total(arm) + 1.0 / design.concurrent_control_count(arm)
-        )
-        out[arm] = effects[arm] / se
+        n_treatment, n_control = design.comparison_sizes(arm)
+        out[arm] = effects[arm] / math.sqrt(1.0 / n_treatment + 1.0 / n_control)
     return out
 
 
@@ -105,9 +107,8 @@ def required_per_arm_n(
     policy: AdjustmentPolicy,
     template: Callable[[int], PlatformDesign],
     arm: int = 0,
-    max_n: int = 10_000_000,
 ) -> int:
-    """Smallest per-arm n up to ``max_n`` whose marginal power reaches the target.
+    """Smallest per-arm n up to ``MAX_N`` whose marginal power reaches the target.
 
     The policy's threshold is evaluated once, at the design of the two-arm
     unadjusted size, and the closed-form per-side n at that threshold is the
@@ -117,10 +118,11 @@ def required_per_arm_n(
     designs whose threshold does not depend on n, that costs three threshold
     evaluations. ``template`` maps a candidate n to the design it induces;
     candidates it rejects with a ``ValueError`` count as infeasible. Errors
-    from the threshold itself propagate. Raises if no n up to ``max_n``
-    reaches the target. This is ``required_per_arm_ns`` for one search.
+    from the threshold itself propagate. Raises if no n up to ``MAX_N``
+    reaches the target. The test level and sidedness are the policy's.
+    This is ``required_per_arm_ns`` for one search.
     """
-    return required_per_arm_ns([(target, policy, template, arm, max_n)])[0]
+    return required_per_arm_ns([(target, policy, template, arm)])[0]
 
 
 def required_per_arm_ns(searches) -> list[int]:
@@ -148,29 +150,21 @@ def required_per_arm_ns(searches) -> list[int]:
     return found
 
 
-def _search(target, policy, template, arm=0, max_n=10_000_000):
+def _search(target, policy, template, arm=0):
     """The search of ``required_per_arm_n`` as a generator.
 
     It yields each design whose threshold it needs, is sent that threshold,
     and returns the smallest n.
     """
-    if target.alpha != policy.alpha:
-        raise ValueError("power target and policy disagree on alpha")
-    if target.sidedness is not policy.sidedness:
-        raise ValueError("power target and policy disagree on sidedness")
 
     def meets(n: int):
         try:
             design = template(n)
         except ValueError:
             return False
-        n_control = design.concurrent_control_count(arm)
-        if n_control == 0:
-            raise ValueError(f"arm {arm} has no concurrent control patients")
+        n_treatment, n_control = design.comparison_sizes(arm)
         threshold = yield design
-        power = marginal_power(
-            design.treatment_total(arm), n_control, target.delta, threshold, policy.sidedness
-        )
+        power = marginal_power(n_treatment, n_control, target.delta, threshold, policy.sidedness)
         return power >= target.target
 
     # the probe size comes from the threshold of a single unadjusted comparison
@@ -182,7 +176,7 @@ def _search(target, policy, template, arm=0, max_n=10_000_000):
         guess = probe
     else:
         guess = _per_side_n((yield design), target)
-    guess = min(guess, max_n)
+    guess = min(guess, MAX_N)
     # invariant once bracketed: lo misses the target (or is 0), hi meets it
     step = 1
     if (yield from meets(guess)):
@@ -195,9 +189,9 @@ def _search(target, policy, template, arm=0, max_n=10_000_000):
     else:
         lo = guess
         while True:
-            if lo >= max_n:
+            if lo >= MAX_N:
                 raise ValueError("no feasible sample size below the search cap")
-            hi = min(lo + step, max_n)
+            hi = min(lo + step, MAX_N)
             if (yield from meets(hi)):
                 break
             lo, step = hi, step * 2

@@ -39,20 +39,19 @@ def rejection_counts(rejected, effective, kfwer_levels=(1,)):
 
     ``rejected`` is a (replications, comparisons) boolean matrix and
     ``effective[j]`` is True when arm j's null hypothesis is false, so a
-    rejection there is a true rejection. Level 1 is always counted.
+    rejection there is a true rejection. The joint table has one row per
+    number of false rejections and one column per number of true ones.
     """
     rejected = np.asarray(rejected, dtype=bool)
     effective = np.asarray(effective, dtype=bool)
     false_counts = rejected[:, ~effective].sum(axis=1)
     true_counts = rejected[:, effective].sum(axis=1)
+    joint = np.zeros(((~effective).sum() + 1, effective.sum() + 1), dtype=np.int64)
+    np.add.at(joint, (false_counts, true_counts), 1)
     return dict(
         reps=len(rejected),
-        num_comparisons=effective.size,
-        effective=effective,
-        kfwer_counts={k: int((false_counts >= k).sum()) for k in set(kfwer_levels) | {1}},
-        false_rejection_sum=int(false_counts.sum()),
-        false_rejection_sq_sum=int((false_counts * false_counts).sum()),
-        disjunctive_count=int((true_counts >= 1).sum()),
-        conjunctive_count=int((true_counts == effective.sum()).sum()),
+        joint=joint,
         per_arm_rejections=rejected.sum(axis=0),
+        effective=effective,
+        kfwer_levels=kfwer_levels,
     )

@@ -41,8 +41,10 @@ class TestTallyOutcomes:
 
     def test_length_mismatch(self):
         counts = rejection_counts([[True]], [False])
-        with pytest.raises(ValueError, match="truth vector"):
-            characteristics_from_counts(**dict(counts, num_comparisons=2))
+        with pytest.raises(ValueError, match="joint table must have"):
+            characteristics_from_counts(**dict(counts, effective=[False, True]))
+        with pytest.raises(ValueError, match="per-arm"):
+            characteristics_from_counts(**dict(counts, per_arm_rejections=[1, 0]))
 
     @given(
         st.lists(st.booleans(), min_size=1, max_size=8),
@@ -108,16 +110,11 @@ class TestAggregation:
         assert oc.disjunctive_power is None
         assert oc.conjunctive_power is None
 
-    def test_without_per_arm_counts_marginal_power_is_unavailable(self):
-        counts = rejection_counts([[True, True]] * 10, [False, True])
-        oc = characteristics_from_counts(**dict(counts, per_arm_rejections=None))
-        assert oc.marginal_power is None
-        assert oc.disjunctive_power.value == 1.0
-
     def test_kfwer_always_includes_level_one(self):
         counts = rejection_counts([[True]] * 4, [False])
-        with pytest.raises(ValueError, match="k=1"):
-            characteristics_from_counts(**dict(counts, kfwer_counts={}))
+        oc = characteristics_from_counts(**dict(counts, kfwer_levels=()))
+        assert sorted(oc.kfwer) == [1]
+        assert oc.fwer == oc.kfwer[1] == Estimate(1.0, 0.0)
         design = build_fixed_design(2, 50, ControlMode.COMMON)
         policy = AdjustmentPolicy(AdjustmentMethod.UNADJUSTED)
         oc = run_scenario(ScenarioConfig(design, (0.0, 0.0), policy, reps=100, kfwer_levels=(2,)))
@@ -165,29 +162,32 @@ class TestPartialAggregation:
             [[True, False], [True, True], [False, True], [False, False], [True, True]]
         )
         whole = _characteristics(rejected, effective)
-        # merge two worker partials by adding counts, then rebuild
-        first, second = rejected[:3], rejected[3:]
-        def counts(part):
-            false_counts = part[:, 0].astype(int)
-            true_counts = part[:, 1].astype(int)
-            return {
-                "k1": int((false_counts >= 1).sum()),
-                "fsum": int(false_counts.sum()),
-                "fsq": int((false_counts**2).sum()),
-                "disj": int((true_counts >= 1).sum()),
-                "conj": int((true_counts >= 1).sum()),
-                "arm": part.sum(axis=0).astype(int),
-            }
-        a, b = counts(first), counts(second)
+        # merge two worker partials by adding their tables, then rebuild
+        a = rejection_counts(rejected[:3], effective)
+        b = rejection_counts(rejected[3:], effective)
         merged = characteristics_from_counts(
             reps=len(rejected),
-            num_comparisons=2,
+            joint=a["joint"] + b["joint"],
+            per_arm_rejections=a["per_arm_rejections"] + b["per_arm_rejections"],
             effective=effective,
-            kfwer_counts={1: a["k1"] + b["k1"]},
-            false_rejection_sum=a["fsum"] + b["fsum"],
-            false_rejection_sq_sum=a["fsq"] + b["fsq"],
-            disjunctive_count=a["disj"] + b["disj"],
-            conjunctive_count=a["conj"] + b["conj"],
-            per_arm_rejections=a["arm"] + b["arm"],
+            kfwer_levels=(1,),
         )
         assert merged == whole
+
+
+class TestEstimateNames:
+    def test_names_in_report_order(self):
+        rejected = [[True, False, True, False], [False, True, True, True]]
+        oc = _characteristics(rejected, [False, True, False, True], kfwer_levels=(3, 2, 1))
+        assert list(oc.estimates()) == [
+            "fwer", "kfwer_2", "kfwer_3", "pfer", "marginal_power_2", "marginal_power_4",
+            "disjunctive_power", "conjunctive_power",
+        ]
+        assert oc.estimates()["kfwer_3"] == oc.kfwer[3]
+        assert oc.estimates()["marginal_power_4"] == oc.marginal_power[3]
+        assert oc.marginal_power[3].value == 0.5
+        assert oc.estimates()["conjunctive_power"] == oc.conjunctive_power
+        # the global null has no power estimates
+        oc = _characteristics([[True, False]] * 3, [False, False], kfwer_levels=(2,))
+        assert list(oc.estimates()) == ["fwer", "kfwer_2", "pfer"]
+        assert oc.estimates()["pfer"] == oc.pfer

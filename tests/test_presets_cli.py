@@ -188,6 +188,19 @@ class TestRunPreset:
         assert len(payload["scenarios"]) == 4
         assert payload["scenarios"][0]["correlation"][0][1] == 0.5
 
+    @pytest.mark.parametrize("name", available_presets())
+    def test_every_named_metric_is_reported(self, name, tmp_path):
+        # a metric a preset or one of its plot columns names, but that no row
+        # reports, would leave that column empty
+        spec = presets._PRESETS[name]
+        named = set(spec.metrics) | {
+            column[3] for _, _, columns in spec.plots for column in columns if column[3]
+        }
+        result = run_preset(name, overrides={"reps": 100}, out_dir=tmp_path)
+        with open(result.results_csv) as fh:
+            reported = {row["metric"] for row in csv.DictReader(fh)}
+        assert named and named <= reported
+
     def test_rows_are_canonically_sorted(self, tmp_path):
         result = run_preset(
             "fig5_flex_fwer",
@@ -321,6 +334,16 @@ class TestRunConfig:
         assert "fwer" in metrics
         assert "marginal_power_1" in metrics
         assert all(r["preset"] == "custom" for r in rows)
+
+    def test_every_estimate_is_reported_once(self, tmp_path):
+        config = dict(MINIMAL, reps=500, effects=[0.38, 0, 0.2], kfwer_levels=[3, 3, 1])
+        result = run_config(write_config(tmp_path, config), out_dir=tmp_path / "out")
+        with open(result.results_csv) as fh:
+            metrics = [r["metric"] for r in csv.DictReader(fh)]
+        assert metrics == [
+            "conjunctive_power", "disjunctive_power", "fwer", "kfwer_3",
+            "marginal_power_1", "marginal_power_3", "pfer",
+        ]
 
     def test_overrides_apply(self, tmp_path):
         path = write_config(tmp_path, MINIMAL)

@@ -10,6 +10,7 @@ from platformsim.correlation import analytic_correlation
 from platformsim.designs import ControlMode, PlatformDesign, build_fixed_design
 from platformsim.distributions import Sidedness, normal_cdf, normal_quantile
 from platformsim.engine import ScenarioConfig, run_scenario
+from platformsim import sample_size
 from platformsim.sample_size import (
     PowerTarget,
     comparison_mean_shifts,
@@ -49,7 +50,7 @@ def _bisection_required_n(target, policy, template, arm=0, max_n=10_000_000):
         except ValueError:
             return -1.0
 
-    z_sum = normal_quantile(1.0 - target.alpha / 2.0) + normal_quantile(target.target)
+    z_sum = normal_quantile(1.0 - policy.alpha / 2.0) + normal_quantile(target.target)
     probe = max(1, math.ceil(2.0 * (z_sum / target.delta) ** 2))
     high = probe
     while power(high) < target.target:
@@ -115,6 +116,12 @@ class TestAnalyticPower:
         assert shifts[0] == pytest.approx(0.38 * math.sqrt(75), abs=1e-12)
         assert shifts[1] == 0.0
 
+    def test_mean_shift_needs_concurrent_controls(self):
+        # the second arm recruits only after the control arm has closed
+        design = PlatformDesign(ControlMode.COMMON, ((5, 0), (5, 0), (0, 5)))
+        with pytest.raises(ValueError, match="arm 1 has no concurrent control patients"):
+            comparison_mean_shifts(design, (0.38, 0.38))
+
 
 class TestRequiredPerArmN:
     def test_unadjusted_two_arm(self):
@@ -168,20 +175,6 @@ class TestRequiredPerArmN:
         n = required_per_arm_n(TARGET, UNADJ, staggered_template(150), arm=2)
         assert n == 150  # unconstrained answer 146 is below the entry shift
 
-    def test_alpha_mismatch_rejected(self):
-        with pytest.raises(ValueError, match="alpha"):
-            required_per_arm_n(
-                PowerTarget(0.9, 0.38, alpha=0.1), UNADJ, fixed_template(1, ControlMode.COMMON)
-            )
-
-    def test_sidedness_mismatch_rejected(self):
-        template = fixed_template(1, ControlMode.COMMON)
-        one_sided = AdjustmentPolicy(AdjustmentMethod.UNADJUSTED, sidedness=ONE_SIDED)
-        with pytest.raises(ValueError, match="sidedness"):
-            required_per_arm_n(PowerTarget(0.9, 0.38, sidedness=ONE_SIDED), UNADJ, template)
-        with pytest.raises(ValueError, match="sidedness"):
-            required_per_arm_n(TARGET, one_sided, template)
-
     @pytest.mark.parametrize("method", list(AdjustmentMethod))
     def test_one_sided_search_is_minimal_for_the_upper_tail(self, method):
         # oracle: one-sided power Phi(mu - c), written out without marginal_power
@@ -190,7 +183,7 @@ class TestRequiredPerArmN:
         for template, arm in cases:
             for goal in (0.12, 0.5, 0.9):
                 for delta in (0.1, 0.38):
-                    target = PowerTarget(goal, delta, sidedness=ONE_SIDED)
+                    target = PowerTarget(goal, delta)
 
                     def power(n):
                         design = template(n)
@@ -210,7 +203,7 @@ class TestRequiredPerArmN:
         # Phi(0.1 sqrt(n / 2) - 1.645) >= 0.12 first holds at n = 45; counting
         # the lower tail as well would stop near n = 24
         policy = AdjustmentPolicy(AdjustmentMethod.UNADJUSTED, sidedness=ONE_SIDED)
-        target = PowerTarget(0.12, 0.1, sidedness=ONE_SIDED)
+        target = PowerTarget(0.12, 0.1)
         assert required_per_arm_n(target, policy, fixed_template(1, ControlMode.COMMON)) == 45
 
     def test_mc_verification_of_boundary(self):
@@ -276,13 +269,16 @@ class TestGallopingSearch:
         assert min(asked) < 200 < max(asked)
         assert _bisection_required_n(TARGET, UNADJ, staggered_template(200), arm=2) == 200
 
-    def test_search_cap(self):
+    def test_search_cap(self, monkeypatch):
         template = fixed_template(1, ControlMode.COMMON)
-        assert required_per_arm_n(TARGET, UNADJ, template, max_n=146) == 146
+        monkeypatch.setattr(sample_size, "MAX_N", 146)
+        assert required_per_arm_n(TARGET, UNADJ, template) == 146
+        monkeypatch.setattr(sample_size, "MAX_N", 145)
         with pytest.raises(ValueError, match="no feasible sample size below the search cap"):
-            required_per_arm_n(TARGET, UNADJ, template, max_n=145)
+            required_per_arm_n(TARGET, UNADJ, template)
+        monkeypatch.setattr(sample_size, "MAX_N", 250)
         with pytest.raises(ValueError, match="search cap"):
-            required_per_arm_n(TARGET, UNADJ, staggered_template(300), arm=2, max_n=250)
+            required_per_arm_n(TARGET, UNADJ, staggered_template(300), arm=2)
 
     def test_threshold_errors_are_not_infeasibility(self):
         # a chain of three arms: arms 1 and 3 share no control, arm 2 overlaps
