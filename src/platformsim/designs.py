@@ -172,8 +172,6 @@ class BudgetAllocation:
     of period-2 control recruitment the joining sponsor pays for.
     """
 
-    shift: int
-    budget: int
     design: PlatformDesign
     comparison_n: int
     sponsor_period2_controls: int
@@ -259,10 +257,4 @@ def build_budget_design(shift: int, budget: int) -> BudgetAllocation:
             )
         ),
     )
-    return BudgetAllocation(
-        shift=shift,
-        budget=budget,
-        design=design,
-        comparison_n=comparison_n,
-        sponsor_period2_controls=period2_controls,
-    )
+    return BudgetAllocation(design, comparison_n, period2_controls)

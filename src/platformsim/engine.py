@@ -56,7 +56,7 @@ class ScenarioConfig:
     reps: int = 50_000
     seed: int = 42
     mode: SimulationMode = SimulationMode.SUFFICIENT_STATISTIC
-    kfwer_levels: tuple[int, ...] = (1, 2, 3)
+    kfwer_levels: tuple[int, ...] | None = None  # None: (1, 2, 3) cut at m
 
     def __post_init__(self):
         object.__setattr__(self, "effects", tuple(float(e) for e in self.effects))
@@ -69,9 +69,13 @@ class ScenarioConfig:
             raise ValueError("effects must be finite")
         if self.reps < 1:
             raise ValueError("need at least one replication")
-        levels = tuple(int(k) for k in self.kfwer_levels)
+        m = self.design.num_arms
+        if self.kfwer_levels is None:
+            levels = tuple(k for k in (1, 2, 3) if k <= m)
+        else:
+            levels = tuple(int(k) for k in self.kfwer_levels)
         object.__setattr__(self, "kfwer_levels", levels)
-        if any(k < 1 or k > self.design.num_arms for k in levels):
+        if any(k < 1 or k > m for k in levels):
             raise ValueError("k-FWER levels must lie in 1..m")
 
 
@@ -79,7 +83,7 @@ class ScenarioConfig:
 class _SimPlan:
     """Precomputed cell layout turning arm-period means into z-statistics."""
 
-    cells: tuple[tuple[int, int, int], ...]  # (row, period, count), row-major
+    counts: tuple[int, ...]  # patients per cell, cells row-major over (row, period)
     cell_means: np.ndarray  # expected mean outcome per cell
     cell_scales: np.ndarray  # standard error of each cell mean
     weights: np.ndarray  # (num_arms, num_cells), rows map cell means to z
@@ -95,14 +99,13 @@ def _build_plan(design: PlatformDesign, effects) -> _SimPlan:
     means_by_row = [0.0] * len(design.recruitment)
     for arm in range(m):
         means_by_row[arm + 1 if common else 2 * arm] = effects[arm]
-    cells = []
-    for r, row in enumerate(design.recruitment):
-        for t, count in enumerate(row):
-            if count > 0:
-                cells.append((r, t, count))
-    index = {(r, t): i for i, (r, t, _) in enumerate(cells)}
-    cell_means = np.array([means_by_row[r] for r, _, _ in cells])
-    cell_scales = np.array([1.0 / np.sqrt(count) for _, _, count in cells])
+    cells = [
+        (r, t) for r, row in enumerate(design.recruitment) for t, count in enumerate(row) if count > 0
+    ]
+    index = {cell: i for i, cell in enumerate(cells)}
+    counts = tuple(design.recruitment[r][t] for r, t in cells)
+    cell_means = np.array([means_by_row[r] for r, _ in cells])
+    cell_scales = np.array([1.0 / np.sqrt(count) for count in counts])
     weights = np.zeros((m, len(cells)))
     for arm in range(m):
         n_treat, n_control = design.comparison_sizes(arm)
@@ -112,7 +115,7 @@ def _build_plan(design: PlatformDesign, effects) -> _SimPlan:
         for t in design.active_periods(arm):
             weights[arm, index[(t_row, t)]] = design.recruitment[t_row][t] / n_treat / se
             weights[arm, index[(c_row, t)]] -= design.recruitment[c_row][t] / n_control / se
-    return _SimPlan(tuple(cells), cell_means, cell_scales, weights)
+    return _SimPlan(counts, cell_means, cell_scales, weights)
 
 
 def _block_rng(seed: int, block_index: int) -> np.random.Generator:
@@ -122,8 +125,8 @@ def _block_rng(seed: int, block_index: int) -> np.random.Generator:
 def _draw_shape(plan: _SimPlan, mode: SimulationMode):
     """What fixes a block's draws besides its stream: the cell count, or each cell's patients."""
     if mode is SimulationMode.SUFFICIENT_STATISTIC:
-        return len(plan.cells)
-    return tuple(count for _, _, count in plan.cells)
+        return len(plan.counts)
+    return plan.counts
 
 
 def _draw_units(seed: int, block_index: int, rows: int, shape, mode: SimulationMode) -> np.ndarray:

@@ -29,12 +29,12 @@ class Estimate(NamedTuple):
 class OperatingCharacteristics:
     """Aggregated error and power estimates over a batch of replications.
 
-    Power fields are None under the global null (no effective arms), and
-    ``marginal_power`` entries are None for arms whose null is true.
+    ``kfwer`` holds k = 1, the FWER. Power fields are None under the global
+    null (no effective arms), and ``marginal_power`` entries are None for
+    arms whose null is true.
     """
 
     reps: int
-    fwer: Estimate
     kfwer: dict[int, Estimate]
     pfer: Estimate
     marginal_power: tuple[Estimate | None, ...] | None
@@ -53,10 +53,13 @@ class OperatingCharacteristics:
         for a, b in zip(levels, levels[1:]):
             if self.kfwer[a].value < self.kfwer[b].value:
                 raise ValueError("k-FWER must be non-increasing in k")
-        if 1 in self.kfwer and self.kfwer[1].value != self.fwer.value:
-            raise ValueError("FWER must equal the k-FWER at k=1")
         if self.pfer.value < 0.0:
             raise ValueError("PFER cannot be negative")
+
+    @property
+    def fwer(self) -> Estimate:
+        """The family-wise error rate: the k-FWER at k = 1."""
+        return self.kfwer[1]
 
     def to_dict(self) -> dict:
         def enc(est):
@@ -156,4 +159,4 @@ def characteristics_from_counts(
             proportion_estimate(int(true_hist[1:].sum()), reps),
             proportion_estimate(int(true_hist[-1]), reps),
         )
-    return OperatingCharacteristics(reps, kfwer[1], kfwer, pfer, *power)
+    return OperatingCharacteristics(reps, kfwer, pfer, *power)

@@ -27,7 +27,7 @@ import math
 import os
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from .adjust import AdjustmentMethod, AdjustmentPolicy, critical_values
 from .correlation import analytic_correlation
@@ -50,31 +50,36 @@ from .sample_size import (
 
 DEFAULT_REPS = 50_000
 DEFAULT_SEED = 42
-DEFAULT_KFWER_LEVELS = (1, 2, 3)
 EFFECT_SIZE = 0.38
 POWER_GOAL = 0.9
 SPONSOR_BUDGET = 300
 ARM_GRID = tuple(range(2, 11))
 SHIFT_GRID = tuple(range(0, 151, 10))
 
-RESULT_COLUMNS = (
-    "preset",
-    "sweep_value",
-    "design",
-    "adjustment",
-    "metric",
-    "estimate",
-    "mc_se",
-    "reps",
-    "seed",
-)
-
 _POLICIES = {
     "unadjusted": AdjustmentPolicy(AdjustmentMethod.UNADJUSTED),
     "bonferroni": AdjustmentPolicy(AdjustmentMethod.BONFERRONI),
     "dunnett": AdjustmentPolicy(AdjustmentMethod.DUNNETT),
 }
-_ADJUSTMENTS = ("unadjusted", "bonferroni", "dunnett")
+_ADJUSTMENTS = tuple(_POLICIES)
+
+
+class _Row(NamedTuple):
+    """One line of results.csv, its fields the columns; None is an empty cell.
+
+    A table or reference series has no sweep value, and an exact value no
+    standard error, replications or seed.
+    """
+
+    preset: str
+    sweep_value: int | None
+    design: str
+    adjustment: str
+    metric: str
+    estimate: float | int
+    mc_se: float | None = None
+    reps: int | None = None
+    seed: int | None = None
 
 
 @dataclass
@@ -88,41 +93,17 @@ class _RunContext:
 
 @dataclass(frozen=True)
 class PresetResult:
-    """Paths and rows produced by one preset run."""
+    """Paths of the files one preset run wrote."""
 
-    name: str
     out_dir: Path
     results_csv: Path
     results_json: Path
     plotdata_paths: tuple[Path, ...]
-    rows: tuple[dict, ...]
 
 
 def _scenario_seed(base: int, *parts) -> int:
     digest = hashlib.blake2s(repr((base,) + parts).encode(), digest_size=8).digest()
     return int.from_bytes(digest, "big")
-
-
-def _levels(num_arms: int) -> tuple[int, ...]:
-    return tuple(k for k in DEFAULT_KFWER_LEVELS if k <= num_arms)
-
-
-def _row(preset, sweep, design_label, adjustment, metric, estimate, mc_se, reps, seed):
-    return {
-        "preset": preset,
-        "sweep_value": "" if sweep is None else str(sweep),
-        "design": design_label,
-        "adjustment": adjustment,
-        "metric": metric,
-        "estimate": estimate,
-        "mc_se": mc_se,
-        "reps": reps,
-        "seed": seed,
-    }
-
-
-def _exact_row(preset, sweep, design_label, adjustment, metric, value):
-    return _row(preset, sweep, design_label, adjustment, metric, value, "", "", "")
 
 
 def _scenario_record(label, sweep, adjustment, config, oc):
@@ -148,7 +129,7 @@ def _emit_simulated(preset, sweep, label, adjustment, metrics, config, oc, rows,
     or for every estimate when ``metrics`` is None.
     """
     rows += [
-        _row(preset, sweep, label, adjustment, metric, est.value, est.se, oc.reps, config.seed)
+        _Row(preset, sweep, label, adjustment, metric, est.value, est.se, oc.reps, config.seed)
         for metric, est in oc.estimates().items()
         if metrics is None or metric in metrics
     ]
@@ -213,7 +194,6 @@ class _Simulated:
                 reps=ctx.reps,
                 seed=_scenario_seed(ctx.seed, *key),
                 mode=ctx.mode,
-                kfwer_levels=_levels(design.num_arms),
             )
             emit = functools.partial(
                 _emit_simulated, preset, sweep, self.label, adjustment, spec.metrics, config
@@ -246,7 +226,7 @@ class _RequiredN:
     def _emit(self, preset, sweep, adjustment, template, n, rows, scenarios):
         total = template(n).total_sample_size()
         for metric, value in (("required_n_per_arm", n), ("required_total_n", total)):
-            rows.append(_exact_row(preset, sweep, self.label, adjustment, metric, value))
+            rows.append(_Row(preset, sweep, self.label, adjustment, metric, value))
         scenarios.append(
             dict(kind="exact", design_label=self.label, sweep_value=sweep,
                  adjustment=adjustment, required_n_per_arm=n, required_total_n=total)
@@ -261,7 +241,7 @@ class _ComparisonN:
 
     def steps(self, preset, spec, sweep, ctx):
         n = build_budget_design(sweep, SPONSOR_BUDGET).comparison_n
-        row = _exact_row(preset, sweep, "common", "", "comparison_n", n)
+        row = _Row(preset, sweep, "common", "", "comparison_n", n)
         return [(None, lambda _oc, rows, scenarios: rows.append(row))]
 
 
@@ -301,19 +281,19 @@ def _pivot(rows, index, grid, columns, metrics):
     A cell at a sweep value falls back to the reference row (no sweep value)
     of the same design, adjustment and metric, and then to an empty cell.
     """
-    cells = {(r["sweep_value"], r["design"], r["adjustment"], r["metric"]): r for r in rows}
+    cells = {(r.sweep_value, r.design, r.adjustment, r.metric): r for r in rows}
 
     def cell(sweep, design, adjustment, metric):
         key = (design, adjustment, metric)
-        row = cells.get((sweep,) + key) or cells.get(("",) + key)
-        return "" if row is None else row["estimate"]
+        row = cells.get((sweep,) + key) or cells.get((None,) + key)
+        return None if row is None else row.estimate
 
     header = [index] + [c[0] for c in columns]
     if grid is None:
         return header, [
-            [metric] + [cell("", d, a, metric) for _, d, a, _ in columns] for metric in metrics
+            [metric] + [cell(None, d, a, metric) for _, d, a, _ in columns] for metric in metrics
         ]
-    return header, [[v] + [cell(str(v), d, a, mt) for _, d, a, mt in columns] for v in grid]
+    return header, [[v] + [cell(v, d, a, mt) for _, d, a, mt in columns] for v in grid]
 
 
 def _run_spec(preset, spec, ctx):
@@ -497,19 +477,16 @@ def available_presets() -> tuple[str, ...]:
 
 
 def _format_cell(value) -> str:
-    if value == "" or value is None:
+    if value is None:
         return ""
-    if isinstance(value, bool):
-        return str(int(value))
     if isinstance(value, float):
         return repr(value)
     return str(value)
 
 
-def _sort_key(row):
-    sweep = row["sweep_value"]
-    sweep_key = (0, 0.0) if sweep == "" else (1, float(sweep))
-    return (row["preset"], sweep_key, row["design"], row["adjustment"], row["metric"])
+def _sort_key(row: _Row):
+    sweep_key = (0, 0) if row.sweep_value is None else (1, row.sweep_value)
+    return (row.preset, sweep_key, row.design, row.adjustment, row.metric)
 
 
 @contextlib.contextmanager
@@ -536,13 +513,8 @@ def _write_csv(path: Path, header, table):
 def _write_reports(name, rows, scenarios, plotdata, ctx, out_dir) -> PresetResult:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    rows = sorted(rows, key=_sort_key)
     results_csv = out / "results.csv"
-    _write_csv(
-        results_csv,
-        RESULT_COLUMNS,
-        [[row[col] for col in RESULT_COLUMNS] for row in rows],
-    )
+    _write_csv(results_csv, _Row._fields, sorted(rows, key=_sort_key))
     results_json = out / "results.json"
     payload = {
         "preset": name,
@@ -562,14 +534,7 @@ def _write_reports(name, rows, scenarios, plotdata, ctx, out_dir) -> PresetResul
             path = plot_dir / f"{stem}.csv"
             _write_csv(path, header, table)
             plot_paths.append(path)
-    return PresetResult(
-        name=name,
-        out_dir=out,
-        results_csv=results_csv,
-        results_json=results_json,
-        plotdata_paths=tuple(plot_paths),
-        rows=tuple(rows),
-    )
+    return PresetResult(out, results_csv, results_json, tuple(plot_paths))
 
 
 def _context_from_overrides(overrides, ctx=None) -> _RunContext:
@@ -728,11 +693,12 @@ def load_config(path) -> ScenarioConfig:
         mode = SimulationMode(mode)
     except ValueError as exc:
         raise ValueError("config field 'mode' must be 'patient' or 'sufficient'") from exc
-    levels = field("kfwer_levels", list(_levels(m)))
-    if not isinstance(levels, list) or not all(isinstance(k, int) and not isinstance(k, bool) for k in levels):
-        raise ValueError("config field 'kfwer_levels' must be a list of integers")
-    if not all(1 <= k <= m for k in levels):
-        raise ValueError(f"config field 'kfwer_levels' must lie in 1..m={m}, got {levels}")
+    levels = field("kfwer_levels")  # absent: the engine's default levels
+    if "kfwer_levels" in data:
+        if not isinstance(levels, list) or not all(isinstance(k, int) and not isinstance(k, bool) for k in levels):
+            raise ValueError("config field 'kfwer_levels' must be a list of integers")
+        if not all(1 <= k <= m for k in levels):
+            raise ValueError(f"config field 'kfwer_levels' must lie in 1..m={m}, got {levels}")
     return ScenarioConfig(
         design=design,
         effects=tuple(float(e) for e in effects),
@@ -740,7 +706,7 @@ def load_config(path) -> ScenarioConfig:
         reps=reps,
         seed=seed,
         mode=mode,
-        kfwer_levels=tuple(levels),
+        kfwer_levels=levels,
     )
 
 

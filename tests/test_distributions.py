@@ -378,8 +378,9 @@ class TestDunnettCriticalValue:
         def general_shortfall(c):
             return genz_rectangle(corr, np.full(3, -c), np.full(3, c)) - 0.95
 
-        general = brentq(general_shortfall, 2.0, 2.5, xtol=1e-10)
-        assert structured == pytest.approx(general, abs=1e-6)
+        # The coverage grows in c, so a sign change across structured +/- 1e-6
+        # puts the general root within 1e-6 of it, in two Genz evaluations.
+        assert general_shortfall(structured - 1e-6) < 0 < general_shortfall(structured + 1e-6)
 
     def test_rejects_bad_alpha(self):
         with pytest.raises(ValueError):

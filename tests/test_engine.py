@@ -92,7 +92,7 @@ class TestZStatistics:
         plan = _build_plan(design, (0.38,) + (0.0,) * (design.num_arms - 1))
         rng = np.random.default_rng(14)
         for rows in (4096, 848, 1):
-            units = rng.standard_normal((rows, len(plan.cells)))
+            units = rng.standard_normal((rows, len(plan.counts)))
             sliced = _zstats(units, plan, mode, 0)
             if mode is SimulationMode.SUFFICIENT_STATISTIC:
                 means = units * plan.cell_scales + plan.cell_means
@@ -210,6 +210,15 @@ class TestConfigValidation:
         design = build_fixed_design(2, 150, ControlMode.COMMON)
         with pytest.raises(ValueError, match="k-FWER"):
             ScenarioConfig(design, (0.0, 0.0), UNADJ, kfwer_levels=(1, 3))
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 5])
+    def test_default_kfwer_levels_are_cut_at_m(self, m):
+        design = build_fixed_design(m, 150, ControlMode.COMMON)
+        config = ScenarioConfig(design, (0.0,) * m, UNADJ, reps=200, seed=16)
+        levels = tuple(range(2, min(3, m) + 1))
+        assert config.kfwer_levels == (1,) + levels
+        names = [n for n in run_scenario(config).estimates() if "fwer" in n]
+        assert names == ["fwer"] + [f"kfwer_{k}" for k in levels]
 
     def test_non_finite_effects(self):
         design = build_fixed_design(2, 150, ControlMode.COMMON)

@@ -58,6 +58,7 @@ class TestLoadConfig:
         assert config.policy.sidedness is Sidedness.TWO_SIDED
         assert config.reps == 50_000
         assert config.mode is SimulationMode.SUFFICIENT_STATISTIC
+        assert config.kfwer_levels == (1, 2, 3)
 
     def test_unknown_keys_rejected(self, tmp_path):
         payload = dict(MINIMAL, banana=1)
@@ -81,6 +82,11 @@ class TestLoadConfig:
     def test_shift_requires_three_arm_common(self, tmp_path):
         payload = {"m": 2, "n": 150, "control": "common", "effects": [0, 0], "shift": 10}
         with pytest.raises(ValueError, match="shift"):
+            load_config(write_config(tmp_path, payload))
+
+    def test_null_kfwer_levels_names_field(self, tmp_path):
+        payload = dict(MINIMAL, kfwer_levels=None)
+        with pytest.raises(ValueError, match="config field 'kfwer_levels'"):
             load_config(write_config(tmp_path, payload))
 
     def test_invalid_adjustment(self, tmp_path):
