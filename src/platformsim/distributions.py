@@ -25,10 +25,9 @@ A matrix without one-factor structure is rejected with an error.
 
 Only numpy and the standard library are needed: Phi is math.erfc, its
 inverse statistics.NormalDist.inv_cdf (Wichura's AS241), and the nodes come
-from Newton's method on the Hermite recurrence. The 64- and 128-node rules
-run as one stacked pass (their sorted union of nodes, one weight row per
-rule), and with bounds +-c the lower bound's terms are the upper bound's at
-the mirrored node.
+from Newton's method on the Hermite recurrence. Each quadrature pass
+evaluates one rule, and with bounds +-c the lower bound's terms are the
+upper bound's at the mirrored node.
 """
 
 from __future__ import annotations
@@ -46,8 +45,6 @@ from .correlation import CorrelationMatrix
 STRUCTURE_TOL = 1e-12
 _QUAD_STOP = 1e-9
 _QUAD_NODE_COUNTS = (64, 128, 256, 512, 1024, 2048, 4096)
-# the first two rules share one pass; every later rule gets its own
-_QUAD_STAGES = (_QUAD_NODE_COUNTS[:2],) + tuple((n,) for n in _QUAD_NODE_COUNTS[2:])
 _SQRT2 = math.sqrt(2.0)
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 _STANDARD_NORMAL = statistics.NormalDist()
@@ -177,19 +174,6 @@ def _hermite_nodes(n: int):
     return np.concatenate([-x[::-1], x]), np.concatenate([weights[::-1], weights])
 
 
-@lru_cache(maxsize=None)
-def _stacked_rule(counts: tuple[int, ...]):
-    """Sorted union of the nodes of several rules, with one weight row per rule.
-
-    Like every rule, the union is symmetric: reversing the nodes negates them.
-    """
-    rules = [_hermite_nodes(n) for n in counts]
-    x, w = (np.concatenate(parts) for parts in zip(*rules))
-    row = np.repeat(np.arange(len(rules)), [len(nodes) for nodes, _ in rules])
-    order = np.argsort(x)
-    return x[order], np.where(row == np.arange(len(rules))[:, None], w, 0.0)[:, order]
-
-
 def _cdf_pair(h):
     """(Phi(h), Phi(-h)) per entry, both from one erfc of |h|."""
     scaled = (np.abs(h) / _SQRT2).ravel()
@@ -269,59 +253,38 @@ def _rejection_law(effective, inside, growth):
     return (joint.reshape(joint.shape[:-2] + (-1,)),)
 
 
-def _integrate(weights, part):
-    """sum_n weights[r, n] part[k, n, ...] as an array [k, r, ...].
-
-    A stacked matrix product: numpy makes one product per row k, never one
-    across rows, so a row's integral is the one it gets alone.
-    """
-    if part.ndim == 2:
-        return (weights @ part[:, :, None])[:, :, 0]
-    return weights @ part
-
-
 def _factor_integral(lam: np.ndarray, reduce, lower, upper, mu=None):
     """Integrals over the shared factor of the per-node parts ``reduce(inside, growth)`` returns.
 
     Each row of ``lam`` (and of ``mu`` and the bounds, see ``_conditional``)
     is its own problem, and each part comes back with one row per problem.
-    A row doubles its Gauss-Hermite node count until two successive
-    estimates of its first part agree to within 1e-9 in every entry, and
-    then leaves the pass; any later part (the coverage slope) is integrated
-    on the same nodes. A stage of several rules gives one estimate per
-    weight row. A row's result is the same whichever rows share its pass.
+    Each pass evaluates one Gauss-Hermite rule, doubling the node count. A
+    row leaves once its estimate of the first part agrees with the previous
+    rule's to within 1e-9 in every entry, and keeps the parts of the rule it
+    leaves at; any later part (the coverage slope) is integrated on the same
+    nodes. A row that never agrees keeps the largest rule's parts. A row's
+    result is the same whichever rows share its pass.
     """
     scale = np.sqrt(1.0 - lam * lam)
     index = np.arange(len(lam))  # the problem of each row still integrating
-    out = previous = None
-    for counts in _QUAD_STAGES:
-        x, weights = _stacked_rule(counts)
-        parts = [_integrate(weights, p) for p in reduce(*_conditional(x, lam, scale, mu, lower, upper))]
-        done = np.zeros(len(index), dtype=bool)
-        for rule in range(len(counts)):
-            estimate = parts[0][:, rule]
-            if previous is not None:
-                gap = np.abs(estimate - previous).reshape(len(index), -1)
-                agree = ~done & (gap < _QUAD_STOP).all(axis=1)
-                if out is None:
-                    if agree.all():  # every problem stops here
-                        return [part[:, rule] for part in parts]
-                    out = [np.empty(index.shape + part.shape[2:]) for part in parts]
-                for total, part in zip(out, parts):
-                    total[index[agree]] = part[agree, rule]
-                done |= agree
-            previous = estimate
-        if done.all():
-            return out
-        keep = ~done
-        index, previous, lam, scale = index[keep], previous[keep], lam[keep], scale[keep]
+    out, previous = None, np.nan  # no row agrees at the first rule
+    for n in _QUAD_NODE_COUNTS:
+        x, weights = _hermite_nodes(n)
+        # one matrix product per row, never one across rows: a row gets the integral it gets alone
+        parts = [
+            (weights @ p.reshape(p.shape[:2] + (-1,))).reshape(p.shape[:1] + p.shape[2:])
+            for p in reduce(*_conditional(x, lam, scale, mu, lower, upper))
+        ]
+        if out is None:
+            out = [np.empty_like(part) for part in parts]
+        for total, part in zip(out, parts):
+            total[index] = part
+        gap = np.abs(parts[0] - previous).reshape(len(index), -1)
+        keep = ~(gap < _QUAD_STOP).all(axis=1)
+        if not keep.any():
+            break
+        index, previous, lam, scale = index[keep], parts[0][keep], lam[keep], scale[keep]
         mu, lower, upper = (None if a is None else a[keep] for a in (mu, lower, upper))
-        last = [part[keep, -1] for part in parts]
-    # problems that never agreed keep the estimate of the largest rule
-    if out is None:
-        return last
-    for total, part in zip(out, last):
-        total[index] = part
     return out
 
 

@@ -148,17 +148,23 @@ _EFFECTS = {
 }
 
 
+def _sweep_values(ctx, default):
+    """The run's sweep override, or else ``default``, as distinct ints."""
+    grid = tuple(int(v) for v in (default if ctx.sweep is None else ctx.sweep))
+    if len(set(grid)) < len(grid):
+        raise ValueError(f"sweep values must be distinct, got {list(grid)}")
+    return grid
+
+
 def _arm_grid(ctx):
-    grid = ctx.sweep if ctx.sweep is not None else ARM_GRID
-    grid = tuple(int(m) for m in grid)
+    grid = _sweep_values(ctx, ARM_GRID)
     if any(m < 2 for m in grid):
         raise ValueError("arm sweep values must be at least 2")
     return grid
 
 
 def _shift_grid(ctx):
-    grid = ctx.sweep if ctx.sweep is not None else SHIFT_GRID
-    grid = tuple(int(s) for s in grid)
+    grid = _sweep_values(ctx, SHIFT_GRID)
     if any(not 0 <= s <= 150 for s in grid):
         raise ValueError("shift sweep values must lie in 0..150")
     return grid
@@ -574,6 +580,8 @@ def run_preset(name: str, overrides=None, out_dir="results") -> PresetResult:
     if name not in _PRESETS:
         raise ValueError(f"unknown preset {name!r}; available: {', '.join(_PRESETS)}")
     ctx = _context_from_overrides(overrides)
+    if _PRESETS[name].grid is None and ctx.sweep is not None:
+        raise ValueError(f"preset {name!r} has no sweep grid, so it takes no sweep override")
     rows, scenarios, plotdata = _run_spec(name, _PRESETS[name], ctx)
     return _write_reports(name, rows, scenarios, plotdata, ctx, out_dir)
 

@@ -486,6 +486,20 @@ class TestDunnettNewton:
             alone = kernel(lam[i : i + 1], reduce, -c[i : i + 1], c[i : i + 1])
             for batch_part, single_part in zip(together, alone):
                 assert batch_part[i].hex() == single_part[0].hex()
+        # each row returns the one-rule integral at the first node count whose
+        # coverage agrees with the previous count's, or else the largest rule's
+        scale = np.sqrt(1.0 - lam * lam)
+        rules = []
+        for n in distributions._QUAD_NODE_COUNTS:
+            x, w = distributions._hermite_nodes(n)
+            parts = reduce(*distributions._conditional(x, lam, scale, None, -c, c))
+            rules.append([(w @ part[:, :, None])[:, 0] for part in parts])
+        for i in range(len(lam)):
+            coverage = [rule[0][i] for rule in rules]
+            gaps = np.abs(np.diff(coverage))
+            stage = 1 + int(np.argmax(gaps < stop)) if (gaps < stop).any() else len(rules) - 1
+            for part, expected in zip(together, rules[stage]):
+                assert part[i].hex() == expected[i].hex()
 
     @pytest.mark.parametrize("sidedness", list(Sidedness))
     def test_few_coverage_evaluations_per_solve(self, monkeypatch, sidedness):

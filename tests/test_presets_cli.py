@@ -285,6 +285,20 @@ class TestRunPreset:
         with pytest.raises(ValueError, match="overrides"):
             run_preset("table3", overrides={"repz": 10}, out_dir=tmp_path)
 
+    @pytest.mark.parametrize("name", ["table3", "table4"])
+    def test_sweep_on_a_table_rejected(self, tmp_path, name):
+        with pytest.raises(ValueError, match="sweep"):
+            run_preset(name, overrides={"reps": 100, "sweep": [999, "x"]}, out_dir=tmp_path)
+        assert not any(tmp_path.iterdir())
+
+    @pytest.mark.parametrize(
+        "name, sweep", [("fig5_flex_fwer", [10, 10]), ("fig2_kfwer_sweep", [3, 2, 3])]
+    )
+    def test_repeated_sweep_value_rejected(self, tmp_path, name, sweep):
+        with pytest.raises(ValueError, match="sweep values must be distinct"):
+            run_preset(name, overrides={"reps": 100, "sweep": sweep}, out_dir=tmp_path)
+        assert not any(tmp_path.iterdir())
+
     def test_budget_sweep_records_comparison_n(self, tmp_path):
         result = run_preset(
             "fig6_flex_n_and_power",
