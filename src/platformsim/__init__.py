@@ -19,13 +19,7 @@ from .designs import (
 from .distributions import Sidedness
 from .engine import ScenarioConfig, SimulationMode, run_scenario, run_scenarios
 from .presets import available_presets, load_config, run_config, run_preset
-from .sample_size import (
-    PowerTarget,
-    fixed_template,
-    required_per_arm_n,
-    split_fixed_total,
-    staggered_template,
-)
+from .sample_size import PowerTarget, required_per_arm_n, split_fixed_total
 
 __all__ = [
     "AdjustmentMethod",
@@ -42,7 +36,6 @@ __all__ = [
     "build_fixed_design",
     "build_staggered_design",
     "critical_value",
-    "fixed_template",
     "load_config",
     "required_per_arm_n",
     "run_config",
@@ -50,7 +43,6 @@ __all__ = [
     "run_scenario",
     "run_scenarios",
     "split_fixed_total",
-    "staggered_template",
 ]
 
 __version__ = "0.1.0"

@@ -12,6 +12,7 @@ import argparse
 import os
 import sys
 
+from .engine import DEFAULT_MODE, DEFAULT_REPS, DEFAULT_SEED
 from .presets import available_presets, run_config, run_preset
 
 _ENV_PREFIX = "SIMULATE_"
@@ -37,13 +38,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     source.add_argument("--config", metavar="FILE", help="JSON scenario configuration file")
     parser.add_argument("--out", metavar="DIR", help="output directory (default: results)")
-    parser.add_argument("--seed", type=int, help="base random seed (default: 42)")
-    parser.add_argument("--reps", type=int, help="replications per scenario (default: 50000)")
+    parser.add_argument("--seed", type=int, help=f"base random seed (default: {DEFAULT_SEED})")
+    parser.add_argument("--reps", type=int, help=f"replications per scenario (default: {DEFAULT_REPS})")
     parser.add_argument("--workers", type=int, help="worker threads (default: 1)")
     parser.add_argument(
         "--mode",
         choices=("patient", "sufficient"),
-        help="simulate patient-level outcomes or arm-period means (default: sufficient)",
+        help=f"simulate patient-level outcomes or arm-period means (default: {DEFAULT_MODE.value})",
     )
     return parser
 

@@ -15,7 +15,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .designs import ControlMode, PlatformDesign
+from .designs import PlatformDesign
 
 PSD_FLOOR = -1e-10
 _ENTRY_TOL = 1e-9
@@ -56,40 +56,37 @@ class CorrelationMatrix:
     def as_array(self) -> np.ndarray:
         return np.array(self.entries, dtype=float)
 
-    @classmethod
-    def identity(cls, dim: int) -> "CorrelationMatrix":
-        if dim < 1:
-            raise ValueError("dimension must be positive")
-        return cls(tuple(tuple(1.0 if i == j else 0.0 for j in range(dim)) for i in range(dim)))
-
 
 @lru_cache(maxsize=None)
 def analytic_correlation(design: PlatformDesign) -> CorrelationMatrix:
     """Correlation matrix of the comparison z-statistics for a design.
 
-    With individual controls the comparisons are independent and the result
-    is the identity. With a common control, the correlation of two
-    comparisons equals the shared control count divided by the product of
-    the concurrent control counts, rescaled by both statistics' standard
-    errors. Raises if some arm has no concurrent control patients. Each
-    design's matrix is computed once per process and then read from a cache.
+    Two comparisons share control patients only when their control rows
+    (``PlatformDesign.arm_rows``) are the same row; every other pair is
+    uncorrelated, so individual controls give the identity. For a shared
+    control row, the correlation equals the control count concurrent to
+    both arms divided by the product of the concurrent control counts,
+    rescaled by both statistics' standard errors. Raises if some arm has no
+    concurrent control patients. Each design's matrix is computed once per
+    process and then read from a cache.
     """
     m = design.num_arms
-    if design.control_mode is ControlMode.INDIVIDUAL:
-        return CorrelationMatrix.identity(m)
     # n0_j^2 (1/n_j + 1/n0_j) as an exact rational, so that integer-valued
     # denominators (the usual equal-allocation cases) stay exact in floats
     factor = [
         Fraction(n_control) + Fraction(n_control * n_control, n_treat)
         for n_treat, n_control in map(design.comparison_sizes, range(m))
     ]
-    control = design.recruitment[0]
+    controls = [design.arm_rows(j)[1] for j in range(m)]
     active = [set(design.active_periods(j)) for j in range(m)]
-    rows = [[1.0] * m for _ in range(m)]
+    rows = [[1.0 if a == b else 0.0 for b in range(m)] for a in range(m)]
     for a in range(m):
         for b in range(a + 1, m):
+            if controls[a] != controls[b]:
+                continue
             # control patients concurrent to both arms; the exact product
             # factor[a] * factor[b] is symmetric, so one entry serves both
+            control = design.recruitment[controls[a]]
             overlap = sum(control[t] for t in active[a] & active[b])
             rows[a][b] = rows[b][a] = overlap / math.sqrt(factor[a] * factor[b])
     return CorrelationMatrix(tuple(tuple(row) for row in rows))

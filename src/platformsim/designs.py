@@ -40,7 +40,8 @@ class PlatformDesign:
 
     With a common control, row 0 is the shared control arm and rows 1..m are
     the treatment arms. With individual controls, rows alternate
-    (treatment_1, control_1, treatment_2, control_2, ...). Columns are
+    (treatment_1, control_1, treatment_2, control_2, ...). ``arm_rows`` is
+    the one place that reads this layout. Columns are
     recruitment periods; entry (row, t) is the number of patients that row's
     arm recruits during period t. Instances are immutable and safe to share
     across worker threads.
@@ -86,35 +87,31 @@ class PlatformDesign:
             return len(self.recruitment) - 1
         return len(self.recruitment) // 2
 
-    def _check_arm(self, arm: int) -> None:
+    def arm_rows(self, arm: int) -> tuple[int, int]:
+        """Indices of the (treatment row, control row) of arm ``arm``'s comparison.
+
+        Arms with a common control all share row 0; an individual control
+        is the row after its treatment's.
+        """
         if not 0 <= arm < self.num_arms:
             raise IndexError(f"arm index {arm} out of range for {self.num_arms} arms")
-
-    def _treatment_row(self, arm: int) -> tuple[int, ...]:
-        self._check_arm(arm)
         if self.control_mode is ControlMode.COMMON:
-            return self.recruitment[arm + 1]
-        return self.recruitment[2 * arm]
-
-    def _control_row(self, arm: int) -> tuple[int, ...]:
-        self._check_arm(arm)
-        if self.control_mode is ControlMode.COMMON:
-            return self.recruitment[0]
-        return self.recruitment[2 * arm + 1]
+            return arm + 1, 0
+        return 2 * arm, 2 * arm + 1
 
     def treatment_total(self, arm: int) -> int:
-        return sum(self._treatment_row(arm))
+        return sum(self.recruitment[self.arm_rows(arm)[0]])
 
     def active_periods(self, arm: int) -> tuple[int, ...]:
         """Periods in which treatment arm ``arm`` recruits."""
-        return _support(self._treatment_row(arm))
+        return _support(self.recruitment[self.arm_rows(arm)[0]])
 
     def concurrent_control_count(self, arm: int) -> int:
         """Control patients randomized while arm ``arm`` was recruiting.
 
         Only these controls enter the arm's treatment-control comparison.
         """
-        control = self._control_row(arm)
+        control = self.recruitment[self.arm_rows(arm)[1]]
         return sum(control[t] for t in self.active_periods(arm))
 
     def comparison_sizes(self, arm: int) -> tuple[int, int]:
@@ -177,12 +174,19 @@ class BudgetAllocation:
     sponsor_period2_controls: int
 
 
-def _trim_empty_periods(matrix):
-    width = len(matrix[0])
-    keep = [t for t in range(width) if any(row[t] > 0 for row in matrix)]
-    if not keep:
-        raise ValueError("design recruits no patients at all")
-    return tuple(tuple(row[t] for t in keep) for row in matrix)
+def _late_entry_design(early: int, joint: int, late: int) -> PlatformDesign:
+    """Three-arm common-control design in which the third arm joins late.
+
+    Arms 1 and 2 recruit ``early`` patients each before the late arm opens
+    and ``joint`` alongside it; the late arm recruits ``joint`` and then
+    ``late`` more alone. The control arm recruits as many as one treatment
+    arm in each of the three periods. Periods in which nobody recruits are
+    dropped.
+    """
+    control = (early, joint, late)
+    rows = (control, (early, joint, 0), (early, joint, 0), (0, joint, late))
+    keep = [t for t, count in enumerate(control) if count > 0]
+    return PlatformDesign(ControlMode.COMMON, tuple(tuple(row[t] for t in keep) for row in rows))
 
 
 def build_fixed_design(num_arms: int, n_per_arm: int, control_mode: ControlMode) -> PlatformDesign:
@@ -201,21 +205,17 @@ def build_fixed_design(num_arms: int, n_per_arm: int, control_mode: ControlMode)
 def build_staggered_design(n_per_arm: int, shift: int) -> PlatformDesign:
     """Three-arm common-control design in which the third arm starts late.
 
-    Arms 1 and 2 recruit in periods 1-2, the late arm in periods 2-3, and the
-    control arm throughout. ``shift`` is the number of patients per early arm
-    already recruited when the late arm opens; every treatment-control
-    comparison ends up with ``n_per_arm`` patients per side. Periods of zero
-    width (shift 0 or shift equal to ``n_per_arm``) are dropped.
+    The late-entry design (shift, n_per_arm - shift, shift): ``shift`` is the
+    number of patients per early arm already recruited when the late arm
+    opens, and every treatment-control comparison ends up with
+    ``n_per_arm`` patients per side. Periods of zero width (shift 0 or shift
+    equal to ``n_per_arm``) are dropped.
     """
     if n_per_arm < 1:
         raise ValueError("need at least one patient per arm")
     if not 0 <= shift <= n_per_arm:
         raise ValueError("shift must lie between 0 and the per-arm sample size")
-    mid = n_per_arm - shift
-    early = (shift, mid, 0)
-    late = (0, mid, shift)
-    control = (shift, mid, shift)
-    return PlatformDesign(ControlMode.COMMON, _trim_empty_periods((control, early, early, late)))
+    return _late_entry_design(shift, n_per_arm - shift, shift)
 
 
 def build_budget_design(shift: int, budget: int) -> BudgetAllocation:
@@ -227,7 +227,9 @@ def build_budget_design(shift: int, budget: int) -> BudgetAllocation:
     rest of the budget is split equally between the late arm and the
     concurrent control extension so that the late comparison has equal
     patients per side. Arithmetic is exact (rational) with a single half-up
-    rounding of the per-side comparison size.
+    rounding of the per-side comparison size. The design is the late-entry
+    design (shift, 150 - shift, tail), where the late arm's tail brings its
+    comparison to ``comparison_n`` patients per side.
     """
     if not 0 <= shift <= _BUDGET_EARLY_N:
         raise ValueError("shift must lie between 0 and the early arms' sample size")
@@ -246,15 +248,5 @@ def build_budget_design(shift: int, budget: int) -> BudgetAllocation:
     period2_controls = budget - joint - 2 * tail
     if period2_controls < 0 or period2_controls > joint:
         raise ValueError("budget split infeasible after rounding")
-    design = PlatformDesign(
-        ControlMode.COMMON,
-        _trim_empty_periods(
-            (
-                (shift, joint, tail),
-                (shift, joint, 0),
-                (shift, joint, 0),
-                (0, joint, tail),
-            )
-        ),
-    )
+    design = _late_entry_design(shift, joint, tail)
     return BudgetAllocation(design, comparison_n, period2_controls)

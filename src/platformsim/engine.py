@@ -26,7 +26,7 @@ from enum import Enum
 import numpy as np
 
 from .adjust import AdjustmentPolicy, critical_values
-from .designs import ControlMode, PlatformDesign
+from .designs import PlatformDesign
 from .distributions import Sidedness
 from .metrics import OperatingCharacteristics, characteristics_from_counts
 
@@ -46,6 +46,12 @@ class SimulationMode(Enum):
     SUFFICIENT_STATISTIC = "sufficient"
 
 
+# Run defaults of a scenario, a preset run, a config file and the CLI.
+DEFAULT_REPS = 50_000
+DEFAULT_SEED = 42
+DEFAULT_MODE = SimulationMode.SUFFICIENT_STATISTIC
+
+
 @dataclass(frozen=True)
 class ScenarioConfig:
     """Everything one simulation run depends on."""
@@ -53,9 +59,9 @@ class ScenarioConfig:
     design: PlatformDesign
     effects: tuple[float, ...]
     policy: AdjustmentPolicy
-    reps: int = 50_000
-    seed: int = 42
-    mode: SimulationMode = SimulationMode.SUFFICIENT_STATISTIC
+    reps: int = DEFAULT_REPS
+    seed: int = DEFAULT_SEED
+    mode: SimulationMode = DEFAULT_MODE
     kfwer_levels: tuple[int, ...] | None = None  # None: (1, 2, 3) cut at m
 
     def __post_init__(self):
@@ -94,11 +100,11 @@ def _build_plan(design: PlatformDesign, effects) -> _SimPlan:
     m = design.num_arms
     if len(effects) != m:
         raise ValueError("effects vector must match the number of arms")
-    common = design.control_mode is ControlMode.COMMON
+    arm_rows = [design.arm_rows(arm) for arm in range(m)]
     # map each matrix row to its expected outcome mean (controls stay at 0)
     means_by_row = [0.0] * len(design.recruitment)
-    for arm in range(m):
-        means_by_row[arm + 1 if common else 2 * arm] = effects[arm]
+    for (t_row, _), effect in zip(arm_rows, effects):
+        means_by_row[t_row] = effect
     cells = [
         (r, t) for r, row in enumerate(design.recruitment) for t, count in enumerate(row) if count > 0
     ]
@@ -107,11 +113,9 @@ def _build_plan(design: PlatformDesign, effects) -> _SimPlan:
     cell_means = np.array([means_by_row[r] for r, _ in cells])
     cell_scales = np.array([1.0 / np.sqrt(count) for count in counts])
     weights = np.zeros((m, len(cells)))
-    for arm in range(m):
+    for arm, (t_row, c_row) in enumerate(arm_rows):
         n_treat, n_control = design.comparison_sizes(arm)
         se = np.sqrt(1.0 / n_treat + 1.0 / n_control)
-        t_row = arm + 1 if common else 2 * arm
-        c_row = 0 if common else 2 * arm + 1
         for t in design.active_periods(arm):
             weights[arm, index[(t_row, t)]] = design.recruitment[t_row][t] / n_treat / se
             weights[arm, index[(c_row, t)]] -= design.recruitment[c_row][t] / n_control / se
@@ -195,7 +199,7 @@ def iter_zstat_blocks(
     effects,
     reps: int,
     seed: int,
-    mode: SimulationMode = SimulationMode.SUFFICIENT_STATISTIC,
+    mode: SimulationMode = DEFAULT_MODE,
 ):
     """Yield blocks of simulated z-statistic vectors, shape (block, num_arms)."""
     plan = _build_plan(design, effects)

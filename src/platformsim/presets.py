@@ -39,17 +39,17 @@ from .designs import (
     build_staggered_design,
 )
 from .distributions import Sidedness
-from .engine import ScenarioConfig, SimulationMode, run_scenario, run_scenarios
-from .sample_size import (
-    PowerTarget,
-    fixed_template,
-    required_per_arm_ns,
-    split_fixed_total,
-    staggered_template,
+from .engine import (
+    DEFAULT_MODE,
+    DEFAULT_REPS,
+    DEFAULT_SEED,
+    ScenarioConfig,
+    SimulationMode,
+    run_scenario,
+    run_scenarios,
 )
+from .sample_size import PowerTarget, required_per_arm_ns, split_fixed_total
 
-DEFAULT_REPS = 50_000
-DEFAULT_SEED = 42
 EFFECT_SIZE = 0.38
 POWER_GOAL = 0.9
 SPONSOR_BUDGET = 300
@@ -87,8 +87,8 @@ class _RunContext:
     reps: int = DEFAULT_REPS
     seed: int = DEFAULT_SEED
     workers: int = 1
-    mode: SimulationMode = SimulationMode.SUFFICIENT_STATISTIC
-    sweep: tuple | None = None
+    mode: SimulationMode = DEFAULT_MODE
+    sweep: object = None  # the sweep override as given; _sweep_values checks it
 
 
 @dataclass(frozen=True)
@@ -149,8 +149,11 @@ _EFFECTS = {
 
 
 def _sweep_values(ctx, default):
-    """The run's sweep override, or else ``default``, as distinct ints."""
-    grid = tuple(int(v) for v in (default if ctx.sweep is None else ctx.sweep))
+    """The run's sweep override, or else ``default``, as distinct ints, at least one."""
+    values = default if ctx.sweep is None else ctx.sweep
+    grid = tuple(values) if hasattr(values, "__iter__") and not isinstance(values, str) else ()
+    if not grid or not all(isinstance(v, int) and not isinstance(v, bool) for v in grid):
+        raise ValueError(f"sweep must be a non-empty sequence of integers, got {values!r}")
     if len(set(grid)) < len(grid):
         raise ValueError(f"sweep values must be distinct, got {list(grid)}")
     return grid
@@ -214,12 +217,12 @@ class _RequiredN:
 
     label: str
     adjustments: tuple[str, ...]
-    template: Callable  # sweep value -> (n -> PlatformDesign)
+    design: Callable  # (sweep value, n) -> PlatformDesign
     arm: int = 0
     reference: bool = False
 
     def steps(self, preset, spec, sweep, ctx):
-        template = self.template(sweep)
+        template = functools.partial(self.design, sweep)
         target = PowerTarget(POWER_GOAL, EFFECT_SIZE)
         return [
             (
@@ -392,9 +395,10 @@ _PRESETS = {
     "fig3_required_n": _Preset(
         grid=_arm_grid,
         series=(
-            _RequiredN("common", _ADJUSTMENTS, lambda m: fixed_template(m, ControlMode.COMMON)),
+            _RequiredN("common", _ADJUSTMENTS,
+                       lambda m, n: build_fixed_design(m, n, ControlMode.COMMON)),
             _RequiredN("individual", _UNADJUSTED,
-                       lambda m: fixed_template(m, ControlMode.INDIVIDUAL)),
+                       lambda m, n: build_fixed_design(m, n, ControlMode.INDIVIDUAL)),
         ),
         plots=(
             ("fig3_required_n", "num_arms", _series_columns(_CC_IC, "required_total_n", "_total")),
@@ -446,13 +450,13 @@ _PRESETS = {
         effects="last",
         metrics=("marginal_power_3",),
         series=(
-            _RequiredN("common", _ADJUSTMENTS, lambda s: staggered_template(s), arm=2),
+            _RequiredN("common", _ADJUSTMENTS, lambda s, n: build_staggered_design(n, s), arm=2),
             _ComparisonN(),
             _Simulated("common", _ADJUSTMENTS,
                        lambda s: build_budget_design(s, SPONSOR_BUDGET).design,
                        seed_by=("adjustment",)),
             _RequiredN("individual", _UNADJUSTED,
-                       lambda _: fixed_template(3, ControlMode.INDIVIDUAL), arm=2,
+                       lambda _, n: build_fixed_design(3, n, ControlMode.INDIVIDUAL), arm=2,
                        reference=True),
             _Simulated("individual", _UNADJUSTED, _individual_three_arm, reference=True),
         ),
@@ -543,20 +547,23 @@ def _write_reports(name, rows, scenarios, plotdata, ctx, out_dir) -> PresetResul
     return PresetResult(out, results_csv, results_json, tuple(plot_paths))
 
 
+def _checked_int(name, value, minimum=None):
+    """``value`` if it is an int (not a bool) of at least ``minimum``; else a
+    ValueError that starts with ``name``."""
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if minimum is not None and value < minimum:
+        raise ValueError(f"{name} must be at least {minimum}, got {value}")
+    return value
+
+
 def _context_from_overrides(overrides, ctx=None) -> _RunContext:
     """Apply run overrides to ``ctx`` (default: a fresh preset context)."""
     overrides = dict(overrides or {})
     ctx = _RunContext() if ctx is None else ctx
-    if "reps" in overrides:
-        ctx.reps = int(overrides.pop("reps"))
-        if ctx.reps < 1:
-            raise ValueError(f"reps must be at least 1, got {ctx.reps}")
-    if "seed" in overrides:
-        ctx.seed = int(overrides.pop("seed"))
-    if "workers" in overrides:
-        ctx.workers = int(overrides.pop("workers"))
-        if ctx.workers < 1:
-            raise ValueError(f"workers must be at least 1, got {ctx.workers}")
+    for key, minimum in (("reps", 1), ("seed", None), ("workers", 1)):
+        if key in overrides:
+            setattr(ctx, key, _checked_int(key, overrides.pop(key), minimum))
     if "mode" in overrides:
         mode = overrides.pop("mode")
         try:
@@ -564,8 +571,7 @@ def _context_from_overrides(overrides, ctx=None) -> _RunContext:
         except ValueError as exc:
             raise ValueError(f"mode must be 'patient' or 'sufficient', got {mode!r}") from exc
     if "sweep" in overrides:
-        sweep = overrides.pop("sweep")
-        ctx.sweep = None if sweep is None else tuple(sweep)
+        ctx.sweep = overrides.pop("sweep")
     if overrides:
         raise ValueError(f"unknown overrides: {sorted(overrides)}")
     return ctx
@@ -621,7 +627,7 @@ def load_config(path) -> ScenarioConfig:
     """Load and validate a single-scenario JSON configuration.
 
     Unknown keys are rejected; defaults are alpha 0.05 two-sided, no
-    adjustment, 50,000 replications, sufficient-statistic mode.
+    adjustment, and the engine's default replications, seed and mode.
     """
     with open(path, "r", encoding="utf-8") as fh:
         try:
@@ -643,13 +649,7 @@ def load_config(path) -> ScenarioConfig:
 
     def int_field(key, default=None, required=False, minimum=None):
         value = field(key, default, required)
-        if value is None:
-            return None
-        if not isinstance(value, int) or isinstance(value, bool):
-            raise ValueError(f"config field '{key}' must be an integer")
-        if minimum is not None and value < minimum:
-            raise ValueError(f"config field '{key}' must be at least {minimum}")
-        return value
+        return None if value is None else _checked_int(f"config field '{key}'", value, minimum)
 
     m = int_field("m", required=True, minimum=1)
     n = int_field("n", required=True, minimum=1)
@@ -696,7 +696,7 @@ def load_config(path) -> ScenarioConfig:
         raise ValueError(msg) from exc
     reps = int_field("reps", DEFAULT_REPS, minimum=1)
     seed = int_field("seed", DEFAULT_SEED, minimum=0)
-    mode = field("mode", "sufficient")
+    mode = field("mode", DEFAULT_MODE.value)
     try:
         mode = SimulationMode(mode)
     except ValueError as exc:

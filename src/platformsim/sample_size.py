@@ -15,7 +15,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .adjust import AdjustmentMethod, AdjustmentPolicy, closed_form_threshold, critical_values
-from .designs import ControlMode, PlatformDesign, build_fixed_design, build_staggered_design
+from .designs import ControlMode, PlatformDesign
 from .distributions import Sidedness, normal_cdf, normal_quantile
 
 
@@ -74,28 +74,6 @@ def comparison_mean_shifts(design: PlatformDesign, effects) -> np.ndarray:
     return out
 
 
-def fixed_template(num_arms: int, control_mode: ControlMode) -> Callable[[int], PlatformDesign]:
-    """Design family n -> fixed design with n patients in every arm."""
-
-    def build(n: int) -> PlatformDesign:
-        return build_fixed_design(num_arms, n, control_mode)
-
-    return build
-
-
-def staggered_template(shift: int) -> Callable[[int], PlatformDesign]:
-    """Design family n -> three-arm staggered design with a fixed entry shift.
-
-    Candidates smaller than the shift are infeasible (the late arm cannot
-    join after the early arms have closed), so the search floor is the shift.
-    """
-
-    def build(n: int) -> PlatformDesign:
-        return build_staggered_design(n, shift)
-
-    return build
-
-
 def _per_side_n(threshold: float, target: PowerTarget) -> int:
     """Closed-form two-arm size: delta sqrt(n / 2) reaches threshold + z_target."""
     z_target = normal_quantile(target.target)
@@ -116,11 +94,13 @@ def required_per_arm_n(
     1, 2, 4, ... until the answer is bracketed, then bisects the bracket on
     the monotone analytic power curve. When the guess is exact, as for fixed
     designs whose threshold does not depend on n, that costs three threshold
-    evaluations. ``template`` maps a candidate n to the design it induces;
-    candidates it rejects with a ``ValueError`` count as infeasible. Errors
-    from the threshold itself propagate. Raises if no n up to ``MAX_N``
-    reaches the target. The test level and sidedness are the policy's.
-    This is ``required_per_arm_ns`` for one search.
+    evaluations. ``template`` is any callable from a candidate n to the
+    design it induces, such as ``functools.partial(build_fixed_design, 3,
+    control_mode=ControlMode.COMMON)``; candidates it rejects with a
+    ``ValueError`` count as infeasible. Errors from the threshold itself
+    propagate. Raises if no n up to ``MAX_N`` reaches the target. The test
+    level and sidedness are the policy's. This is ``required_per_arm_ns``
+    for one search.
     """
     return required_per_arm_ns([(target, policy, template, arm)])[0]
 

@@ -7,6 +7,7 @@ from platformsim.adjust import AdjustmentMethod, AdjustmentPolicy, critical_valu
 from platformsim.correlation import CorrelationMatrix, analytic_correlation
 from platformsim.distributions import Sidedness, normal_quantile
 from platformsim.engine import _rejected
+from oracles import equicorrelated_matrix
 from strategies import single_period_common_designs
 
 UNADJ = AdjustmentPolicy(AdjustmentMethod.UNADJUSTED)
@@ -49,13 +50,13 @@ class TestDecisions:
         assert c_u < c_d < c_b
 
     def test_exact_tie_is_not_rejected(self):
-        threshold = critical_value(UNADJ, CorrelationMatrix.identity(2))
+        threshold = critical_value(UNADJ, equicorrelated_matrix(2, 0.0))
         z = np.array([threshold, -threshold])
         assert _rejected(z, threshold, Sidedness.TWO_SIDED).tolist() == [False, False]
 
     def test_one_sided_uses_signed_statistic(self):
         policy = AdjustmentPolicy(AdjustmentMethod.UNADJUSTED, 0.05, Sidedness.ONE_SIDED)
-        threshold = critical_value(policy, CorrelationMatrix.identity(1))
+        threshold = critical_value(policy, equicorrelated_matrix(1, 0.0))
         assert _rejected(np.array([1.7]), threshold, Sidedness.ONE_SIDED).tolist() == [True]
         assert _rejected(np.array([-3.0]), threshold, Sidedness.ONE_SIDED).tolist() == [False]
 
@@ -82,7 +83,7 @@ class TestNesting:
         assert np.all(r_dunn <= r_unadj)
 
     def test_single_comparison_all_methods_agree(self):
-        corr = CorrelationMatrix.identity(1)
+        corr = equicorrelated_matrix(1, 0.0)
         c_u = critical_value(UNADJ, corr)
         assert critical_value(BONF, corr) == c_u
         assert critical_value(DUNN, corr) == pytest.approx(c_u, abs=1e-9)

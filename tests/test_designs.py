@@ -177,6 +177,26 @@ class TestCounts:
         design = build_fixed_design(3, 150, ControlMode.COMMON)
         with pytest.raises(IndexError):
             design.concurrent_control_count(3)
+        for mode in ControlMode:
+            design = build_fixed_design(3, 150, mode)
+            for arm in (-1, 3):
+                with pytest.raises(IndexError, match=f"arm index {arm} out of range for 3 arms"):
+                    design.arm_rows(arm)
+
+    @pytest.mark.parametrize(
+        "mode, rows",
+        [
+            (ControlMode.COMMON, [(1, 0), (2, 0), (3, 0)]),
+            (ControlMode.INDIVIDUAL, [(0, 1), (2, 3), (4, 5)]),
+        ],
+    )
+    def test_arm_rows_per_control_mode(self, mode, rows):
+        design = build_fixed_design(3, 150, mode)
+        assert [design.arm_rows(arm) for arm in range(3)] == rows
+        labels = design.arm_labels
+        for arm, (t_row, c_row) in enumerate(rows):
+            assert labels[t_row] == f"treatment_{arm + 1}"
+            assert labels[c_row] == ("control" if mode is ControlMode.COMMON else f"control_{arm + 1}")
 
     @given(staggered_params(max_n=200), st.integers(0, 2), st.integers(0, 2))
     @settings(max_examples=60)

@@ -182,7 +182,7 @@ class TestAgainstScipySpecial:
 
 class TestStructureDetection:
     def test_identity_is_equicorrelated_zero(self):
-        spec = MvnSpec.from_correlation(CorrelationMatrix.identity(4))
+        spec = MvnSpec.from_correlation(equicorrelated_matrix(4, 0.0))
         assert spec.factor_loadings == (0.0,) * 4
 
     def test_equicorrelated(self):
@@ -245,7 +245,7 @@ class TestMaxAbsMvnCdf:
     """P(max_j |Z_j| <= c), the band coverage the Dunnett threshold solves on."""
 
     def test_identity_dim3(self):
-        spec = MvnSpec.from_correlation(CorrelationMatrix.identity(3))
+        spec = MvnSpec.from_correlation(equicorrelated_matrix(3, 0.0))
         assert max_abs_mvn_cdf(Z_0975, spec) == pytest.approx(0.857375, abs=1e-9)
 
     def test_equicorrelated_half(self):
@@ -307,16 +307,16 @@ class TestMaxAbsMvnCdf:
 
 class TestDunnettCriticalValue:
     def test_dim1_reduces_to_normal_quantile(self):
-        spec = MvnSpec.from_correlation(CorrelationMatrix.identity(1))
+        spec = MvnSpec.from_correlation(equicorrelated_matrix(1, 0.0))
         assert dunnett_threshold(spec, 0.05) == pytest.approx(Z_0975, abs=1e-9)
 
     def test_dim1_one_sided(self):
-        spec = MvnSpec.from_correlation(CorrelationMatrix.identity(1))
+        spec = MvnSpec.from_correlation(equicorrelated_matrix(1, 0.0))
         value = dunnett_threshold(spec, 0.05, Sidedness.ONE_SIDED)
         assert value == pytest.approx(quantile_by_bisection(0.95), abs=1e-9)
 
     def test_identity_matches_sidak_closed_form(self):
-        spec = MvnSpec.from_correlation(CorrelationMatrix.identity(3))
+        spec = MvnSpec.from_correlation(equicorrelated_matrix(3, 0.0))
         sidak = normal_quantile(0.5 * (1.0 + 0.95 ** (1.0 / 3.0)))
         assert dunnett_threshold(spec, 0.05) == pytest.approx(sidak, abs=1e-8)
 
@@ -341,7 +341,7 @@ class TestDunnettCriticalValue:
 
     def test_bracketed_by_unadjusted_and_bonferroni(self):
         for m in range(2, 11):
-            spec = MvnSpec.from_correlation(CorrelationMatrix.identity(m))
+            spec = MvnSpec.from_correlation(equicorrelated_matrix(m, 0.0))
             value = dunnett_threshold(spec, 0.05)
             assert normal_quantile(1 - 0.05 / 2) <= value
             assert value <= normal_quantile(1 - 0.05 / (2 * m))
@@ -583,7 +583,7 @@ class TestRejectionCounts:
         assert np.abs(total - pmf).max() <= 1e-13
 
     def test_independent_case_is_binomial(self):
-        spec = MvnSpec.from_correlation(CorrelationMatrix.identity(3))
+        spec = MvnSpec.from_correlation(equicorrelated_matrix(3, 0.0))
         pmf = rejection_count_pmf(spec, np.zeros(3), Z_0975)
         p = 0.05
         assert 1.0 - pmf[0] == pytest.approx(1 - (1 - p) ** 3, abs=1e-9)
@@ -606,7 +606,7 @@ class TestFactorRectangle:
         return rejection_law(spec, shifts, np.zeros(spec.dim, dtype=bool), c)[0, 0]
 
     def test_shifted_rectangle_matches_univariate_product_when_independent(self):
-        spec = MvnSpec.from_correlation(CorrelationMatrix.identity(2))
+        spec = MvnSpec.from_correlation(equicorrelated_matrix(2, 0.0))
         shifts = np.array([-0.5, -1.75])
         c = 1.5
         # bands [-c - mu_j, c - mu_j]: [-1, 2] and [0.25, 3.25]

@@ -299,6 +299,33 @@ class TestRunPreset:
             run_preset(name, overrides={"reps": 100, "sweep": sweep}, out_dir=tmp_path)
         assert not any(tmp_path.iterdir())
 
+    @pytest.mark.parametrize(
+        "name, sweep",
+        [
+            ("fig5_flex_fwer", []),
+            ("fig5_flex_fwer", [10.7]),
+            ("fig5_flex_fwer", [0, True]),
+            ("fig2_kfwer_sweep", "23"),
+            ("fig2_kfwer_sweep", 5),
+        ],
+    )
+    def test_malformed_sweep_rejected(self, tmp_path, name, sweep):
+        message = f"sweep must be a non-empty sequence of integers, got {sweep!r}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            run_preset(name, overrides={"reps": 100, "sweep": sweep}, out_dir=tmp_path)
+        assert not any(tmp_path.iterdir())
+
+    @pytest.mark.parametrize(
+        "field, value", [("reps", 2.7), ("seed", 1.9), ("workers", True), ("reps", "200")]
+    )
+    def test_non_integer_override_names_field(self, tmp_path, field, value):
+        message = f"^{field} must be an integer, got {re.escape(repr(value))}$"
+        config = write_config(tmp_path, MINIMAL)
+        for run, source in ((run_preset, "table3"), (run_config, config)):
+            with pytest.raises(ValueError, match=message):
+                run(source, overrides={"reps": 100, field: value}, out_dir=tmp_path / "o")
+        assert not (tmp_path / "o").exists()
+
     def test_budget_sweep_records_comparison_n(self, tmp_path):
         result = run_preset(
             "fig6_flex_n_and_power",

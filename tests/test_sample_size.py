@@ -1,4 +1,5 @@
 import math
+from functools import partial
 
 import hypothesis.strategies as st
 import numpy as np
@@ -7,19 +8,22 @@ from hypothesis import given, settings
 
 from platformsim.adjust import AdjustmentMethod, AdjustmentPolicy, critical_value
 from platformsim.correlation import analytic_correlation
-from platformsim.designs import ControlMode, PlatformDesign, build_fixed_design
+from platformsim.designs import (
+    ControlMode,
+    PlatformDesign,
+    build_fixed_design,
+    build_staggered_design,
+)
 from platformsim.distributions import Sidedness, normal_cdf, normal_quantile
 from platformsim.engine import ScenarioConfig, run_scenario
 from platformsim import sample_size
 from platformsim.sample_size import (
     PowerTarget,
     comparison_mean_shifts,
-    fixed_template,
     marginal_power,
     required_per_arm_n,
     required_per_arm_ns,
     split_fixed_total,
-    staggered_template,
 )
 
 UNADJ = AdjustmentPolicy(AdjustmentMethod.UNADJUSTED)
@@ -27,6 +31,16 @@ BONF = AdjustmentPolicy(AdjustmentMethod.BONFERRONI)
 DUNN = AdjustmentPolicy(AdjustmentMethod.DUNNETT)
 TARGET = PowerTarget(0.9, 0.38)
 ONE_SIDED = Sidedness.ONE_SIDED
+
+
+def _fixed(num_arms, control_mode):
+    """Design family n -> fixed design with n patients in every arm."""
+    return partial(build_fixed_design, num_arms, control_mode=control_mode)
+
+
+def _staggered(shift):
+    """Design family n -> three-arm staggered design; sizes below ``shift`` are infeasible."""
+    return partial(build_staggered_design, shift=shift)
 
 
 def _comparison_power(n, target, policy, template, arm):
@@ -81,10 +95,10 @@ def _recording(template):
 
 
 SEARCH_CASES = (
-    [(f"common-m{m}", fixed_template(m, ControlMode.COMMON), 0) for m in range(1, 11)]
-    + [(f"individual-m{m}", fixed_template(m, ControlMode.INDIVIDUAL), 0) for m in (1, 3, 10)]
+    [(f"common-m{m}", _fixed(m, ControlMode.COMMON), 0) for m in range(1, 11)]
+    + [(f"individual-m{m}", _fixed(m, ControlMode.INDIVIDUAL), 0) for m in (1, 3, 10)]
     + [
-        (f"staggered-shift{shift}", staggered_template(shift), 2)
+        (f"staggered-shift{shift}", _staggered(shift), 2)
         for shift in (0, 1, 37, 75, 149, 150, 151, 200)
     ]
 )
@@ -127,15 +141,15 @@ class TestRequiredPerArmN:
     def test_unadjusted_two_arm(self):
         # closed form 2 (z_{0.975} + z_{0.9})^2 / delta^2 = 145.5, next integer
         # with power(146) >= 0.9 is 146
-        assert required_per_arm_n(TARGET, UNADJ, fixed_template(1, ControlMode.COMMON)) == 146
+        assert required_per_arm_n(TARGET, UNADJ, _fixed(1, ControlMode.COMMON)) == 146
 
     def test_bonferroni_three_arms(self):
         # local level alpha/3: closed form 187.1; smallest integer with
         # analytic power >= 0.9 is 188
-        assert required_per_arm_n(TARGET, BONF, fixed_template(3, ControlMode.COMMON)) == 188
+        assert required_per_arm_n(TARGET, BONF, _fixed(3, ControlMode.COMMON)) == 188
 
     def test_dunnett_between_unadjusted_and_bonferroni(self):
-        n_d = required_per_arm_n(TARGET, DUNN, fixed_template(3, ControlMode.COMMON))
+        n_d = required_per_arm_n(TARGET, DUNN, _fixed(3, ControlMode.COMMON))
         assert 146 <= n_d <= 188
         assert n_d == 183
 
@@ -143,11 +157,11 @@ class TestRequiredPerArmN:
         # smallest n with Phi(3 sqrt(n/2) - 1.96) >= 0.5: already true at n=1
         goal = PowerTarget(0.5, 3.0)
         assert marginal_power(1, 1, 3.0, normal_quantile(0.975)) >= 0.5
-        assert required_per_arm_n(goal, UNADJ, fixed_template(1, ControlMode.COMMON)) == 1
+        assert required_per_arm_n(goal, UNADJ, _fixed(1, ControlMode.COMMON)) == 1
 
     def test_returned_n_is_minimal(self):
         for policy in (UNADJ, BONF, DUNN):
-            template = fixed_template(3, ControlMode.COMMON)
+            template = _fixed(3, ControlMode.COMMON)
             n = required_per_arm_n(TARGET, policy, template)
             design = template(n)
             corr = analytic_correlation(design)
@@ -160,26 +174,26 @@ class TestRequiredPerArmN:
     def test_monotone_in_arm_count(self):
         for policy in (BONF, DUNN):
             sizes = [
-                required_per_arm_n(TARGET, policy, fixed_template(m, ControlMode.COMMON))
+                required_per_arm_n(TARGET, policy, _fixed(m, ControlMode.COMMON))
                 for m in range(2, 7)
             ]
             assert all(a <= b for a, b in zip(sizes, sizes[1:]))
 
     def test_dunnett_never_needs_more_than_bonferroni(self):
         for m in range(2, 7):
-            n_d = required_per_arm_n(TARGET, DUNN, fixed_template(m, ControlMode.COMMON))
-            n_b = required_per_arm_n(TARGET, BONF, fixed_template(m, ControlMode.COMMON))
+            n_d = required_per_arm_n(TARGET, DUNN, _fixed(m, ControlMode.COMMON))
+            n_b = required_per_arm_n(TARGET, BONF, _fixed(m, ControlMode.COMMON))
             assert n_d <= n_b
 
     def test_staggered_template_respects_feasibility_floor(self):
-        n = required_per_arm_n(TARGET, UNADJ, staggered_template(150), arm=2)
+        n = required_per_arm_n(TARGET, UNADJ, _staggered(150), arm=2)
         assert n == 150  # unconstrained answer 146 is below the entry shift
 
     @pytest.mark.parametrize("method", list(AdjustmentMethod))
     def test_one_sided_search_is_minimal_for_the_upper_tail(self, method):
         # oracle: one-sided power Phi(mu - c), written out without marginal_power
         policy = AdjustmentPolicy(method, sidedness=ONE_SIDED)
-        cases = ((fixed_template(3, ControlMode.COMMON), 0), (staggered_template(75), 2))
+        cases = ((_fixed(3, ControlMode.COMMON), 0), (_staggered(75), 2))
         for template, arm in cases:
             for goal in (0.12, 0.5, 0.9):
                 for delta in (0.1, 0.38):
@@ -204,7 +218,7 @@ class TestRequiredPerArmN:
         # the lower tail as well would stop near n = 24
         policy = AdjustmentPolicy(AdjustmentMethod.UNADJUSTED, sidedness=ONE_SIDED)
         target = PowerTarget(0.12, 0.1)
-        assert required_per_arm_n(target, policy, fixed_template(1, ControlMode.COMMON)) == 45
+        assert required_per_arm_n(target, policy, _fixed(1, ControlMode.COMMON)) == 45
 
     def test_mc_verification_of_boundary(self):
         # simulated power brackets the target at the returned n (guard band
@@ -246,7 +260,7 @@ class TestGallopingSearch:
 
     def test_exact_guess_costs_three_evaluations(self):
         # probe threshold, the guess and the size below it
-        template, asked = _recording(fixed_template(3, ControlMode.COMMON))
+        template, asked = _recording(_fixed(3, ControlMode.COMMON))
         assert required_per_arm_n(TARGET, DUNN, template) == 183
         assert len(asked) == 3
 
@@ -264,13 +278,13 @@ class TestGallopingSearch:
     def test_gallop_up_through_infeasible_sizes(self):
         # shift 200 rejects every guess below 200, so the search climbs
         # through infeasible sizes until it brackets the answer
-        template, asked = _recording(staggered_template(200))
+        template, asked = _recording(_staggered(200))
         assert required_per_arm_n(TARGET, UNADJ, template, arm=2) == 200
         assert min(asked) < 200 < max(asked)
-        assert _bisection_required_n(TARGET, UNADJ, staggered_template(200), arm=2) == 200
+        assert _bisection_required_n(TARGET, UNADJ, _staggered(200), arm=2) == 200
 
     def test_search_cap(self, monkeypatch):
-        template = fixed_template(1, ControlMode.COMMON)
+        template = _fixed(1, ControlMode.COMMON)
         monkeypatch.setattr(sample_size, "MAX_N", 146)
         assert required_per_arm_n(TARGET, UNADJ, template) == 146
         monkeypatch.setattr(sample_size, "MAX_N", 145)
@@ -278,7 +292,7 @@ class TestGallopingSearch:
             required_per_arm_n(TARGET, UNADJ, template)
         monkeypatch.setattr(sample_size, "MAX_N", 250)
         with pytest.raises(ValueError, match="search cap"):
-            required_per_arm_n(TARGET, UNADJ, staggered_template(300), arm=2)
+            required_per_arm_n(TARGET, UNADJ, _staggered(300), arm=2)
 
     def test_threshold_errors_are_not_infeasibility(self):
         # a chain of three arms: arms 1 and 3 share no control, arm 2 overlaps
@@ -315,8 +329,8 @@ def _search_cases():
 
 def _make_template(kind, parameter):
     if kind == "staggered":
-        return staggered_template(parameter), 2
-    return fixed_template(parameter, ControlMode(kind)), 0
+        return _staggered(parameter), 2
+    return _fixed(parameter, ControlMode(kind)), 0
 
 
 class TestLockstepSearch:
