@@ -14,12 +14,13 @@ from .designs import (
     PlatformDesign,
     build_budget_design,
     build_fixed_design,
+    build_fixed_total_design,
     build_staggered_design,
 )
 from .distributions import Sidedness
 from .engine import ScenarioConfig, SimulationMode, run_scenario, run_scenarios
 from .presets import available_presets, load_config, run_config, run_preset
-from .sample_size import PowerTarget, required_per_arm_n, split_fixed_total
+from .sample_size import PowerTarget, required_per_arm_n
 
 __all__ = [
     "AdjustmentMethod",
@@ -34,6 +35,7 @@ __all__ = [
     "available_presets",
     "build_budget_design",
     "build_fixed_design",
+    "build_fixed_total_design",
     "build_staggered_design",
     "critical_value",
     "load_config",
@@ -42,7 +44,6 @@ __all__ = [
     "run_preset",
     "run_scenario",
     "run_scenarios",
-    "split_fixed_total",
 ]
 
 __version__ = "0.1.0"

@@ -3,7 +3,9 @@
 A design is a matrix of patient counts with one row per arm and one column
 per recruitment period. Every sample-size quantity used downstream
 (per-comparison sizes, concurrent control counts, control overlap between
-two comparisons) is derived from this matrix.
+two comparisons) is derived from this matrix. Every design the package
+runs is built here: with equal arms, from a fixed total, with a late arm,
+or from a joining sponsor's budget.
 """
 
 from __future__ import annotations
@@ -150,7 +152,7 @@ class PlatformDesign:
     def from_dict(cls, payload: dict) -> "PlatformDesign":
         try:
             mode = ControlMode(payload["control_mode"])
-            matrix = tuple(tuple(int(x) for x in row) for row in payload["matrix"])
+            matrix = tuple(tuple(row) for row in payload["matrix"])
         except (KeyError, TypeError, ValueError) as exc:
             raise ValueError(f"malformed design payload: {exc}") from exc
         design = cls(mode, matrix)
@@ -158,20 +160,6 @@ class PlatformDesign:
         if arms is not None and tuple(arms) != design.arm_labels:
             raise ValueError("arm labels do not match the design layout")
         return design
-
-
-@dataclass(frozen=True)
-class BudgetAllocation:
-    """A late-joining arm's allocation under a fixed sponsor budget.
-
-    ``comparison_n`` is the per-side sample size of the late arm's
-    treatment-control comparison; ``sponsor_period2_controls`` is the share
-    of period-2 control recruitment the joining sponsor pays for.
-    """
-
-    design: PlatformDesign
-    comparison_n: int
-    sponsor_period2_controls: int
 
 
 def _late_entry_design(early: int, joint: int, late: int) -> PlatformDesign:
@@ -195,11 +183,35 @@ def build_fixed_design(num_arms: int, n_per_arm: int, control_mode: ControlMode)
         raise ValueError("need at least one treatment arm")
     if n_per_arm < 1:
         raise ValueError("need at least one patient per arm")
-    if control_mode is ControlMode.COMMON:
-        num_rows = num_arms + 1
-    else:
-        num_rows = 2 * num_arms
+    num_rows = num_arms + 1 if control_mode is ControlMode.COMMON else 2 * num_arms
     return PlatformDesign(control_mode, tuple((n_per_arm,) for _ in range(num_rows)))
+
+
+def build_fixed_total_design(
+    total: int, num_arms: int, control_mode: ControlMode, control_ratio: float = 1.0
+) -> PlatformDesign:
+    """Single-period design that splits a fixed total over the arms.
+
+    Common control: each treatment arm gets floor(total / (m + ratio)). At
+    ratio 1 the control arm gets the same (equal allocation, up to m
+    patients left unallocated); for larger ratios the control arm absorbs
+    the ratio-weighted share plus the rounding remainder. Individual
+    controls: floor(total / 2m) per arm, leaving up to 2m - 1 patients
+    unallocated.
+    """
+    if num_arms < 1:
+        raise ValueError("need at least one treatment arm")
+    if control_ratio < 1.0:
+        raise ValueError("control ratio must be at least 1")
+    if control_mode is ControlMode.INDIVIDUAL:
+        rows = ((total // (2 * num_arms),),) * (2 * num_arms)
+    else:
+        per_treatment = int(total / (num_arms + control_ratio))
+        control = per_treatment if control_ratio == 1.0 else total - num_arms * per_treatment
+        rows = ((control,),) + ((per_treatment,),) * num_arms
+    if min(row[0] for row in rows) < 1:
+        raise ValueError("total too small to give every arm a patient")
+    return PlatformDesign(control_mode, rows)
 
 
 def build_staggered_design(n_per_arm: int, shift: int) -> PlatformDesign:
@@ -218,8 +230,8 @@ def build_staggered_design(n_per_arm: int, shift: int) -> PlatformDesign:
     return _late_entry_design(shift, n_per_arm - shift, shift)
 
 
-def build_budget_design(shift: int, budget: int) -> BudgetAllocation:
-    """Allocate a joining sponsor's budget in an ongoing three-arm platform.
+def build_budget_design(shift: int, budget: int) -> PlatformDesign:
+    """Design of an ongoing three-arm platform that a sponsor's budget joins.
 
     The two early arms have 150 patients per comparison and have already
     recruited ``shift`` patients per arm when the late arm joins. During the
@@ -229,7 +241,7 @@ def build_budget_design(shift: int, budget: int) -> BudgetAllocation:
     patients per side. Arithmetic is exact (rational) with a single half-up
     rounding of the per-side comparison size. The design is the late-entry
     design (shift, 150 - shift, tail), where the late arm's tail brings its
-    comparison to ``comparison_n`` patients per side.
+    comparison to that size per side: ``comparison_sizes(2)``.
     """
     if not 0 <= shift <= _BUDGET_EARLY_N:
         raise ValueError("shift must lie between 0 and the early arms' sample size")
@@ -242,11 +254,9 @@ def build_budget_design(shift: int, budget: int) -> BudgetAllocation:
         raise ValueError(
             "budget does not cover the joining arm's joint-period patients and control share"
         )
-    comparison_exact = joint + leftover / 2
-    comparison_n = math.floor(comparison_exact + Fraction(1, 2))
+    comparison_n = math.floor(joint + leftover / 2 + Fraction(1, 2))
     tail = comparison_n - joint
     period2_controls = budget - joint - 2 * tail
     if period2_controls < 0 or period2_controls > joint:
         raise ValueError("budget split infeasible after rounding")
-    design = _late_entry_design(shift, joint, tail)
-    return BudgetAllocation(design, comparison_n, period2_controls)
+    return _late_entry_design(shift, joint, tail)

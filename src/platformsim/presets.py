@@ -33,9 +33,9 @@ from .adjust import AdjustmentMethod, AdjustmentPolicy, critical_values
 from .correlation import analytic_correlation
 from .designs import (
     ControlMode,
-    PlatformDesign,
     build_budget_design,
     build_fixed_design,
+    build_fixed_total_design,
     build_staggered_design,
 )
 from .distributions import Sidedness
@@ -48,10 +48,11 @@ from .engine import (
     run_scenario,
     run_scenarios,
 )
-from .sample_size import PowerTarget, required_per_arm_ns, split_fixed_total
+from .sample_size import PowerTarget, required_per_arm_ns
 
 EFFECT_SIZE = 0.38
 POWER_GOAL = 0.9
+FIXED_TOTAL = 600
 SPONSOR_BUDGET = 300
 ARM_GRID = tuple(range(2, 11))
 SHIFT_GRID = tuple(range(0, 151, 10))
@@ -249,7 +250,7 @@ class _ComparisonN:
     reference = False  # not a field: the comparison size is read at each sweep value
 
     def steps(self, preset, spec, sweep, ctx):
-        n = build_budget_design(sweep, SPONSOR_BUDGET).comparison_n
+        n = build_budget_design(sweep, SPONSOR_BUDGET).comparison_sizes(2)[0]
         row = _Row(preset, sweep, "common", "", "comparison_n", n)
         return [(None, lambda _oc, rows, scenarios: rows.append(row))]
 
@@ -344,17 +345,6 @@ def _run_spec(preset, spec, ctx):
     return rows, scenarios, plotdata
 
 
-def _fixed_total_design(m: int, ratio: float):
-    split = split_fixed_total(600, m, ControlMode.COMMON, ratio)
-    recruitment = ((split.control,),) + ((split.per_treatment,),) * m
-    return PlatformDesign(ControlMode.COMMON, recruitment)
-
-
-def _individual_fixed_total(m: int):
-    split = split_fixed_total(600, m, ControlMode.INDIVIDUAL)
-    return build_fixed_design(m, split.per_treatment, ControlMode.INDIVIDUAL)
-
-
 def _individual_three_arm(_sweep):
     return build_fixed_design(3, 150, ControlMode.INDIVIDUAL)
 
@@ -409,11 +399,16 @@ _PRESETS = {
         effects="first",
         metrics=("marginal_power_1",),
         series=(
-            _Simulated("common", _ADJUSTMENTS, lambda m: _fixed_total_design(m, 1.0),
+            _Simulated("common", _ADJUSTMENTS,
+                       lambda m: build_fixed_total_design(FIXED_TOTAL, m, ControlMode.COMMON),
                        seed_by=("sweep",)),
             _Simulated("common_sqrt_m", ("dunnett",),
-                       lambda m: _fixed_total_design(m, math.sqrt(m)), seed_by=("sweep",)),
-            _Simulated("individual", _UNADJUSTED, _individual_fixed_total, seed_by=("sweep",)),
+                       lambda m: build_fixed_total_design(FIXED_TOTAL, m, ControlMode.COMMON,
+                                                          math.sqrt(m)),
+                       seed_by=("sweep",)),
+            _Simulated("individual", _UNADJUSTED,
+                       lambda m: build_fixed_total_design(FIXED_TOTAL, m, ControlMode.INDIVIDUAL),
+                       seed_by=("sweep",)),
         ),
         plots=(
             (
@@ -429,9 +424,12 @@ _PRESETS = {
         effects="all",
         metrics=_POWER_SUMMARIES,
         series=(
-            _Simulated("common", _UNADJUSTED, lambda m: _fixed_total_design(m, 1.0),
+            _Simulated("common", _UNADJUSTED,
+                       lambda m: build_fixed_total_design(FIXED_TOTAL, m, ControlMode.COMMON),
                        seed_by=("sweep",)),
-            _Simulated("individual", _UNADJUSTED, _individual_fixed_total, seed_by=("sweep",)),
+            _Simulated("individual", _UNADJUSTED,
+                       lambda m: build_fixed_total_design(FIXED_TOTAL, m, ControlMode.INDIVIDUAL),
+                       seed_by=("sweep",)),
         ),
         plots=(("fig4_disj_conj", "num_arms", _metric_columns(_BOTH, _POWER_SUMMARIES)),),
     ),
@@ -452,8 +450,7 @@ _PRESETS = {
         series=(
             _RequiredN("common", _ADJUSTMENTS, lambda s, n: build_staggered_design(n, s), arm=2),
             _ComparisonN(),
-            _Simulated("common", _ADJUSTMENTS,
-                       lambda s: build_budget_design(s, SPONSOR_BUDGET).design,
+            _Simulated("common", _ADJUSTMENTS, lambda s: build_budget_design(s, SPONSOR_BUDGET),
                        seed_by=("adjustment",)),
             _RequiredN("individual", _UNADJUSTED,
                        lambda _, n: build_fixed_design(3, n, ControlMode.INDIVIDUAL), arm=2,
@@ -473,8 +470,7 @@ _PRESETS = {
         effects="all",
         metrics=_POWER_SUMMARIES,
         series=(
-            _Simulated("common", _UNADJUSTED,
-                       lambda s: build_budget_design(s, SPONSOR_BUDGET).design),
+            _Simulated("common", _UNADJUSTED, lambda s: build_budget_design(s, SPONSOR_BUDGET)),
             _Simulated("individual", _UNADJUSTED, _individual_three_arm, reference=True),
         ),
         plots=(("fig7_flex_disj_conj", "shift", _metric_columns(_BOTH, _POWER_SUMMARIES)),),
@@ -681,7 +677,7 @@ def load_config(path) -> ScenarioConfig:
     if not isinstance(alpha, (int, float)) or isinstance(alpha, bool) or not 0 < alpha < 1:
         raise ValueError("config field 'alpha' must lie strictly between 0 and 1")
     adjustment = field("adjustment", "unadjusted")
-    if adjustment not in _POLICIES:
+    if not isinstance(adjustment, str) or adjustment not in _POLICIES:
         raise ValueError(f"config field 'adjustment' must be one of {sorted(_POLICIES)}")
     sidedness = field("sidedness", "two_sided")
     try:

@@ -2,20 +2,22 @@
 
 The z-statistics here are exactly normal with known variance, so marginal
 power is available in closed form for any single-step threshold. The
-integer sample-size search evaluates that closed form; simulation serves as
-an independent cross-check in the test suite.
+integer sample-size search evaluates that closed form on the designs a
+caller's template builds (``designs`` builds every design, fixed totals
+included); simulation serves as an independent cross-check in the test
+suite.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Callable, NamedTuple
+from typing import Callable
 
 import numpy as np
 
 from .adjust import AdjustmentMethod, AdjustmentPolicy, closed_form_threshold, critical_values
-from .designs import ControlMode, PlatformDesign
+from .designs import PlatformDesign
 from .distributions import Sidedness, normal_cdf, normal_quantile
 
 
@@ -182,44 +184,3 @@ def _search(target, policy, template, arm=0):
         else:
             lo = mid
     return hi
-
-
-class ArmSplit(NamedTuple):
-    """Per-arm sizes after splitting a fixed total."""
-
-    per_treatment: int
-    control: int
-
-
-def split_fixed_total(
-    total: int,
-    num_arms: int,
-    control_mode: ControlMode,
-    control_ratio: float = 1.0,
-) -> ArmSplit:
-    """Split a fixed total sample size over the arms of a platform trial.
-
-    Common control: each treatment arm gets floor(total / (m + ratio)). At
-    ratio 1 the control arm gets the same (equal allocation, up to m
-    patients left unallocated); for larger ratios the control arm absorbs
-    the ratio-weighted share plus the rounding remainder. Individual
-    controls: floor(total / 2m) per arm, leaving up to 2m - 1 patients
-    unallocated.
-    """
-    if num_arms < 1:
-        raise ValueError("need at least one treatment arm")
-    if control_ratio < 1.0:
-        raise ValueError("control ratio must be at least 1")
-    if control_mode is ControlMode.COMMON:
-        per_treatment = int(total / (num_arms + control_ratio))
-        if control_ratio == 1.0:
-            control = per_treatment
-        else:
-            control = total - num_arms * per_treatment
-        if per_treatment < 1 or control < 1:
-            raise ValueError("total too small to give every arm a patient")
-        return ArmSplit(per_treatment, control)
-    per_arm = total // (2 * num_arms)
-    if per_arm < 1:
-        raise ValueError("total too small to give every arm a patient")
-    return ArmSplit(per_arm, per_arm)

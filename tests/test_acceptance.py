@@ -18,15 +18,15 @@ from platformsim.adjust import AdjustmentMethod, AdjustmentPolicy, critical_valu
 from platformsim.correlation import analytic_correlation
 from platformsim.designs import (
     ControlMode,
-    PlatformDesign,
     build_budget_design,
     build_fixed_design,
+    build_fixed_total_design,
     build_staggered_design,
 )
 from platformsim.engine import ScenarioConfig, iter_zstat_blocks, run_scenario
 from platformsim.metrics import Estimate
 from platformsim.presets import run_preset
-from platformsim.sample_size import marginal_power, split_fixed_total
+from platformsim.sample_size import marginal_power
 
 REPS = 50_000
 ALPHA = 0.05
@@ -186,30 +186,20 @@ def test_criterion_05_dunnett_calibration():
     report(5, "Dunnett threshold calibration", failures)
 
 
-def _fixed_total_powers(m, ratio, policy):
-    split = split_fixed_total(600, m, ControlMode.COMMON, ratio)
-    rows = ((split.control,),) + ((split.per_treatment,),) * m
-    design = PlatformDesign(ControlMode.COMMON, rows)
+def _fixed_total_power(m, policy, mode=ControlMode.COMMON, ratio=1.0):
+    design = build_fixed_total_design(600, m, mode, ratio)
     threshold = critical_value(policy, analytic_correlation(design))
-    return marginal_power(split.per_treatment, split.control, 0.38, threshold)
-
-
-def _individual_power(m):
-    split = split_fixed_total(600, m, ControlMode.INDIVIDUAL)
-    threshold = critical_value(UNADJ, analytic_correlation(
-        build_fixed_design(m, split.per_treatment, ControlMode.INDIVIDUAL)
-    ))
-    return marginal_power(split.per_treatment, split.per_treatment, 0.38, threshold)
+    return marginal_power(*design.comparison_sizes(0), 0.38, threshold)
 
 
 def test_criterion_06_power_crossover():
     failures = []
     arm_grid = range(2, 11)
-    ic = {m: _individual_power(m) for m in arm_grid}
-    cc_unadj = {m: _fixed_total_powers(m, 1.0, UNADJ) for m in arm_grid}
-    cc_bonf = {m: _fixed_total_powers(m, 1.0, BONF) for m in arm_grid}
-    cc_dunn = {m: _fixed_total_powers(m, 1.0, DUNN) for m in arm_grid}
-    cc_dunn_sqrt = {m: _fixed_total_powers(m, math.sqrt(m), DUNN) for m in arm_grid}
+    ic = {m: _fixed_total_power(m, UNADJ, ControlMode.INDIVIDUAL) for m in arm_grid}
+    cc_unadj = {m: _fixed_total_power(m, UNADJ) for m in arm_grid}
+    cc_bonf = {m: _fixed_total_power(m, BONF) for m in arm_grid}
+    cc_dunn = {m: _fixed_total_power(m, DUNN) for m in arm_grid}
+    cc_dunn_sqrt = {m: _fixed_total_power(m, DUNN, ratio=math.sqrt(m)) for m in arm_grid}
     for m in arm_grid:
         if cc_unadj[m] <= ic[m]:
             failures.append(f"m={m}: unadjusted CC power {cc_unadj[m]:.4f} <= IC {ic[m]:.4f}")
@@ -226,9 +216,7 @@ def test_criterion_06_power_crossover():
         )
     # the engine agrees with the analytic curve at the crossover-critical m
     for m in (5, 6):
-        split = split_fixed_total(600, m, ControlMode.COMMON)
-        rows = ((split.control,),) + ((split.per_treatment,),) * m
-        design = PlatformDesign(ControlMode.COMMON, rows)
+        design = build_fixed_total_design(600, m, ControlMode.COMMON)
         effects = (0.38,) + (0.0,) * (m - 1)
         oc = run_scenario(
             ScenarioConfig(design, effects, DUNN, reps=REPS, seed=700 + m, kfwer_levels=(1,))
@@ -303,11 +291,8 @@ def test_criterion_07_disjunctive_conjunctive_ordering():
     failures = []
     for m in range(2, 11):
         effects = (0.38,) * m
-        split_cc = split_fixed_total(600, m, ControlMode.COMMON)
-        rows = ((split_cc.control,),) + ((split_cc.per_treatment,),) * m
-        design_cc = PlatformDesign(ControlMode.COMMON, rows)
-        split_ic = split_fixed_total(600, m, ControlMode.INDIVIDUAL)
-        design_ic = build_fixed_design(m, split_ic.per_treatment, ControlMode.INDIVIDUAL)
+        design_cc = build_fixed_total_design(600, m, ControlMode.COMMON)
+        design_ic = build_fixed_total_design(600, m, ControlMode.INDIVIDUAL)
         cc = run_scenario(
             ScenarioConfig(design_cc, effects, UNADJ, reps=REPS, seed=800 + m, kfwer_levels=(1,))
         )
@@ -315,10 +300,10 @@ def test_criterion_07_disjunctive_conjunctive_ordering():
             ScenarioConfig(design_ic, effects, UNADJ, reps=REPS, seed=900 + m, kfwer_levels=(1,))
         )
         cc_disj, cc_conj, ic_disj, ic_conj = _exact_all_effective_powers(
-            design_cc, m, split_ic.per_treatment
+            design_cc, m, design_ic.treatment_total(0)
         )
         if m == 2:
-            sp_disj, sp_conj = _scipy_two_arm_cc_powers(split_cc.per_treatment, split_cc.control)
+            sp_disj, sp_conj = _scipy_two_arm_cc_powers(*design_cc.comparison_sizes(0))
             for label, exact, oracle in (("disjunctive", cc_disj, sp_disj),
                                          ("conjunctive", cc_conj, sp_conj)):
                 if abs(exact - oracle) > 1e-6:
@@ -412,15 +397,15 @@ def test_criterion_08_flexible_convergence():
 
 def test_criterion_09_budget_design():
     failures = []
-    allocation = build_budget_design(90, 300)
+    recruitment = build_budget_design(90, 300).recruitment
     expected_matrix = ((90, 60, 110), (90, 60, 0), (90, 60, 0), (0, 60, 110))
-    if allocation.design.recruitment != expected_matrix:
-        failures.append(f"shift 90 matrix {allocation.design.recruitment} != {expected_matrix}")
-    if build_budget_design(40, 300).comparison_n != 187:
+    if recruitment != expected_matrix:
+        failures.append(f"shift 90 matrix {recruitment} != {expected_matrix}")
+    if build_budget_design(40, 300).comparison_sizes(2) != (187, 187):
         failures.append("comparison size at shift 40 is not 187")
-    if build_budget_design(150, 300).comparison_n != 150:
+    if build_budget_design(150, 300).comparison_sizes(2) != (150, 150):
         failures.append("comparison size at shift 150 is not 150")
-    design = build_budget_design(40, 300).design
+    design = build_budget_design(40, 300)
     oc = run_scenario(
         ScenarioConfig(design, (0.0, 0.0, 0.38), UNADJ, reps=REPS, seed=1100)
     )

@@ -165,7 +165,7 @@ class TestEmpiricalCorrelation:
         assert np.max(np.abs(estimate - np.eye(3))) <= 4 / math.sqrt(40_000)
 
     def test_budget_design_matches_analytic(self):
-        design = build_budget_design(90, 300).design
+        design = build_budget_design(90, 300)
         estimate = empirical_correlation(design, reps=40_000, seed=5)
         expected = analytic_correlation(design).as_array()
         assert np.max(np.abs(estimate - expected)) <= 4 / math.sqrt(40_000)

@@ -1,7 +1,11 @@
+import ast
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
+import platformsim
 from platformsim.designs import (
     ControlMode,
     PlatformDesign,
@@ -98,47 +102,42 @@ class TestBuildStaggeredDesign:
 
 class TestBuildBudgetDesign:
     def test_reference_allocation_shift_90(self):
-        allocation = build_budget_design(90, 300)
-        assert allocation.design.recruitment == (
+        design = build_budget_design(90, 300)
+        assert design.recruitment == (
             (90, 60, 110),
             (90, 60, 0),
             (90, 60, 0),
             (0, 60, 110),
         )
-        assert allocation.comparison_n == 170
-        assert tuple(map(sum, allocation.design.recruitment)) == (260, 150, 150, 170)
-        assert allocation.design.total_sample_size() == 730
-        assert allocation.sponsor_period2_controls == 20
+        assert design.comparison_sizes(2) == (170, 170)
+        assert tuple(map(sum, design.recruitment)) == (260, 150, 150, 170)
+        assert design.total_sample_size() == 730
+        # the sponsor's period-2 control share: budget - late total - last-period controls
+        assert 300 - design.treatment_total(2) - design.recruitment[0][-1] == 20
 
     @pytest.mark.parametrize(
         "shift,expected",
         [(90, 170), (40, 187), (150, 150), (0, 200)],
     )
     def test_comparison_n_matches_exhaustive_search(self, shift, expected):
-        assert build_budget_design(shift, 300).comparison_n == expected
+        assert build_budget_design(shift, 300).comparison_sizes(2) == (expected, expected)
         assert brute_force_budget_comparison_n(shift, 300) == expected
 
     def test_sponsor_budget_is_spent_exactly(self):
+        # the budget buys the late arm, the last period's controls and a share
+        # of period-2 controls that stays within one patient of a third
         for shift in range(0, 151):
-            allocation = build_budget_design(shift, 300)
-            design = allocation.design
-            # the late arm, its period-2 control share and the last period's controls
-            funded = (
-                design.treatment_total(2)
-                + allocation.sponsor_period2_controls
-                + design.recruitment[0][-1]
-            )
-            assert 299 <= funded <= 300
+            design = build_budget_design(shift, 300)
+            share = 300 - design.treatment_total(2) - design.recruitment[0][-1]
+            assert abs(share - (150 - shift) / 3) <= 1
 
     def test_late_comparison_is_balanced(self):
         for shift in (0, 17, 40, 90, 149, 150):
-            allocation = build_budget_design(shift, 300)
-            design = allocation.design
+            design = build_budget_design(shift, 300)
             assert design.treatment_total(2) == design.concurrent_control_count(2)
-            assert design.treatment_total(2) == allocation.comparison_n
 
     def test_comparison_n_non_increasing_in_shift(self):
-        sizes = [build_budget_design(s, 300).comparison_n for s in range(0, 151)]
+        sizes = [build_budget_design(s, 300).comparison_sizes(2)[0] for s in range(0, 151)]
         assert all(a >= b for a, b in zip(sizes, sizes[1:]))
 
     def test_rejects_budget_below_joint_obligation(self):
@@ -221,7 +220,7 @@ class TestTotals:
     def test_totals_examples(self):
         assert build_fixed_design(3, 150, ControlMode.COMMON).total_sample_size() == 600
         assert build_staggered_design(150, 80).total_sample_size() == 680
-        assert build_budget_design(90, 300).design.total_sample_size() == 730
+        assert build_budget_design(90, 300).total_sample_size() == 730
 
 
 class TestValidation:
@@ -278,3 +277,22 @@ class TestJsonRoundTrip:
     def test_rejects_malformed_payload(self):
         with pytest.raises(ValueError):
             PlatformDesign.from_dict({"control_mode": "common"})
+        # counts are taken as given, never coerced to an int
+        for count in (150.7, True, "150"):
+            payload = {"control_mode": "common", "matrix": [[150], [count]]}
+            with pytest.raises(ValueError, match=r"entry \(1, 0\) is not an integer count"):
+                PlatformDesign.from_dict(payload)
+
+
+def test_only_designs_builds_a_design():
+    # every recruitment matrix is laid out by a builder in designs.py
+    package = Path(platformsim.__file__).parent
+    callers = sorted(
+        f"{path.name}:{node.lineno}"
+        for path in package.glob("*.py")
+        if path.name != "designs.py"
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Call)
+        and getattr(node.func, "id", getattr(node.func, "attr", None)) == "PlatformDesign"
+    )
+    assert not callers

@@ -15,6 +15,7 @@ from platformsim.designs import (
     ControlMode,
     build_budget_design,
     build_fixed_design,
+    build_fixed_total_design,
     build_staggered_design,
 )
 from platformsim.distributions import (
@@ -25,7 +26,7 @@ from platformsim.distributions import (
     rejection_count_pmf,
     rejection_law,
 )
-from platformsim.presets import SPONSOR_BUDGET, _fixed_total_design
+from platformsim.presets import FIXED_TOTAL, SPONSOR_BUDGET
 from oracles import dunnett_threshold, equicorrelated_matrix, equicorrelated_spec
 from strategies import staggered_params
 
@@ -228,7 +229,8 @@ class TestBuiltDesignsAreOneFactor:
     @given(st.integers(min_value=1, max_value=10), st.sampled_from([1.0, "sqrt"]))
     @settings(max_examples=20, deadline=None)
     def test_fixed_total_control_ratios(self, m, ratio):
-        self.assert_one_factor(_fixed_total_design(m, math.sqrt(m) if ratio == "sqrt" else ratio))
+        ratio = math.sqrt(m) if ratio == "sqrt" else ratio
+        self.assert_one_factor(build_fixed_total_design(FIXED_TOTAL, m, ControlMode.COMMON, ratio))
 
     @given(staggered_params(max_n=1_000))
     @settings(max_examples=100, deadline=None)
@@ -238,7 +240,7 @@ class TestBuiltDesignsAreOneFactor:
     @given(st.integers(min_value=0, max_value=150))
     @settings(max_examples=40, deadline=None)
     def test_budget(self, shift):
-        self.assert_one_factor(build_budget_design(shift, SPONSOR_BUDGET).design)
+        self.assert_one_factor(build_budget_design(shift, SPONSOR_BUDGET))
 
 
 class TestMaxAbsMvnCdf:
@@ -506,7 +508,7 @@ class TestDunnettNewton:
         # the fig3 fixed-total designs and the staggered designs the
         # required-n search meets
         designs = [
-            _fixed_total_design(m, ratio)
+            build_fixed_total_design(FIXED_TOTAL, m, ControlMode.COMMON, ratio)
             for m in range(2, 11)
             for ratio in (1.0, math.sqrt(m))
         ] + [

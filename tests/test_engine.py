@@ -130,7 +130,7 @@ class TestRunScenario:
             build_fixed_design(3, 150, ControlMode.COMMON),
             build_fixed_design(3, 150, ControlMode.INDIVIDUAL),
             build_staggered_design(150, 80),
-            build_budget_design(90, 300).design,
+            build_budget_design(90, 300),
         ],
         ids=["fixed-cc", "fixed-ic", "staggered", "budget"],
     )

@@ -514,7 +514,13 @@ class TestCli:
 
     @pytest.mark.parametrize(
         "field, value",
-        [("kfwer_levels", [5]), ("effects", [float("nan"), 0, 0]), ("shift", 151)],
+        [
+            ("kfwer_levels", [5]),
+            ("effects", [float("nan"), 0, 0]),
+            ("shift", 151),
+            ("adjustment", ["dunnett"]),
+            ("adjustment", {"method": "dunnett"}),
+        ],
     )
     def test_out_of_range_field_names_field(self, tmp_path, capsys, field, value):
         path = write_config(tmp_path, dict(MINIMAL, reps=200, **{field: value}))

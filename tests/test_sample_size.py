@@ -12,6 +12,7 @@ from platformsim.designs import (
     ControlMode,
     PlatformDesign,
     build_fixed_design,
+    build_fixed_total_design,
     build_staggered_design,
 )
 from platformsim.distributions import Sidedness, normal_cdf, normal_quantile
@@ -23,7 +24,6 @@ from platformsim.sample_size import (
     marginal_power,
     required_per_arm_n,
     required_per_arm_ns,
-    split_fixed_total,
 )
 
 UNADJ = AdjustmentPolicy(AdjustmentMethod.UNADJUSTED)
@@ -364,50 +364,53 @@ class TestLockstepSearch:
 
 
 class TestSplitFixedTotal:
+    """How ``designs.build_fixed_total_design`` splits a fixed total over the arms."""
+
     def test_reference_splits(self):
-        assert split_fixed_total(600, 3, ControlMode.COMMON) == (150, 150)
-        assert split_fixed_total(600, 10, ControlMode.COMMON).per_treatment == 54
-        assert split_fixed_total(600, 10, ControlMode.INDIVIDUAL) == (30, 30)
-        assert split_fixed_total(600, 2, ControlMode.COMMON) == (200, 200)
+        def sizes(m, mode):
+            return build_fixed_total_design(600, m, mode).comparison_sizes(0)
+
+        assert sizes(3, ControlMode.COMMON) == (150, 150)
+        assert sizes(10, ControlMode.COMMON)[0] == 54
+        assert sizes(10, ControlMode.INDIVIDUAL) == (30, 30)
+        assert sizes(2, ControlMode.COMMON) == (200, 200)
 
     def test_common_split_conserves_patients(self):
         for m in range(1, 12):
-            split = split_fixed_total(600, m, ControlMode.COMMON)
-            allocated = m * split.per_treatment + split.control
+            allocated = build_fixed_total_design(600, m, ControlMode.COMMON).total_sample_size()
             assert allocated <= 600 < allocated + (m + 1)
 
     def test_ratio_weighted_control(self):
-        split = split_fixed_total(600, 3, ControlMode.COMMON, math.sqrt(3))
-        assert split.per_treatment == 126
-        assert split.control == 600 - 3 * 126
+        design = build_fixed_total_design(600, 3, ControlMode.COMMON, math.sqrt(3))
+        assert design.comparison_sizes(0) == (126, 600 - 3 * 126)
+        assert design.total_sample_size() == 600
 
     def test_individual_split_leftover_bounded(self):
         for m in range(1, 12):
-            split = split_fixed_total(600, m, ControlMode.INDIVIDUAL)
-            allocated = 2 * m * split.per_treatment
+            allocated = build_fixed_total_design(600, m, ControlMode.INDIVIDUAL).total_sample_size()
             assert allocated <= 600 < allocated + 2 * m
 
     def test_sqrt_ratio_lowers_correlation(self):
         # more control patients per comparison weaken the shared-control link
         for m in (3, 5, 8):
-            equal = split_fixed_total(600, m, ControlMode.COMMON, 1.0)
-            wide = split_fixed_total(600, m, ControlMode.COMMON, math.sqrt(m))
-            def corr_for(split):
-                rows = ((split.control,),) + ((split.per_treatment,),) * m
-                return analytic_correlation(
-                    PlatformDesign(ControlMode.COMMON, rows)
-                ).entries[0][1]
-            assert corr_for(wide) < corr_for(equal)
+            equal, wide = (
+                analytic_correlation(build_fixed_total_design(600, m, ControlMode.COMMON, ratio))
+                .entries[0][1]
+                for ratio in (1.0, math.sqrt(m))
+            )
+            assert wide < equal
 
     def test_infeasible_totals_rejected(self):
-        with pytest.raises(ValueError):
-            split_fixed_total(3, 3, ControlMode.COMMON)
-        with pytest.raises(ValueError):
-            split_fixed_total(5, 3, ControlMode.INDIVIDUAL)
+        with pytest.raises(ValueError, match="total too small"):
+            build_fixed_total_design(3, 3, ControlMode.COMMON)
+        with pytest.raises(ValueError, match="total too small"):
+            build_fixed_total_design(5, 3, ControlMode.INDIVIDUAL)
+        with pytest.raises(ValueError, match="at least one treatment arm"):
+            build_fixed_total_design(600, 0, ControlMode.COMMON)
 
     def test_ratio_below_one_rejected(self):
-        with pytest.raises(ValueError):
-            split_fixed_total(600, 3, ControlMode.COMMON, 0.5)
+        with pytest.raises(ValueError, match="control ratio must be at least 1"):
+            build_fixed_total_design(600, 3, ControlMode.COMMON, 0.5)
 
 
 class TestPowerTargetValidation:
