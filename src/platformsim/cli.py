@@ -51,8 +51,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    preset = args.preset if args.preset is not None else _env("PRESET")
-    config = args.config if args.config is not None else _env("CONFIG")
+    preset, config = args.preset, args.config
+    if preset is None and config is None:  # a source flag hides both source variables
+        preset, config = _env("PRESET"), _env("CONFIG")
     if bool(preset) == bool(config):
         print("error: exactly one of --preset or --config is required", file=sys.stderr)
         return 2

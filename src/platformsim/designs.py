@@ -27,13 +27,13 @@ class ControlMode(Enum):
     INDIVIDUAL = "individual"
 
 
-def _is_contiguous(row):
-    active = [t for t, count in enumerate(row) if count > 0]
-    return not active or active[-1] - active[0] + 1 == len(active)
-
-
 def _support(row):
     return tuple(t for t, count in enumerate(row) if count > 0)
+
+
+def _is_contiguous(row):
+    active = _support(row)
+    return not active or active[-1] - active[0] + 1 == len(active)
 
 
 @dataclass(frozen=True)
@@ -153,11 +153,12 @@ class PlatformDesign:
         try:
             mode = ControlMode(payload["control_mode"])
             matrix = tuple(tuple(row) for row in payload["matrix"])
+            arms = payload.get("arms")
+            arms = None if arms is None else tuple(arms)
         except (KeyError, TypeError, ValueError) as exc:
             raise ValueError(f"malformed design payload: {exc}") from exc
         design = cls(mode, matrix)
-        arms = payload.get("arms")
-        if arms is not None and tuple(arms) != design.arm_labels:
+        if arms is not None and arms != design.arm_labels:
             raise ValueError("arm labels do not match the design layout")
         return design
 

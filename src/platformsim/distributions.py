@@ -26,8 +26,8 @@ A matrix without one-factor structure is rejected with an error.
 Only numpy and the standard library are needed: Phi is math.erfc, its
 inverse statistics.NormalDist.inv_cdf (Wichura's AS241), and the nodes come
 from Newton's method on the Hermite recurrence. Each quadrature pass
-evaluates one rule, and with bounds +-c the lower bound's terms are the
-upper bound's at the mirrored node.
+evaluates one rule at one threshold c per problem and one side; two-sided
+without a mean shift, the terms of -c are those of c at the mirrored node.
 """
 
 from __future__ import annotations
@@ -186,31 +186,30 @@ def _cdf_pair(h):
     return np.where(positive, 1.0 - tail, tail), np.where(positive, tail, 1.0 - tail)
 
 
-def _conditional(x, lam, scale, mu, lower, upper):
-    """Per problem (row), node and comparison: P_j = P(lower <= Z_j <= upper | factor) and dP_j/dt.
+def _conditional(x, lam, scale, mu, c, two_sided):
+    """Per problem (row), node and comparison: P_j = P(Z_j is not rejected | factor) and dP_j/dc.
 
     Z_j = mu_j + lam_j x + scale_j e_j with e_j independent standard normals,
-    so lower <= Z_j <= upper exactly when lo_j <= e_j <= hi_j. The growth
-    dP_j/dt of bounds widened to (lower - t, upper + t) is
-    (phi(hi_j) + phi(lo_j)) / scale_j. ``lam``, ``scale`` and ``mu`` hold one
-    row per problem and the bounds one row of 1 or m entries; ``mu`` None
-    means no mean shift and ``lower`` None an open lower end. For bounds +-c
-    without a shift, lo_j at node x is -hi_j at node -x: the nodes of hi
-    reversed.
+    and it is not rejected when Z_j <= c, or -c <= Z_j <= c two-sided: when
+    e_j <= hi_j, or lo_j <= e_j <= hi_j. The growth dP_j/dc is
+    (phi(hi_j) + phi(lo_j)) / scale_j, without the phi(lo_j) one-sided.
+    ``lam``, ``scale`` and ``mu`` hold one row per problem and ``c`` one
+    threshold per problem; ``mu`` None means no mean shift. Two-sided without
+    a shift, lo_j at node x is -hi_j at node -x: the nodes of hi reversed.
     """
     shifted = x[:, None] * lam[:, None, :]
     if mu is not None:
         shifted = mu[:, None, :] + shifted
-    hi = (upper[:, None, :] - shifted) / scale[:, None, :]
+    hi = (c[:, None, None] - shifted) / scale[:, None, :]
     below_hi, above_hi = _cdf_pair(hi)
     density = np.exp(-0.5 * hi * hi)
-    if lower is None:
+    if not two_sided:
         inside = below_hi
-    elif mu is None and np.array_equal(lower, np.negative(upper)):
+    elif mu is None:
         inside = below_hi - above_hi[:, ::-1]
         density = density + density[:, ::-1]
     else:
-        lo = (lower[:, None, :] - shifted) / scale[:, None, :]
+        lo = (-c[:, None, None] - shifted) / scale[:, None, :]
         inside = below_hi - _cdf_pair(lo)[0]
         density = density + np.exp(-0.5 * lo * lo)
     return np.clip(inside, 0.0, 1.0), density / (_SQRT_2PI * scale[:, None, :])
@@ -219,8 +218,8 @@ def _conditional(x, lam, scale, mu, lower, upper):
 def _coverage_and_slope(inside, growth):
     """Per node: coverage and its derivative in the threshold c.
 
-    The bounds are upper = c and lower = -c or open, so d P_j / dc is the
-    growth of P_j times the other comparisons' P_k.
+    P_j, the chance that comparison j is not rejected, grows with c at
+    ``growth``, so the slope sums d P_j / dc times the other comparisons' P_k.
     """
     ones = np.ones(inside.shape[:-1] + (1,))
     before = np.cumprod(np.concatenate([ones, inside[..., :-1]], axis=-1), axis=-1)
@@ -253,11 +252,11 @@ def _rejection_law(effective, inside, growth):
     return (joint.reshape(joint.shape[:-2] + (-1,)),)
 
 
-def _factor_integral(lam: np.ndarray, reduce, lower, upper, mu=None):
+def _factor_integral(lam: np.ndarray, reduce, c, two_sided: bool, mu=None):
     """Integrals over the shared factor of the per-node parts ``reduce(inside, growth)`` returns.
 
-    Each row of ``lam`` (and of ``mu`` and the bounds, see ``_conditional``)
-    is its own problem, and each part comes back with one row per problem.
+    Each row of ``lam`` (and of ``mu``, and each threshold of ``c``; see
+    ``_conditional``) is its own problem, all of one side, and each part comes back with one row per problem.
     Each pass evaluates one Gauss-Hermite rule, doubling the node count. A
     row leaves once its estimate of the first part agrees with the previous
     rule's to within 1e-9 in every entry, and keeps the parts of the rule it
@@ -273,7 +272,7 @@ def _factor_integral(lam: np.ndarray, reduce, lower, upper, mu=None):
         # one matrix product per row, never one across rows: a row gets the integral it gets alone
         parts = [
             (weights @ p.reshape(p.shape[:2] + (-1,))).reshape(p.shape[:1] + p.shape[2:])
-            for p in reduce(*_conditional(x, lam, scale, mu, lower, upper))
+            for p in reduce(*_conditional(x, lam, scale, mu, c, two_sided))
         ]
         if out is None:
             out = [np.empty_like(part) for part in parts]
@@ -283,8 +282,8 @@ def _factor_integral(lam: np.ndarray, reduce, lower, upper, mu=None):
         keep = ~(gap < _QUAD_STOP).all(axis=1)
         if not keep.any():
             break
-        index, previous, lam, scale = index[keep], parts[0][keep], lam[keep], scale[keep]
-        mu, lower, upper = (None if a is None else a[keep] for a in (mu, lower, upper))
+        index, previous, lam, scale, c = index[keep], parts[0][keep], lam[keep], scale[keep], c[keep]
+        mu = None if mu is None else mu[keep]
     return out
 
 
@@ -322,10 +321,7 @@ def dunnett_critical_values(loadings, alpha: float, sidedness: Sidedness = Sided
     solved = np.empty(k)
     index = np.arange(k)  # the matrix of each row still iterating
     for _ in range(100):
-        bound = c[:, None]
-        coverage, slope = _factor_integral(
-            lam, _coverage_and_slope, -bound if two_sided else None, bound
-        )
+        coverage, slope = _factor_integral(lam, _coverage_and_slope, c, two_sided)
         shortfall = coverage - (1.0 - alpha)
         short = shortfall < 0.0
         low = np.where(short, c, low)
@@ -369,10 +365,10 @@ def rejection_law(
         raise ValueError("mean shifts must match the spec dimension")
     if effective.shape != (spec.dim,):
         raise ValueError("the effective mask must match the spec dimension")
-    upper = np.array([[float(critical_value)]])
-    lower = -upper if sidedness is Sidedness.TWO_SIDED else None
+    c = np.array([float(critical_value)])
+    two_sided = sidedness is Sidedness.TWO_SIDED
     lam = np.asarray([spec.factor_loadings])
-    (law,) = _factor_integral(lam, partial(_rejection_law, effective), lower, upper, mu[None])
+    (law,) = _factor_integral(lam, partial(_rejection_law, effective), c, two_sided, mu[None])
     law = np.clip(law[0], 0.0, 1.0).reshape(spec.dim - int(effective.sum()) + 1, -1)
     return law / law.sum()
 

@@ -280,12 +280,8 @@ def _group_block(group: _DrawGroup, block_index: int, rows: int):
         z = _zstats(units, plan, group.mode, block_index)
         if i == len(members) - 1:
             del units  # lower peak memory: the draws are not held through the last tally
-        # |z| is taken once per member: the two-sided rule on z is the one-sided rule on |z|
-        scores = {Sidedness.ONE_SIDED: z}
         for index, threshold, sidedness in rules:
-            if sidedness not in scores:
-                scores[sidedness] = np.abs(z)
-            rejected = _rejected(scores[sidedness], threshold, Sidedness.ONE_SIDED).astype(float)
+            rejected = _rejected(z, threshold, sidedness).astype(float)
             joint = np.bincount((rejected @ tally_key).astype(np.intp), minlength=bins)
             tallies.append((index, joint, (ones @ rejected).astype(np.int64)))
     return tallies

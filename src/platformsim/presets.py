@@ -163,14 +163,14 @@ def _sweep_values(ctx, default):
 def _arm_grid(ctx):
     grid = _sweep_values(ctx, ARM_GRID)
     if any(m < 2 for m in grid):
-        raise ValueError("arm sweep values must be at least 2")
+        raise ValueError(f"arm sweep values must be at least 2, got {list(grid)}")
     return grid
 
 
 def _shift_grid(ctx):
     grid = _sweep_values(ctx, SHIFT_GRID)
     if any(not 0 <= s <= 150 for s in grid):
-        raise ValueError("shift sweep values must lie in 0..150")
+        raise ValueError(f"shift sweep values must lie in 0..150, got {list(grid)}")
     return grid
 
 
@@ -553,6 +553,16 @@ def _checked_int(name, value, minimum=None):
     return value
 
 
+def _choice(name, enum, value):
+    """The member of ``enum`` whose value is ``value``; else a ValueError that
+    starts with ``name`` and names the accepted values."""
+    try:
+        return enum(value)
+    except ValueError as exc:
+        accepted = " or ".join(repr(member.value) for member in enum)
+        raise ValueError(f"{name} must be {accepted}, got {value!r}") from exc
+
+
 def _context_from_overrides(overrides, ctx=None) -> _RunContext:
     """Apply run overrides to ``ctx`` (default: a fresh preset context)."""
     overrides = dict(overrides or {})
@@ -561,11 +571,7 @@ def _context_from_overrides(overrides, ctx=None) -> _RunContext:
         if key in overrides:
             setattr(ctx, key, _checked_int(key, overrides.pop(key), minimum))
     if "mode" in overrides:
-        mode = overrides.pop("mode")
-        try:
-            ctx.mode = SimulationMode(mode)
-        except ValueError as exc:
-            raise ValueError(f"mode must be 'patient' or 'sufficient', got {mode!r}") from exc
+        ctx.mode = _choice("mode", SimulationMode, overrides.pop("mode"))
     if "sweep" in overrides:
         ctx.sweep = overrides.pop("sweep")
     if overrides:
@@ -651,9 +657,7 @@ def load_config(path) -> ScenarioConfig:
     n = int_field("n", required=True, minimum=1)
     if n > _MAX_N:
         raise ValueError(f"config field 'n' must be at most {_MAX_N}, got {n}")
-    control = field("control", required=True)
-    if control not in ("common", "individual"):
-        raise ValueError("config field 'control' must be 'common' or 'individual'")
+    control = _choice("config field 'control'", ControlMode, field("control", required=True))
     effects = field("effects", required=True)
     if not isinstance(effects, list) or not all(isinstance(e, (int, float)) and not isinstance(e, bool) for e in effects):
         raise ValueError("config field 'effects' must be a list of numbers")
@@ -666,25 +670,19 @@ def load_config(path) -> ScenarioConfig:
         )
     shift = int_field("shift", minimum=0)
     if shift is not None:
-        if control != "common" or m != 3:
+        if control is not ControlMode.COMMON or m != 3:
             raise ValueError("config field 'shift' needs control='common' and m=3")
         if shift > n:
             raise ValueError(f"config field 'shift' must be at most n={n}, got {shift}")
         design = build_staggered_design(n, shift)
     else:
-        design = build_fixed_design(m, n, ControlMode(control))
+        design = build_fixed_design(m, n, control)
     alpha = field("alpha", 0.05)
     if not isinstance(alpha, (int, float)) or isinstance(alpha, bool) or not 0 < alpha < 1:
         raise ValueError("config field 'alpha' must lie strictly between 0 and 1")
-    adjustment = field("adjustment", "unadjusted")
-    if not isinstance(adjustment, str) or adjustment not in _POLICIES:
-        raise ValueError(f"config field 'adjustment' must be one of {sorted(_POLICIES)}")
-    sidedness = field("sidedness", "two_sided")
-    try:
-        sidedness = Sidedness(sidedness)
-    except ValueError as exc:
-        raise ValueError("config field 'sidedness' must be 'one_sided' or 'two_sided'") from exc
-    policy = AdjustmentPolicy(AdjustmentMethod(adjustment), float(alpha), sidedness)
+    adjustment = _choice("config field 'adjustment'", AdjustmentMethod, field("adjustment", "unadjusted"))
+    sidedness = _choice("config field 'sidedness'", Sidedness, field("sidedness", "two_sided"))
+    policy = AdjustmentPolicy(adjustment, float(alpha), sidedness)
     try:
         critical_values([(policy, design)])  # cached for the run
     except ValueError as exc:
@@ -692,11 +690,7 @@ def load_config(path) -> ScenarioConfig:
         raise ValueError(msg) from exc
     reps = int_field("reps", DEFAULT_REPS, minimum=1)
     seed = int_field("seed", DEFAULT_SEED, minimum=0)
-    mode = field("mode", DEFAULT_MODE.value)
-    try:
-        mode = SimulationMode(mode)
-    except ValueError as exc:
-        raise ValueError("config field 'mode' must be 'patient' or 'sufficient'") from exc
+    mode = _choice("config field 'mode'", SimulationMode, field("mode", DEFAULT_MODE.value))
     levels = field("kfwer_levels")  # absent: the engine's default levels
     if "kfwer_levels" in data:
         if not isinstance(levels, list) or not all(isinstance(k, int) and not isinstance(k, bool) for k in levels):

@@ -277,6 +277,8 @@ class TestJsonRoundTrip:
     def test_rejects_malformed_payload(self):
         with pytest.raises(ValueError):
             PlatformDesign.from_dict({"control_mode": "common"})
+        with pytest.raises(ValueError, match="malformed design payload"):
+            PlatformDesign.from_dict({"control_mode": "common", "matrix": [[1], [1]], "arms": 5})
         # counts are taken as given, never coerced to an int
         for count in (150.7, True, "150"):
             payload = {"control_mode": "common", "matrix": [[150], [count]]}

@@ -260,14 +260,14 @@ class TestMaxAbsMvnCdf:
 
     @pytest.mark.parametrize("c", [0.5, 1.96, 3.5])
     def test_mirrored_lower_bound_matches_direct_evaluation(self, c):
-        # bounds +-c without a shift take lo from hi at the mirrored node; a
+        # two-sided without a shift takes lo from hi at the mirrored node; a
         # zero mean shift forces the direct evaluation of lo
         lam = np.array([[0.9, 0.6, 0.3, 0.05]])  # one problem: one row
-        bound = np.array([[c]])
+        bound = np.array([c])
         integrate = distributions._factor_integral
-        mirrored = integrate(lam, distributions._coverage_and_slope, -bound, bound)
-        direct = integrate(lam, distributions._coverage_and_slope, -bound, bound, np.zeros((1, 4)))
-        assert np.allclose(mirrored, direct, rtol=0.0, atol=1e-15)
+        mirrored = integrate(lam, distributions._coverage_and_slope, bound, True)
+        direct = integrate(lam, distributions._coverage_and_slope, bound, True, np.zeros((1, 4)))
+        assert np.array_equal(mirrored, direct)
 
     def test_zero_width_band(self):
         spec = equicorrelated_spec(3, 0.5)
@@ -481,11 +481,11 @@ class TestDunnettNewton:
         rng = np.random.default_rng(1)
         lam = rng.uniform(0.0, 0.99, size=(12, 3))
         lam[0] = 0.999
-        c = rng.uniform(1.0, 3.0, size=(12, 1))
+        c = rng.uniform(1.0, 3.0, size=12)
         kernel, reduce = distributions._factor_integral, distributions._coverage_and_slope
-        together = kernel(lam, reduce, -c, c)
+        together = kernel(lam, reduce, c, True)
         for i in range(len(lam)):
-            alone = kernel(lam[i : i + 1], reduce, -c[i : i + 1], c[i : i + 1])
+            alone = kernel(lam[i : i + 1], reduce, c[i : i + 1], True)
             for batch_part, single_part in zip(together, alone):
                 assert batch_part[i].hex() == single_part[0].hex()
         # each row returns the one-rule integral at the first node count whose
@@ -494,7 +494,7 @@ class TestDunnettNewton:
         rules = []
         for n in distributions._QUAD_NODE_COUNTS:
             x, w = distributions._hermite_nodes(n)
-            parts = reduce(*distributions._conditional(x, lam, scale, None, -c, c))
+            parts = reduce(*distributions._conditional(x, lam, scale, None, c, True))
             rules.append([(w @ part[:, :, None])[:, 0] for part in parts])
         for i in range(len(lam)):
             coverage = [rule[0][i] for rule in rules]

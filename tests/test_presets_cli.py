@@ -95,6 +95,20 @@ class TestLoadConfig:
             load_config(write_config(tmp_path, payload))
 
     @pytest.mark.parametrize(
+        "field, value, accepted",
+        [
+            ("control", "shared", "'common' or 'individual'"),
+            ("adjustment", ["dunnett"], "'unadjusted' or 'bonferroni' or 'dunnett'"),
+            ("sidedness", None, "'one_sided' or 'two_sided'"),
+            ("mode", "Patient", "'patient' or 'sufficient'"),
+        ],
+    )
+    def test_bad_choice_names_accepted_values(self, tmp_path, field, value, accepted):
+        message = f"config field '{field}' must be {accepted}, got {value!r}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            load_config(write_config(tmp_path, dict(MINIMAL, **{field: value})))
+
+    @pytest.mark.parametrize(
         "alpha, adjustment",
         [(0, "unadjusted"), (1, "unadjusted"), (1e-20, "unadjusted"), (1e-300, "dunnett"),
          (2e-16, "bonferroni")],
@@ -300,6 +314,20 @@ class TestRunPreset:
         assert not any(tmp_path.iterdir())
 
     @pytest.mark.parametrize(
+        "name, sweep, message",
+        [
+            ("fig2_kfwer_sweep", (1, 3), "arm sweep values must be at least 2, got [1, 3]"),
+            ("fig3_required_n", (1,), "arm sweep values must be at least 2, got [1]"),
+            ("fig5_flex_fwer", (0, 151), "shift sweep values must lie in 0..150, got [0, 151]"),
+            ("fig5_flex_fwer", (-10,), "shift sweep values must lie in 0..150, got [-10]"),
+        ],
+    )
+    def test_sweep_value_out_of_bounds_rejected(self, tmp_path, name, sweep, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            run_preset(name, overrides={"reps": 100, "sweep": sweep}, out_dir=tmp_path)
+        assert not any(tmp_path.iterdir())
+
+    @pytest.mark.parametrize(
         "name, sweep",
         [
             ("fig5_flex_fwer", []),
@@ -487,6 +515,22 @@ class TestCli:
         assert code == 0
         payload = json.loads((tmp_path / "results.json").read_text())
         assert payload["reps"] == 200
+
+    @pytest.mark.parametrize("flag, variable", [("--preset", "CONFIG"), ("--config", "PRESET")])
+    def test_source_flag_hides_both_source_variables(self, tmp_path, monkeypatch, capsys, flag, variable):
+        config = write_config(tmp_path, MINIMAL)
+        sources = {"--preset": "table3", "--config": str(config)}
+        monkeypatch.setenv(f"SIMULATE_{variable}", sources[f"--{variable.lower()}"])
+        code = main([flag, sources[flag], "--reps", "200", "--out", str(tmp_path / "o")])
+        assert code == 0
+        payload = json.loads((tmp_path / "o" / "results.json").read_text())
+        assert payload["preset"] == ("table3" if flag == "--preset" else "custom")
+        # with no flag, both variables set are two sources
+        monkeypatch.setenv("SIMULATE_PRESET", "table3")
+        monkeypatch.setenv("SIMULATE_CONFIG", str(config))
+        assert main(["--out", str(tmp_path / "both")]) == 2
+        assert "exactly one" in capsys.readouterr().err
+        assert not (tmp_path / "both").exists()
 
     @pytest.mark.parametrize("name", ["SIMULATE_SEED", "SIMULATE_REPS", "SIMULATE_WORKERS"])
     def test_non_integer_environment_value_fails_cleanly(self, tmp_path, monkeypatch, capsys, name):
