@@ -7,14 +7,14 @@ blocks are distributed over worker threads and replications never share
 state. Scenarios that use common random numbers (equal seed, replication
 count, mode and draw shape) form one draw group, and ``run_scenarios`` draws
 each block of a group once: every distinct design and effect vector in the
-group turns those draws into z-statistics once, and every policy and
-sidedness that shares them is tallied from them, with two matrix products
-of its 0/1 rejections. Blocks overlap on threads because the normal fill,
-the z product and the tallies' comparisons and products run with the GIL
-released; between those calls a block holds it only for numpy's per-call
-overhead. Code that runs on a worker thread calls only private
-helpers of this module: the benchmark's span tracer wraps the public
-functions and is not thread-safe.
+group maps those draws to z-statistics once, by its plan's affine map, and
+every policy and sidedness that shares them is tallied from them, with two
+matrix products of its 0/1 rejections. Blocks overlap on threads because
+the normal fill, the z product and the tallies' comparisons and products
+run with the GIL released; between those calls a block holds it only for
+numpy's per-call overhead. Code that runs on a worker thread calls only
+private helpers of this module: the benchmark's span tracer wraps the
+public functions and is not thread-safe.
 """
 
 from __future__ import annotations
@@ -29,6 +29,7 @@ from .adjust import AdjustmentPolicy, critical_values
 from .designs import PlatformDesign
 from .distributions import Sidedness
 from .metrics import OperatingCharacteristics, characteristics_from_counts
+from .sample_size import comparison_mean_shifts
 
 BLOCK_SIZE = 4096
 # Rows per z product. A product this small stays on the calling thread:
@@ -87,54 +88,43 @@ class ScenarioConfig:
 
 @dataclass(frozen=True)
 class _SimPlan:
-    """Precomputed cell layout turning arm-period means into z-statistics."""
+    """The affine map from a block's unit draws (see ``_draw_units``) to z: units @ weights.T + shifts."""
 
-    counts: tuple[int, ...]  # patients per cell, cells row-major over (row, period)
-    cell_means: np.ndarray  # expected mean outcome per cell
-    cell_scales: np.ndarray  # standard error of each cell mean
-    weights: np.ndarray  # (num_arms, num_cells), rows map cell means to z
+    shape: object  # what fixes the draws besides the stream: cell count, or patients per cell
+    weights: np.ndarray  # (num_arms, num_cells), rows map the units to z minus its mean
+    shifts: np.ndarray  # (num_arms,), each comparison's z mean
 
 
-def _build_plan(design: PlatformDesign, effects) -> _SimPlan:
-    effects = tuple(float(e) for e in effects)
-    m = design.num_arms
-    if len(effects) != m:
-        raise ValueError("effects vector must match the number of arms")
-    arm_rows = [design.arm_rows(arm) for arm in range(m)]
-    # map each matrix row to its expected outcome mean (controls stay at 0)
-    means_by_row = [0.0] * len(design.recruitment)
-    for (t_row, _), effect in zip(arm_rows, effects):
-        means_by_row[t_row] = effect
+def _build_plan(design: PlatformDesign, effects, mode: SimulationMode) -> _SimPlan:
+    """The plan of ``design`` and ``effects`` in ``mode``, cells row-major over (row, period).
+
+    A cell's centred mean is its patient-mode unit, or its sufficient-mode unit over sqrt(count).
+    """
+    shifts = comparison_mean_shifts(design, effects)
     cells = [
         (r, t) for r, row in enumerate(design.recruitment) for t, count in enumerate(row) if count > 0
     ]
     index = {cell: i for i, cell in enumerate(cells)}
     counts = tuple(design.recruitment[r][t] for r, t in cells)
-    cell_means = np.array([means_by_row[r] for r, _ in cells])
-    cell_scales = np.array([1.0 / np.sqrt(count) for count in counts])
-    weights = np.zeros((m, len(cells)))
-    for arm, (t_row, c_row) in enumerate(arm_rows):
+    weights = np.zeros((design.num_arms, len(cells)))
+    for arm in range(design.num_arms):
+        t_row, c_row = design.arm_rows(arm)
         n_treat, n_control = design.comparison_sizes(arm)
         se = np.sqrt(1.0 / n_treat + 1.0 / n_control)
         for t in design.active_periods(arm):
             weights[arm, index[(t_row, t)]] = design.recruitment[t_row][t] / n_treat / se
             weights[arm, index[(c_row, t)]] -= design.recruitment[c_row][t] / n_control / se
-    return _SimPlan(counts, cell_means, cell_scales, weights)
+    if mode is SimulationMode.SUFFICIENT_STATISTIC:
+        return _SimPlan(len(counts), weights / np.sqrt(counts), shifts)
+    return _SimPlan(counts, weights, shifts)
 
 
 def _block_rng(seed: int, block_index: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(np.random.SeedSequence((seed, block_index))))
 
 
-def _draw_shape(plan: _SimPlan, mode: SimulationMode):
-    """What fixes a block's draws besides its stream: the cell count, or each cell's patients."""
-    if mode is SimulationMode.SUFFICIENT_STATISTIC:
-        return len(plan.counts)
-    return plan.counts
-
-
 def _draw_units(seed: int, block_index: int, rows: int, shape, mode: SimulationMode) -> np.ndarray:
-    """One block's centred cell means: unit normals, or means of unit patient outcomes.
+    """One block's unit draws: a standard normal per cell, or each cell's mean of unit patient outcomes.
 
     A cell's patient outcomes are drawn in consecutive chunks of rows, at
     most ``_PATIENT_CHUNK`` normals each (one row if a row alone has more),
@@ -153,34 +143,19 @@ def _draw_units(seed: int, block_index: int, rows: int, shape, mode: SimulationM
     return units
 
 
-def _zstats(units: np.ndarray, plan: _SimPlan, mode: SimulationMode, block_index: int):
-    """z-statistics of one block, computed in row slices of ``_Z_SLICE_ROWS``.
+def _zstats(units: np.ndarray, plan: _SimPlan, block_index: int):
+    """z-statistics of one block, ``units @ plan.weights.T + plan.shifts``.
 
-    Each slice turns its units into cell means (``units * cell_scales +
-    cell_means``; patient means are already on their scale) and multiplies
-    them by ``weights.T``, so no block-sized array of cell means exists.
+    The product runs in row slices of ``_Z_SLICE_ROWS``; the shifts are
+    added once to the whole block, the same bits as adding them per row.
     """
     z = np.empty((len(units), len(plan.weights)))
-    slice_rows = min(len(units), _Z_SLICE_ROWS)
-    buffer = np.empty((slice_rows, units.shape[1]))
-    # Full (slice rows, cells) operands, built once per call: against a (cells,)
-    # vector broadcast over rows, numpy's inner loop runs over one row's few
-    # cells at a time. Elementwise results are the same bits in any loop order.
-    offsets = np.tile(plan.cell_means, (slice_rows, 1))
-    if mode is SimulationMode.SUFFICIENT_STATISTIC:
-        scales = np.tile(plan.cell_scales, (slice_rows, 1))
     for start in range(0, len(units), _Z_SLICE_ROWS):
         rows = slice(start, start + _Z_SLICE_ROWS)
-        n = len(z[rows])
-        means = buffer[:n]
-        if mode is SimulationMode.SUFFICIENT_STATISTIC:
-            np.multiply(units[rows], scales[:n], out=means)
-            means += offsets[:n]
-        else:
-            np.add(units[rows], offsets[:n], out=means)
         # weights.T must stay a transposed view: BLAS sums a C-contiguous copy
-        # in another order, which changes z in the last bit and so the reports.
-        np.matmul(means, plan.weights.T, out=z[rows])
+        # in another order, which changes the last bit of z for some designs.
+        np.matmul(units[rows], plan.weights.T, out=z[rows])
+    z += plan.shifts
     if not np.all(np.isfinite(z)):
         raise RuntimeError(f"non-finite z-statistics in block {block_index}")
     return z
@@ -202,10 +177,9 @@ def iter_zstat_blocks(
     mode: SimulationMode = DEFAULT_MODE,
 ):
     """Yield blocks of simulated z-statistic vectors, shape (block, num_arms)."""
-    plan = _build_plan(design, effects)
-    shape = _draw_shape(plan, mode)
+    plan = _build_plan(design, effects, mode)
     for block_index, rows in enumerate(_block_sizes(reps)):
-        yield _zstats(_draw_units(seed, block_index, rows, shape, mode), plan, mode, block_index)
+        yield _zstats(_draw_units(seed, block_index, rows, plan.shape, mode), plan, block_index)
 
 
 def _rejected(z: np.ndarray, threshold: float, sidedness: Sidedness) -> np.ndarray:
@@ -224,7 +198,7 @@ class _DrawGroup:
     seed: int
     reps: int
     mode: SimulationMode
-    shape: object  # see _draw_shape
+    shape: object  # see _SimPlan.shape
     # (design, effects) -> (plan, tally key, joint bins, [(scenario index, threshold, sidedness)])
     members: dict = field(default_factory=dict)
 
@@ -245,13 +219,14 @@ def _draw_groups(configs) -> list[_DrawGroup]:
     # one threshold call for the batch: its new Dunnett matrices are solved together
     thresholds = critical_values((config.policy, config.design) for config in configs)
     groups = {}
-    plans = {}  # (design, effects) -> plan, built once for every config that shares it
+    plans = {}  # (design, effects, mode) -> plan, built once and off the worker threads
     for index, (config, threshold) in enumerate(zip(configs, thresholds)):
+        plan_key = (config.design, config.effects, config.mode)
+        if plan_key not in plans:
+            plans[plan_key] = _build_plan(*plan_key)
+        plan = plans[plan_key]
+        group_key = (config.seed, config.reps, config.mode, plan.shape)
         member_key = (config.design, config.effects)
-        if member_key not in plans:
-            plans[member_key] = _build_plan(*member_key)
-        plan = plans[member_key]
-        group_key = (config.seed, config.reps, config.mode, _draw_shape(plan, config.mode))
         if group_key not in groups:
             groups[group_key] = _DrawGroup(*group_key)
         members = groups[group_key].members
@@ -277,7 +252,7 @@ def _group_block(group: _DrawGroup, block_index: int, rows: int):
     ones = np.ones(rows)
     tallies = []
     for i, (plan, tally_key, bins, rules) in enumerate(members):
-        z = _zstats(units, plan, group.mode, block_index)
+        z = _zstats(units, plan, block_index)
         if i == len(members) - 1:
             del units  # lower peak memory: the draws are not held through the last tally
         for index, threshold, sidedness in rules:

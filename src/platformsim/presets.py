@@ -29,6 +29,8 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Callable, NamedTuple
 
+import numpy as np
+
 from .adjust import AdjustmentMethod, AdjustmentPolicy, critical_values
 from .correlation import analytic_correlation
 from .designs import (
@@ -48,7 +50,7 @@ from .engine import (
     run_scenario,
     run_scenarios,
 )
-from .sample_size import PowerTarget, required_per_arm_ns
+from .sample_size import PowerTarget, comparison_mean_shifts, required_per_arm_ns
 
 EFFECT_SIZE = 0.38
 POWER_GOAL = 0.9
@@ -612,19 +614,6 @@ _CONFIG_KEYS = {
 }
 
 
-def _finite_z_mean(effect, n: int) -> bool:
-    """Whether ``effect`` is finite and so is the mean of its comparison's z-statistic.
-
-    Every design a config builds has ``n`` patients on each side of every
-    comparison, so that mean is effect * sqrt(n / 2).
-    """
-    try:
-        effect = float(effect)
-    except OverflowError:  # an integer beyond the float range
-        return False
-    return math.isfinite(effect * math.sqrt(n / 2))
-
-
 def load_config(path) -> ScenarioConfig:
     """Load and validate a single-scenario JSON configuration.
 
@@ -663,11 +652,6 @@ def load_config(path) -> ScenarioConfig:
         raise ValueError("config field 'effects' must be a list of numbers")
     if len(effects) != m:
         raise ValueError(f"config field 'effects' must have length m={m}, got {len(effects)}")
-    if not all(_finite_z_mean(e, n) for e in effects):
-        raise ValueError(
-            "config field 'effects' must be finite numbers whose z-statistic means "
-            f"effect * sqrt(n / 2) are finite, got {effects}"
-        )
     shift = int_field("shift", minimum=0)
     if shift is not None:
         if control is not ControlMode.COMMON or m != 3:
@@ -677,6 +661,16 @@ def load_config(path) -> ScenarioConfig:
         design = build_staggered_design(n, shift)
     else:
         design = build_fixed_design(m, n, control)
+    try:
+        with np.errstate(over="ignore"):  # an overflow is rejected below, not warned of
+            finite = np.isfinite(comparison_mean_shifts(design, effects)).all()
+    except OverflowError:  # an integer beyond the float range
+        finite = False
+    if not finite:
+        raise ValueError(
+            "config field 'effects' must be finite numbers whose z-statistic means are finite, "
+            f"got {effects}"
+        )
     alpha = field("alpha", 0.05)
     if not isinstance(alpha, (int, float)) or isinstance(alpha, bool) or not 0 < alpha < 1:
         raise ValueError("config field 'alpha' must lie strictly between 0 and 1")

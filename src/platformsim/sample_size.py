@@ -43,6 +43,11 @@ class PowerTarget:
             raise ValueError("effect size must be positive")
 
 
+def _z_mean(delta: float, n_treatment: int, n_control: int) -> float:
+    """Mean of a comparison's z-statistic: delta over its standard error sqrt(1/n_t + 1/n_c)."""
+    return delta / math.sqrt(1.0 / n_treatment + 1.0 / n_control)
+
+
 def marginal_power(
     n_treatment: int,
     n_control: int,
@@ -56,7 +61,7 @@ def marginal_power(
     delta / sqrt(1/n_t + 1/n_c). A two-sided test rejects in both tails, a
     one-sided test only when the statistic exceeds the threshold.
     """
-    mu = delta / math.sqrt(1.0 / n_treatment + 1.0 / n_control)
+    mu = _z_mean(delta, n_treatment, n_control)
     power = normal_cdf(mu - threshold)
     if sidedness is Sidedness.TWO_SIDED:
         power += normal_cdf(-mu - threshold)
@@ -69,11 +74,7 @@ def comparison_mean_shifts(design: PlatformDesign, effects) -> np.ndarray:
     m = design.num_arms
     if effects.shape != (m,):
         raise ValueError("effects vector must match the number of arms")
-    out = np.empty(m)
-    for arm in range(m):
-        n_treatment, n_control = design.comparison_sizes(arm)
-        out[arm] = effects[arm] / math.sqrt(1.0 / n_treatment + 1.0 / n_control)
-    return out
+    return np.array([_z_mean(effects[arm], *design.comparison_sizes(arm)) for arm in range(m)])
 
 
 def _per_side_n(threshold: float, target: PowerTarget) -> int:

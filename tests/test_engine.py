@@ -14,6 +14,7 @@ from platformsim.designs import (
     ControlMode,
     build_budget_design,
     build_fixed_design,
+    build_fixed_total_design,
     build_staggered_design,
 )
 from platformsim import engine
@@ -43,11 +44,24 @@ def collect_zstats(design, effects, reps, seed, mode=SimulationMode.SUFFICIENT_S
 
 
 class TestZStatistics:
-    def test_effective_arm_mean_shift(self):
-        # E[z_1] = delta * sqrt(n/2) = 0.38 * sqrt(75) = 3.291
-        design = build_fixed_design(3, 150, ControlMode.COMMON)
-        z = collect_zstats(design, (0.38, 0.0, 0.0), 50_000, seed=1)
-        assert z[:, 0].mean() == pytest.approx(0.38 * math.sqrt(75), abs=0.02)
+    @pytest.mark.parametrize(
+        "design, mode, expected",
+        [
+            # E[z_1] = delta / sqrt(1/n_t + 1/n_c): 0.38 * sqrt(150 / 2) = 3.291
+            pytest.param(build_fixed_design(3, 150, ControlMode.COMMON),
+                         SimulationMode.SUFFICIENT_STATISTIC, 0.38 * math.sqrt(75), id="cc-150"),
+            # 100 treatment against 200 control patients: 0.38 * sqrt(200 / 3) = 3.103
+            *(
+                pytest.param(build_fixed_total_design(600, 4, ControlMode.COMMON, 2.0), mode,
+                             0.38 * math.sqrt(200 / 3), id=f"cc-100-vs-200-{mode.value}")
+                for mode in SimulationMode
+            ),
+        ],
+    )
+    def test_effective_arm_mean_shift(self, design, mode, expected):
+        effects = (0.38,) + (0.0,) * (design.num_arms - 1)
+        z = collect_zstats(design, effects, 50_000, seed=1, mode=mode)
+        assert z[:, 0].mean() == pytest.approx(expected, abs=0.02)
 
     def test_null_margins_standard_normal(self):
         design = build_staggered_design(150, 80)
@@ -89,16 +103,12 @@ class TestZStatistics:
         ],
     )
     def test_sliced_product_equals_full_product(self, design, mode):
-        plan = _build_plan(design, (0.38,) + (0.0,) * (design.num_arms - 1))
+        plan = _build_plan(design, (0.38,) + (0.0,) * (design.num_arms - 1), mode)
         rng = np.random.default_rng(14)
         for rows in (4096, 848, 1):
-            units = rng.standard_normal((rows, len(plan.counts)))
-            sliced = _zstats(units, plan, mode, 0)
-            if mode is SimulationMode.SUFFICIENT_STATISTIC:
-                means = units * plan.cell_scales + plan.cell_means
-            else:
-                means = units + plan.cell_means
-            full = means @ plan.weights.T
+            units = rng.standard_normal((rows, plan.weights.shape[1]))
+            sliced = _zstats(units, plan, 0)
+            full = units @ plan.weights.T + plan.shifts
             assert sliced.tobytes() == full.tobytes()
 
 
@@ -314,14 +324,15 @@ class TestRunScenarios:
         built = []
         build_plan = engine._build_plan
 
-        def counting(design, effects):
-            built.append((design, effects))
-            return build_plan(design, effects)
+        def counting(design, effects, mode):
+            built.append((design, effects, mode))
+            return build_plan(design, effects, mode)
 
         monkeypatch.setattr(engine, "_build_plan", counting)
         batch = _mixed_batch()
         engine._draw_groups(batch)
-        assert sorted(built, key=repr) == sorted({(c.design, c.effects) for c in batch}, key=repr)
+        expected = {(c.design, c.effects, c.mode) for c in batch}
+        assert sorted(built, key=repr) == sorted(expected, key=repr)
 
     def test_batch_does_not_depend_on_worker_count(self):
         batch = _mixed_batch()

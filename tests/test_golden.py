@@ -17,15 +17,23 @@ every shift 0..150, fig2 over arms (2, 5), and table3 in patient mode with
 two workers and a negative seed. The digests were taken from the hand-written preset loops that
 preceded the preset table; only fig6's ``results.json`` digests were taken
 again, after its IC required-n record was added. Running this file as a
-script prints the digests of the current code.
+script prints the digests of the current code. The third test checks the
+digests again in a child process whose OpenBLAS runs its SandyBridge
+kernels, which sum some z products in another order than the kernels it
+picks on a newer CPU.
 """
 
 import csv
 import hashlib
 import json
+import os
+import subprocess
 import sys
 import tempfile
 from pathlib import Path
+
+import numpy as np
+import pytest
 
 from platformsim.presets import available_presets, run_preset
 
@@ -97,6 +105,30 @@ def test_preset_outputs_match_golden_digests(tmp_path):
     assert sorted(actual) == sorted(expected)
     for run_id, files in expected.items():
         assert actual[run_id] == files, run_id
+
+
+def _blas_name():
+    try:
+        return np.show_config(mode="dicts")["Build Dependencies"]["blas"]["name"]
+    except TypeError:  # numpy before 1.26 only prints its build config
+        return "unknown"
+
+
+def test_golden_digests_under_a_second_blas_kernel():
+    blas = _blas_name()
+    if "openblas" not in blas.lower():
+        pytest.skip(f"numpy's BLAS is {blas}, not OpenBLAS")
+    test = f"{Path(__file__).resolve()}::test_preset_outputs_match_golden_digests"
+    # -s: with capture on, pytest drops the "Core: ..." line OpenBLAS prints as numpy loads
+    proc = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-s", "-p", "no:cacheprovider", test],
+        capture_output=True,
+        text=True,
+        cwd=Path(__file__).resolve().parents[1],
+        env=dict(os.environ, OPENBLAS_CORETYPE="SandyBridge", OPENBLAS_VERBOSE="2"),
+    )
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert "Core: Sandybridge" in proc.stdout + proc.stderr  # OpenBLAS took the core it was given
 
 
 if __name__ == "__main__":

@@ -564,6 +564,8 @@ class TestCli:
             ("shift", 151),
             ("adjustment", ["dunnett"]),
             ("adjustment", {"method": "dunnett"}),
+            ("effects", [1e308, 0, 0]),
+            ("effects", [10**400, 0, 0]),
         ],
     )
     def test_out_of_range_field_names_field(self, tmp_path, capsys, field, value):
