@@ -240,7 +240,7 @@ def _poisson_binomial(outside):
 
 
 def _rejection_law(effective, inside, growth):
-    """Per node: joint law of (null, effective) comparisons outside, flattened row by row.
+    """Per node: joint law of how many null (rows) and effective (columns) comparisons are outside.
 
     Given the factor the comparisons are independent, so the joint law is the
     outer product of the Poisson-binomial laws of the two groups.
@@ -248,8 +248,7 @@ def _rejection_law(effective, inside, growth):
     outside = 1.0 - inside
     false = _poisson_binomial(outside[..., ~effective])
     true = _poisson_binomial(outside[..., effective])
-    joint = false[..., :, None] * true[..., None, :]
-    return (joint.reshape(joint.shape[:-2] + (-1,)),)
+    return (false[..., :, None] * true[..., None, :],)
 
 
 def _factor_integral(lam: np.ndarray, reduce, c, two_sided: bool, mu=None):
@@ -369,7 +368,7 @@ def rejection_law(
     two_sided = sidedness is Sidedness.TWO_SIDED
     lam = np.asarray([spec.factor_loadings])
     (law,) = _factor_integral(lam, partial(_rejection_law, effective), c, two_sided, mu[None])
-    law = np.clip(law[0], 0.0, 1.0).reshape(spec.dim - int(effective.sum()) + 1, -1)
+    law = np.clip(law[0], 0.0, 1.0)
     return law / law.sum()
 
 

@@ -9,18 +9,22 @@ count, mode and draw shape) form one draw group, and ``run_scenarios`` draws
 each block of a group once: every distinct design and effect vector in the
 group maps those draws to z-statistics once, by its plan's affine map, and
 every policy and sidedness that shares them is tallied from them, with two
-matrix products of its 0/1 rejections. Blocks overlap on threads because
-the normal fill, the z product and the tallies' comparisons and products
-run with the GIL released; between those calls a block holds it only for
-numpy's per-call overhead. Code that runs on a worker thread calls only
-private helpers of this module: the benchmark's span tracer wraps the
-public functions and is not thread-safe.
+matrix products of its 0/1 rejections. With n_true effective arms, a
+replication's rejections times a tally key that weighs an effective arm 1
+and a null arm n_true + 1 give its joint index f * (n_true + 1) + t, of f
+false and t true rejections; the bincount of these indices is the (false,
+true) table row by row. Blocks overlap on threads because the normal fill,
+the z product and the tallies' comparisons and products run with the GIL
+released; between those calls a block holds it only for numpy's per-call
+overhead. Code that runs on a worker thread calls only private helpers of
+this module: the benchmark's span tracer wraps the public functions and is
+not thread-safe.
 """
 
 from __future__ import annotations
 
 import concurrent.futures
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -191,31 +195,13 @@ def _rejected(z: np.ndarray, threshold: float, sidedness: Sidedness) -> np.ndarr
     return score > threshold
 
 
-@dataclass(frozen=True)
-class _DrawGroup:
-    """Scenarios that draw the same random numbers, by the plan that turns them into z."""
+def _draw_groups(configs) -> dict:
+    """Scenarios by what fixes their draws, then by the plan that maps the draws to z:
+    ``{(seed, reps, mode, draw shape): {(design, effects, mode): (plan, tally key, rules)}}``.
 
-    seed: int
-    reps: int
-    mode: SimulationMode
-    shape: object  # see _SimPlan.shape
-    # (design, effects) -> (plan, tally key, joint bins, [(scenario index, threshold, sidedness)])
-    members: dict = field(default_factory=dict)
-
-
-def _tally_key(effects):
-    """Weights that map a replication's 0/1 rejections to its joint (false, true) index.
-
-    The index is false * (n_true + 1) + true, so an effective arm weighs 1 and
-    a null arm n_true + 1; it takes (m - n_true + 1) * (n_true + 1) values.
+    The tally key maps 0/1 rejections to the joint index (see the module
+    docstring); rules lists each scenario's (config index, threshold, sidedness).
     """
-    effective = [e != 0.0 for e in effects]
-    n_true = sum(effective)
-    key = np.array([1.0 if e else n_true + 1.0 for e in effective])
-    return key, (len(effective) - n_true + 1) * (n_true + 1)
-
-
-def _draw_groups(configs) -> list[_DrawGroup]:
     # one threshold call for the batch: its new Dunnett matrices are solved together
     thresholds = critical_values((config.policy, config.design) for config in configs)
     groups = {}
@@ -225,39 +211,35 @@ def _draw_groups(configs) -> list[_DrawGroup]:
         if plan_key not in plans:
             plans[plan_key] = _build_plan(*plan_key)
         plan = plans[plan_key]
-        group_key = (config.seed, config.reps, config.mode, plan.shape)
-        member_key = (config.design, config.effects)
-        if group_key not in groups:
-            groups[group_key] = _DrawGroup(*group_key)
-        members = groups[group_key].members
-        if member_key not in members:
-            tally_key, bins = _tally_key(config.effects)
-            members[member_key] = (plan, tally_key, bins, [])
-        members[member_key][3].append((index, threshold, config.policy.sidedness))
-    return list(groups.values())
+        members = groups.setdefault((config.seed, config.reps, config.mode, plan.shape), {})
+        if plan_key not in members:
+            effective = np.array(config.effects) != 0.0
+            members[plan_key] = (plan, np.where(effective, 1.0, effective.sum() + 1.0), [])
+        members[plan_key][2].append((index, threshold, config.policy.sidedness))
+    return groups
 
 
-def _group_block(group: _DrawGroup, block_index: int, rows: int):
-    """(scenario index, joint histogram of (false, true) rejections, per-arm rejections)
-    of every scenario in ``group`` on one block.
+def _group_block(group, members: dict, block_index: int, rows: int):
+    """Each scenario's (config index, joint-index bincount, per-arm rejections) on one block.
 
     A rule's rejections are a 0/1 float block, so both tallies are matrix
     products: its rows times the tally key give each replication's joint
-    index, and a row of ones times it gives the per-arm counts. These are
-    sums of at most ``BLOCK_SIZE`` zeros and ones (times small integer keys),
-    exact in float64.
+    index, whose largest value is the key's sum, and a row of ones times it
+    gives the per-arm counts. These are sums of at most ``BLOCK_SIZE`` zeros
+    and ones (times small integer keys), exact in float64.
     """
-    units = _draw_units(group.seed, block_index, rows, group.shape, group.mode)
-    members = list(group.members.values())
+    seed, _, mode, shape = group
+    units = _draw_units(seed, block_index, rows, shape, mode)
+    members = list(members.values())
     ones = np.ones(rows)
     tallies = []
-    for i, (plan, tally_key, bins, rules) in enumerate(members):
+    for i, (plan, key, rules) in enumerate(members):
         z = _zstats(units, plan, block_index)
         if i == len(members) - 1:
             del units  # lower peak memory: the draws are not held through the last tally
         for index, threshold, sidedness in rules:
             rejected = _rejected(z, threshold, sidedness).astype(float)
-            joint = np.bincount((rejected @ tally_key).astype(np.intp), minlength=bins)
+            joint = np.bincount((rejected @ key).astype(np.intp), minlength=int(key.sum()) + 1)
             tallies.append((index, joint, (ones @ rejected).astype(np.int64)))
     return tallies
 
@@ -277,19 +259,16 @@ def run_scenarios(configs, workers: int = 1) -> list[OperatingCharacteristics]:
         raise ValueError(f"workers must be at least 1, got {workers}")
     configs = list(configs)
     tasks = [
-        (group, block_index, rows)
-        for group in _draw_groups(configs)
-        for block_index, rows in enumerate(_block_sizes(group.reps))
+        (group, members, block_index, rows)
+        for group, members in _draw_groups(configs).items()
+        for block_index, rows in enumerate(_block_sizes(group[1]))
     ]
-    totals = [None] * len(configs)  # running [joint, per-arm] counts of each scenario
+    totals = [[0, 0] for _ in configs]  # running [joint bincount, per-arm] counts of each scenario
 
     def add(tallies):
         for index, joint, per_arm in tallies:
-            if totals[index] is None:
-                totals[index] = [joint, per_arm]
-            else:
-                totals[index][0] += joint
-                totals[index][1] += per_arm
+            totals[index][0] += joint
+            totals[index][1] += per_arm
 
     if workers > 1 and len(tasks) > 1:
         with concurrent.futures.ThreadPoolExecutor(max_workers=min(workers, len(tasks))) as pool:
@@ -298,12 +277,12 @@ def run_scenarios(configs, workers: int = 1) -> list[OperatingCharacteristics]:
     else:
         for task in tasks:
             add(_group_block(*task))
-    return [
-        characteristics_from_counts(
-            c.reps, joint, per_arm, [e != 0.0 for e in c.effects], c.kfwer_levels
-        )
-        for c, (joint, per_arm) in zip(configs, totals)
-    ]
+    reports = []
+    for c, (joint, per_arm) in zip(configs, totals):
+        eff = [e != 0.0 for e in c.effects]
+        table = joint.reshape(-1, sum(eff) + 1)  # rows f = 0..nulls, columns t = 0..n_true
+        reports.append(characteristics_from_counts(c.reps, table, per_arm, eff, c.kfwer_levels))
+    return reports
 
 
 def run_scenario(config: ScenarioConfig, workers: int = 1) -> OperatingCharacteristics:

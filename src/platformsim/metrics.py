@@ -1,12 +1,12 @@
 """Operating characteristics read from one table of rejection counts.
 
 Each replication rejects f true nulls (false rejections) and t false ones
-(true rejections). The engine counts the replications of each (f, t) in a
-table with rows f = 0..nulls and columns t = 0..effectives, whose exact
-twin is ``distributions.rejection_law``. k-FWER and PFER are sums over its
-row totals, disjunctive and conjunctive power over its column totals;
-marginal power reads the per-arm rejection counts. Every estimate carries
-a Monte Carlo standard error.
+(true rejections). The engine counts the replications of each (f, t) in
+one (nulls + 1, effectives + 1) array, rows f and columns t, whose exact
+twin of the same shape is ``distributions.rejection_law``. k-FWER and PFER
+are sums over its row totals, disjunctive and conjunctive power over its
+column totals; marginal power reads the per-arm rejection counts. Every
+estimate carries a Monte Carlo standard error.
 """
 
 from __future__ import annotations
@@ -125,18 +125,16 @@ def characteristics_from_counts(
     """The report of ``reps`` replications from their table of (false, true) rejections.
 
     ``joint[f, t]`` counts the replications with f false and t true
-    rejections, shape (nulls + 1, effectives + 1); its rows joined into one
-    vector, as ``bincount`` of f * (effectives + 1) + t gives them, are
-    read the same way. ``per_arm_rejections[j]`` counts the replications
-    that rejected arm j, and ``effective[j]`` is True when arm j's null is
-    false. k-FWER is reported at ``sorted(kfwer_levels ∪ {1})``.
+    rejections, shape (nulls + 1, effectives + 1). ``per_arm_rejections[j]``
+    counts the replications that rejected arm j, and ``effective[j]`` is
+    True when arm j's null is false. k-FWER is reported at
+    ``sorted(kfwer_levels ∪ {1})``.
     """
     eff = np.asarray(effective, dtype=bool)
     n_true = int(eff.sum())
     joint = np.asarray(joint)
-    if joint.size != (eff.size - n_true + 1) * (n_true + 1):
-        raise ValueError("joint table must have (nulls + 1) x (effectives + 1) cells")
-    joint = joint.reshape(-1, n_true + 1)
+    if joint.shape != (eff.size - n_true + 1, n_true + 1):
+        raise ValueError("joint table must have shape (nulls + 1, effectives + 1)")
     arm_counts = np.asarray(per_arm_rejections)
     if arm_counts.shape != eff.shape:
         raise ValueError("per-arm rejection counts must match the comparison count")

@@ -397,10 +397,10 @@ class TestPatientDrawMemory:
             design, (0.0, 0.0), UNADJ, reps=engine.BLOCK_SIZE, seed=5,
             mode=SimulationMode.PATIENT_LEVEL, kfwer_levels=(1,),
         )
-        (group,) = engine._draw_groups([config])
+        ((group, members),) = engine._draw_groups([config]).items()
         tracemalloc.start()
         try:
-            engine._group_block(group, 0, engine.BLOCK_SIZE)
+            engine._group_block(group, members, 0, engine.BLOCK_SIZE)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -417,15 +417,17 @@ class TestSufficientBlockMemory:
             ScenarioConfig(design, effects, policy, reps=engine.BLOCK_SIZE, seed=5)
             for policy in POLICIES
         ]
-        (group,) = engine._draw_groups(configs)
+        ((group, members),) = engine._draw_groups(configs).items()
+        engine._block_rng(5, 0)  # numpy imports its random submodules (0.6 MiB) on first use
         tracemalloc.start()
         try:
-            tallies = engine._group_block(group, 0, engine.BLOCK_SIZE)
+            tallies = engine._group_block(group, members, 0, engine.BLOCK_SIZE)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert len(tallies) == 6
-        # about 1.3 MiB: the draws (640 KiB), z and |z|, one rule's rejections and
-        # the two (512, 20) affine tiles; tiles or rejections held for the whole
-        # block would each add about 0.6 MiB or more
+        # 1.03 MiB measured: the draws (640 KiB) and z (320 KiB) while z is formed,
+        # then z, |z| and one rule's rejections (0/1 floats, 320 KiB); draws kept
+        # through the tallies, or rejections kept for the whole block, would each
+        # add 0.6 MiB or more
         assert peak < 1.5 * 2**20

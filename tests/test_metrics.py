@@ -46,6 +46,13 @@ class TestTallyOutcomes:
         with pytest.raises(ValueError, match="per-arm"):
             characteristics_from_counts(**dict(counts, per_arm_rejections=[1, 0]))
 
+    def test_flattened_table_is_rejected(self):
+        # the (2, 3) table of one null and two effective arms, its rows joined into one vector
+        counts = rejection_counts([[True, False, True]], [False, True, True])
+        assert counts["joint"].shape == (2, 3)
+        with pytest.raises(ValueError, match="joint table must have"):
+            characteristics_from_counts(**dict(counts, joint=counts["joint"].ravel()))
+
     @given(
         st.lists(st.booleans(), min_size=1, max_size=8),
         st.data(),
