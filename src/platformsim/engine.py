@@ -1,10 +1,10 @@
 """Monte Carlo engine for platform-trial replications.
 
 Replications are generated in fixed-size blocks. Each block draws from its
-own counter-derived random stream keyed by (scenario seed, block index) and
-is tallied into integer counts, so results are bitwise independent of how
-blocks are distributed over worker threads and replications never share
-state. Scenarios that use common random numbers (equal seed, replication
+own SFC64 stream seeded by ``SeedSequence((seed, block))`` and is tallied
+into integer counts, so results are bitwise independent of how blocks are
+distributed over worker threads and replications never share state.
+Scenarios that use common random numbers (equal seed, replication
 count, mode and draw shape) form one draw group, and ``run_scenarios`` draws
 each block of a group once: every distinct design and effect vector in the
 group maps those draws to z-statistics once, by its plan's affine map, and
@@ -78,8 +78,13 @@ class ScenarioConfig:
             )
         if not all(np.isfinite(self.effects)):
             raise ValueError("effects must be finite")
+        if not isinstance(self.reps, int) or isinstance(self.reps, bool):
+            raise ValueError(f"reps must be an integer, got {self.reps!r}")
         if self.reps < 1:
             raise ValueError("need at least one replication")
+        # the seed keys a SeedSequence, which takes only non-negative ints
+        if not isinstance(self.seed, int) or isinstance(self.seed, bool) or self.seed < 0:
+            raise ValueError(f"seed must be at least 0, got {self.seed!r}")
         m = self.design.num_arms
         if self.kfwer_levels is None:
             levels = tuple(k for k in (1, 2, 3) if k <= m)
@@ -124,7 +129,7 @@ def _build_plan(design: PlatformDesign, effects, mode: SimulationMode) -> _SimPl
 
 
 def _block_rng(seed: int, block_index: int) -> np.random.Generator:
-    return np.random.Generator(np.random.Philox(np.random.SeedSequence((seed, block_index))))
+    return np.random.Generator(np.random.SFC64(np.random.SeedSequence((seed, block_index))))
 
 
 def _draw_units(seed: int, block_index: int, rows: int, shape, mode: SimulationMode) -> np.ndarray:

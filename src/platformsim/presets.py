@@ -710,8 +710,6 @@ def run_config(path, overrides=None, out_dir="results") -> PresetResult:
     ctx = _context_from_overrides(
         overrides, _RunContext(reps=config.reps, seed=config.seed, mode=config.mode)
     )
-    if ctx.seed < 0:
-        raise ValueError(f"seed must be at least 0 for a config run, got {ctx.seed}")
     config = replace(config, reps=ctx.reps, seed=ctx.seed, mode=ctx.mode)
     oc = run_scenario(config, workers=ctx.workers)
     label = config.design.control_mode.value

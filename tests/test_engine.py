@@ -216,6 +216,19 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match="replication"):
             ScenarioConfig(design, (0.0, 0.0), UNADJ, reps=0)
 
+    @pytest.mark.parametrize("reps", [True, 2.0, "200"])
+    def test_reps_must_be_an_int(self, reps):
+        design = build_fixed_design(2, 150, ControlMode.COMMON)
+        with pytest.raises(ValueError, match="reps must be an integer"):
+            ScenarioConfig(design, (0.0, 0.0), UNADJ, reps=reps)
+
+    @pytest.mark.parametrize("seed", [-1, True, 1.5])
+    def test_seed_must_be_a_non_negative_int(self, seed):
+        # a SeedSequence takes only non-negative ints: the config names the seed before numpy fails
+        design = build_fixed_design(2, 150, ControlMode.COMMON)
+        with pytest.raises(ValueError, match=f"seed must be at least 0, got {seed!r}"):
+            ScenarioConfig(design, (0.0, 0.0), UNADJ, reps=200, seed=seed)
+
     def test_kfwer_levels_bounded(self):
         design = build_fixed_design(2, 150, ControlMode.COMMON)
         with pytest.raises(ValueError, match="k-FWER"):
@@ -377,6 +390,14 @@ class TestCommonRandomNumbers:
         design = build_fixed_design(3, 150, ControlMode.COMMON)
         run_scenario(ScenarioConfig(design, (0.0,) * 3, UNADJ, reps=50_000, seed=25))
         assert sorted(opened) == [(25, block) for block in range(13)]
+
+
+class TestBlockStreams:
+    def test_streams_are_keyed_by_seed_and_block(self):
+        # (seed, block) is an ordered key: (0, 1) and (1, 0) open different streams
+        keys = [(seed, block) for seed in range(4) for block in range(4)]
+        first = {key: engine._block_rng(*key).standard_normal(4).tobytes() for key in keys}
+        assert len(set(first.values())) == len(keys)
 
 
 class TestPatientDrawMemory:

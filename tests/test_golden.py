@@ -14,10 +14,11 @@ small ``reps`` keeps the test fast without changing them.
 ``data/preset_digests.json`` holds the sha256 of every file written by the
 runs of ``_digest_runs``: all nine presets at seeds 7 and 7301, fig6 over
 every shift 0..150, fig2 over arms (2, 5), and table3 in patient mode with
-two workers and a negative seed. The digests were taken from the hand-written preset loops that
-preceded the preset table; only fig6's ``results.json`` digests were taken
-again, after its IC required-n record was added. Running this file as a
-script prints the digests of the current code. The third test checks the
+two workers and a negative seed. The digests were taken again when the
+engine's block streams moved from Philox to SFC64, which changed every
+simulated output; the files of ``fig3_required_n`` and fig6's required-n
+plot data hold no simulated value and kept their digests. Running this file
+as a script prints the digests of the current code. The third test checks the
 digests again in a child process whose OpenBLAS runs its SandyBridge
 kernels, which sum some z products in another order than the kernels it
 picks on a newer CPU.
