@@ -28,30 +28,25 @@ class AdjustmentPolicy:
             raise ValueError("alpha must lie strictly between 0 and 1")
 
 
-_DUNNETT_CACHE_SIZE = 4096
-# (correlation, alpha, sidedness) -> Dunnett threshold, oldest first
+# (correlation, alpha, sidedness) -> Dunnett threshold, kept for the process
+# as analytic_correlation's memo keeps its matrices
 _dunnett_cache: dict = {}
 
 
 def _dunnett_thresholds(correlations, alpha: float, sidedness: Sidedness) -> list[float]:
-    """Dunnett threshold of each matrix: cached ones are read, and the rest are
-    solved in one ``dunnett_critical_values`` batch per dimension."""
+    """Dunnett threshold of each matrix, read from the cache; matrices not in
+    it yet are solved first, in one ``dunnett_critical_values`` batch per
+    dimension."""
     misses = {}  # dimension -> matrices to solve, without repeats
     for correlation in correlations:
         if (correlation, alpha, sidedness) not in _dunnett_cache:
             misses.setdefault(correlation.dim, {})[correlation] = None
-    solved = {}
     for group in misses.values():
         loadings = [MvnSpec.from_correlation(c).factor_loadings for c in group]
-        solved.update(zip(group, dunnett_critical_values(loadings, alpha, sidedness).tolist()))
-    values = [
-        solved[c] if c in solved else _dunnett_cache[(c, alpha, sidedness)] for c in correlations
-    ]
-    for correlation, value in solved.items():
-        _dunnett_cache[(correlation, alpha, sidedness)] = value
-        if len(_dunnett_cache) > _DUNNETT_CACHE_SIZE:
-            del _dunnett_cache[next(iter(_dunnett_cache))]
-    return values
+        values = dunnett_critical_values(loadings, alpha, sidedness).tolist()
+        for correlation, value in zip(group, values):
+            _dunnett_cache[(correlation, alpha, sidedness)] = value
+    return [_dunnett_cache[(c, alpha, sidedness)] for c in correlations]
 
 
 def closed_form_threshold(policy: AdjustmentPolicy, m: int) -> float:

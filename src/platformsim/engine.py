@@ -44,6 +44,16 @@ _Z_SLICE_ROWS = 512
 _PATIENT_CHUNK = 2**20
 
 
+def _checked_int(name, value, minimum=None):
+    """``value`` if it is an int (not a bool) of at least ``minimum``; else a
+    ValueError that starts with ``name``."""
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if minimum is not None and value < minimum:
+        raise ValueError(f"{name} must be at least {minimum}, got {value}")
+    return value
+
+
 class SimulationMode(Enum):
     """Patient-level outcome draws versus direct draws of arm-period means."""
 
@@ -70,29 +80,18 @@ class ScenarioConfig:
     kfwer_levels: tuple[int, ...] | None = None  # None: (1, 2, 3) cut at m
 
     def __post_init__(self):
+        comparison_mean_shifts(self.design, self.effects)  # one effect per arm, finite z means
         object.__setattr__(self, "effects", tuple(float(e) for e in self.effects))
-        if len(self.effects) != self.design.num_arms:
-            raise ValueError(
-                f"effects vector has length {len(self.effects)}, design has "
-                f"{self.design.num_arms} arms"
-            )
-        if not all(np.isfinite(self.effects)):
-            raise ValueError("effects must be finite")
-        if not isinstance(self.reps, int) or isinstance(self.reps, bool):
-            raise ValueError(f"reps must be an integer, got {self.reps!r}")
-        if self.reps < 1:
-            raise ValueError("need at least one replication")
-        # the seed keys a SeedSequence, which takes only non-negative ints
-        if not isinstance(self.seed, int) or isinstance(self.seed, bool) or self.seed < 0:
-            raise ValueError(f"seed must be at least 0, got {self.seed!r}")
+        _checked_int("reps", self.reps, 1)
+        _checked_int("seed", self.seed, 0)  # the seed keys a SeedSequence, which takes only ints >= 0
         m = self.design.num_arms
         if self.kfwer_levels is None:
             levels = tuple(k for k in (1, 2, 3) if k <= m)
         else:
-            levels = tuple(int(k) for k in self.kfwer_levels)
+            levels = tuple(_checked_int("k-FWER level", k, 1) for k in self.kfwer_levels)
         object.__setattr__(self, "kfwer_levels", levels)
-        if any(k < 1 or k > m for k in levels):
-            raise ValueError("k-FWER levels must lie in 1..m")
+        if any(k > m for k in levels):
+            raise ValueError(f"k-FWER levels must lie in 1..m={m}, got {levels}")
 
 
 @dataclass(frozen=True)
@@ -108,6 +107,8 @@ def _build_plan(design: PlatformDesign, effects, mode: SimulationMode) -> _SimPl
     """The plan of ``design`` and ``effects`` in ``mode``, cells row-major over (row, period).
 
     A cell's centred mean is its patient-mode unit, or its sufficient-mode unit over sqrt(count).
+    Units are finite normals and weights finite ratios of counts, so z is finite exactly when the
+    shifts are, which ``comparison_mean_shifts`` checks: no block needs a check of its own.
     """
     shifts = comparison_mean_shifts(design, effects)
     cells = [
@@ -152,7 +153,7 @@ def _draw_units(seed: int, block_index: int, rows: int, shape, mode: SimulationM
     return units
 
 
-def _zstats(units: np.ndarray, plan: _SimPlan, block_index: int):
+def _zstats(units: np.ndarray, plan: _SimPlan):
     """z-statistics of one block, ``units @ plan.weights.T + plan.shifts``.
 
     The product runs in row slices of ``_Z_SLICE_ROWS``; the shifts are
@@ -165,8 +166,6 @@ def _zstats(units: np.ndarray, plan: _SimPlan, block_index: int):
         # in another order, which changes the last bit of z for some designs.
         np.matmul(units[rows], plan.weights.T, out=z[rows])
     z += plan.shifts
-    if not np.all(np.isfinite(z)):
-        raise RuntimeError(f"non-finite z-statistics in block {block_index}")
     return z
 
 
@@ -188,7 +187,7 @@ def iter_zstat_blocks(
     """Yield blocks of simulated z-statistic vectors, shape (block, num_arms)."""
     plan = _build_plan(design, effects, mode)
     for block_index, rows in enumerate(_block_sizes(reps)):
-        yield _zstats(_draw_units(seed, block_index, rows, plan.shape, mode), plan, block_index)
+        yield _zstats(_draw_units(seed, block_index, rows, plan.shape, mode), plan)
 
 
 def _rejected(z: np.ndarray, threshold: float, sidedness: Sidedness) -> np.ndarray:
@@ -239,7 +238,7 @@ def _group_block(group, members: dict, block_index: int, rows: int):
     ones = np.ones(rows)
     tallies = []
     for i, (plan, key, rules) in enumerate(members):
-        z = _zstats(units, plan, block_index)
+        z = _zstats(units, plan)
         if i == len(members) - 1:
             del units  # lower peak memory: the draws are not held through the last tally
         for index, threshold, sidedness in rules:
@@ -260,8 +259,7 @@ def run_scenarios(configs, workers: int = 1) -> list[OperatingCharacteristics]:
     scenario alone and does not depend on ``workers``: blocks own disjoint
     random streams and every tally is an integer count.
     """
-    if workers < 1:
-        raise ValueError(f"workers must be at least 1, got {workers}")
+    _checked_int("workers", workers, 1)
     configs = list(configs)
     tasks = [
         (group, members, block_index, rows)

@@ -29,8 +29,6 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Callable, NamedTuple
 
-import numpy as np
-
 from .adjust import AdjustmentMethod, AdjustmentPolicy, critical_values
 from .correlation import analytic_correlation
 from .designs import (
@@ -47,6 +45,7 @@ from .engine import (
     DEFAULT_SEED,
     ScenarioConfig,
     SimulationMode,
+    _checked_int,
     run_scenario,
     run_scenarios,
 )
@@ -545,16 +544,6 @@ def _write_reports(name, rows, scenarios, plotdata, ctx, out_dir) -> PresetResul
     return PresetResult(out, results_csv, results_json, tuple(plot_paths))
 
 
-def _checked_int(name, value, minimum=None):
-    """``value`` if it is an int (not a bool) of at least ``minimum``; else a
-    ValueError that starts with ``name``."""
-    if not isinstance(value, int) or isinstance(value, bool):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-    if minimum is not None and value < minimum:
-        raise ValueError(f"{name} must be at least {minimum}, got {value}")
-    return value
-
-
 def _choice(name, enum, value):
     """The member of ``enum`` whose value is ``value``; else a ValueError that
     starts with ``name`` and names the accepted values."""
@@ -662,15 +651,12 @@ def load_config(path) -> ScenarioConfig:
     else:
         design = build_fixed_design(m, n, control)
     try:
-        with np.errstate(over="ignore"):  # an overflow is rejected below, not warned of
-            finite = np.isfinite(comparison_mean_shifts(design, effects)).all()
-    except OverflowError:  # an integer beyond the float range
-        finite = False
-    if not finite:
+        comparison_mean_shifts(design, effects)
+    except ValueError as exc:
         raise ValueError(
             "config field 'effects' must be finite numbers whose z-statistic means are finite, "
             f"got {effects}"
-        )
+        ) from exc
     alpha = field("alpha", 0.05)
     if not isinstance(alpha, (int, float)) or isinstance(alpha, bool) or not 0 < alpha < 1:
         raise ValueError("config field 'alpha' must lie strictly between 0 and 1")
@@ -678,7 +664,7 @@ def load_config(path) -> ScenarioConfig:
     sidedness = _choice("config field 'sidedness'", Sidedness, field("sidedness", "two_sided"))
     policy = AdjustmentPolicy(adjustment, float(alpha), sidedness)
     try:
-        critical_values([(policy, design)])  # cached for the run
+        critical_values([(policy, design)])  # a Dunnett threshold is memoized for the process
     except ValueError as exc:
         msg = f"config field 'alpha' is too small for a finite threshold, got {alpha}"
         raise ValueError(msg) from exc

@@ -69,12 +69,20 @@ def marginal_power(
 
 
 def comparison_mean_shifts(design: PlatformDesign, effects) -> np.ndarray:
-    """Expected value of each comparison's z-statistic under given effects."""
-    effects = np.asarray(effects, dtype=float)
+    """Expected value of each comparison's z-statistic under given effects; a ValueError unless
+    there is one effect per arm and every mean is finite."""
+    try:
+        values = np.asarray(effects, dtype=float)
+    except OverflowError as exc:  # an int beyond the float range
+        raise ValueError(f"effects must give finite z-statistic means, got {effects}") from exc
     m = design.num_arms
-    if effects.shape != (m,):
-        raise ValueError("effects vector must match the number of arms")
-    return np.array([_z_mean(effects[arm], *design.comparison_sizes(arm)) for arm in range(m)])
+    if values.shape != (m,):
+        raise ValueError(f"effects vector has length {len(values)}, design has {m} arms")
+    with np.errstate(over="ignore"):  # an overflow is rejected below, not warned of
+        shifts = np.array([_z_mean(values[arm], *design.comparison_sizes(arm)) for arm in range(m)])
+    if not np.isfinite(shifts).all():
+        raise ValueError(f"effects must give finite z-statistic means, got {effects}")
+    return shifts
 
 
 def _per_side_n(threshold: float, target: PowerTarget) -> int:

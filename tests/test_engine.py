@@ -1,6 +1,8 @@
+import contextlib
 import math
 import sys
 import tracemalloc
+import warnings
 from dataclasses import replace
 
 import hypothesis.strategies as st
@@ -41,6 +43,15 @@ POLICIES = [
 
 def collect_zstats(design, effects, reps, seed, mode=SimulationMode.SUFFICIENT_STATISTIC):
     return np.vstack(list(iter_zstat_blocks(design, effects, reps, seed, mode)))
+
+
+@contextlib.contextmanager
+def rejected_quietly(match):
+    """Expect a ValueError matching ``match``, with every warning an error."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=match):
+            yield
 
 
 class TestZStatistics:
@@ -107,7 +118,7 @@ class TestZStatistics:
         rng = np.random.default_rng(14)
         for rows in (4096, 848, 1):
             units = rng.standard_normal((rows, plan.weights.shape[1]))
-            sliced = _zstats(units, plan, 0)
+            sliced = _zstats(units, plan)
             full = units @ plan.weights.T + plan.shifts
             assert sliced.tobytes() == full.tobytes()
 
@@ -213,7 +224,7 @@ class TestConfigValidation:
 
     def test_reps_positive(self):
         design = build_fixed_design(2, 150, ControlMode.COMMON)
-        with pytest.raises(ValueError, match="replication"):
+        with pytest.raises(ValueError, match="reps must be at least 1, got 0"):
             ScenarioConfig(design, (0.0, 0.0), UNADJ, reps=0)
 
     @pytest.mark.parametrize("reps", [True, 2.0, "200"])
@@ -222,11 +233,16 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match="reps must be an integer"):
             ScenarioConfig(design, (0.0, 0.0), UNADJ, reps=reps)
 
-    @pytest.mark.parametrize("seed", [-1, True, 1.5])
-    def test_seed_must_be_a_non_negative_int(self, seed):
+    @pytest.mark.parametrize(
+        "seed, message",
+        [(-1, "seed must be at least 0, got -1"), (True, "seed must be an integer, got True"),
+         (1.5, "seed must be an integer, got 1.5")],
+        ids=["-1", "True", "1.5"],
+    )
+    def test_seed_must_be_a_non_negative_int(self, seed, message):
         # a SeedSequence takes only non-negative ints: the config names the seed before numpy fails
         design = build_fixed_design(2, 150, ControlMode.COMMON)
-        with pytest.raises(ValueError, match=f"seed must be at least 0, got {seed!r}"):
+        with pytest.raises(ValueError, match=message):
             ScenarioConfig(design, (0.0, 0.0), UNADJ, reps=200, seed=seed)
 
     def test_kfwer_levels_bounded(self):
@@ -247,6 +263,25 @@ class TestConfigValidation:
         design = build_fixed_design(2, 150, ControlMode.COMMON)
         with pytest.raises(ValueError, match="finite"):
             ScenarioConfig(design, (0.0, float("inf")), UNADJ)
+
+    @pytest.mark.parametrize("level", [2.7, True, 0])
+    def test_kfwer_levels_must_be_positive_ints(self, level):
+        design = build_fixed_design(3, 150, ControlMode.COMMON)
+        with rejected_quietly("k-FWER level must be"):
+            ScenarioConfig(design, (0.0,) * 3, UNADJ, kfwer_levels=(1, level))
+
+    @pytest.mark.parametrize("effect", [1e308, 10**400], ids=["1e308", "10**400"])
+    def test_effects_with_infinite_z_means_fail_before_any_draw(self, effect, monkeypatch):
+        # 1e308 is finite, but its z mean 1e308 * sqrt(75) is not; 10**400 is no float at all
+        def no_draws(*args):
+            raise AssertionError("a block was drawn")
+
+        monkeypatch.setattr(engine, "_draw_units", no_draws)
+        design = build_fixed_design(3, 150, ControlMode.COMMON)
+        with rejected_quietly("effects must give finite z-statistic means"):
+            run_scenario(ScenarioConfig(design, (effect, 0.0, 0.0), UNADJ, reps=200))
+        with rejected_quietly("effects must give finite z-statistic means"):
+            next(iter_zstat_blocks(design, (effect, 0.0, 0.0), 200, 1))
 
 
 def _oracle(config):
@@ -358,6 +393,17 @@ class TestRunScenarios:
 
     def test_empty_batch(self):
         assert run_scenarios([], workers=2) == []
+
+    @pytest.mark.parametrize("workers", [1.5, True, 0])
+    def test_workers_must_be_a_positive_int(self, workers, monkeypatch):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a thread pool was built")
+
+        monkeypatch.setattr(engine.concurrent.futures, "ThreadPoolExecutor", no_pool)
+        design = build_fixed_design(3, 150, ControlMode.COMMON)
+        config = ScenarioConfig(design, (0.0,) * 3, UNADJ, reps=engine.BLOCK_SIZE + 1)
+        with rejected_quietly("workers must be"):
+            run_scenarios([config], workers=workers)
 
 
 class TestCommonRandomNumbers:

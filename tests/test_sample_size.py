@@ -1,4 +1,5 @@
 import math
+import warnings
 from functools import partial
 
 import hypothesis.strategies as st
@@ -129,6 +130,16 @@ class TestAnalyticPower:
         shifts = comparison_mean_shifts(design, (0.38, 0.0, 0.0))
         assert shifts[0] == pytest.approx(0.38 * math.sqrt(75), abs=1e-12)
         assert shifts[1] == 0.0
+
+    @pytest.mark.parametrize(
+        "effect", [1e308, 10**400, float("inf"), float("nan")], ids=["1e308", "10**400", "inf", "nan"]
+    )
+    def test_mean_shifts_must_be_finite(self, effect):
+        design = build_fixed_design(3, 150, ControlMode.COMMON)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # an overflow is an error, not a warning
+            with pytest.raises(ValueError, match="effects must give finite z-statistic means"):
+                comparison_mean_shifts(design, (effect, 0.0, 0.0))
 
     def test_mean_shift_needs_concurrent_controls(self):
         # the second arm recruits only after the control arm has closed
