@@ -14,6 +14,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from functools import cached_property
 
 
 _BUDGET_EARLY_N = 150
@@ -122,10 +123,22 @@ class PlatformDesign:
         Raises if the arm has no concurrent control patients, since its
         comparison then has no statistic.
         """
-        n_control = self.concurrent_control_count(arm)
+        self.arm_rows(arm)  # the IndexError of an arm out of range
+        n_treat, n_control = self._arm_sizes[arm]
         if n_control == 0:
             raise ValueError(f"arm {arm} has no concurrent control patients")
-        return self.treatment_total(arm), n_control
+        return n_treat, n_control
+
+    @cached_property
+    def _arm_sizes(self) -> tuple[tuple[int, int], ...]:
+        """Every arm's (treatment, concurrent control) patients, counted once per design.
+
+        Cached in the instance ``__dict__``, which equality and hashing do not read.
+        """
+        return tuple(
+            (self.treatment_total(arm), self.concurrent_control_count(arm))
+            for arm in range(self.num_arms)
+        )
 
     def total_sample_size(self) -> int:
         """Total patients recruited across all arms and periods."""

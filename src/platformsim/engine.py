@@ -40,8 +40,9 @@ BLOCK_SIZE = 4096
 # OpenBLAS hands larger ones to its own helper threads, which keep spinning
 # after the product and take the core a second worker thread needs.
 _Z_SLICE_ROWS = 512
-# Most normals one patient-mode draw holds (8 MiB), so a block's memory does not grow with n.
-_PATIENT_CHUNK = 2**20
+# Most normals a patient-mode block's one draw buffer holds (512 KiB, so it stays in a
+# core's L2 cache), unless a single row needs more; a block's memory does not grow with n.
+_PATIENT_CHUNK = 2**16
 
 
 def _checked_int(name, value, minimum=None):
@@ -136,20 +137,29 @@ def _block_rng(seed: int, block_index: int) -> np.random.Generator:
 def _draw_units(seed: int, block_index: int, rows: int, shape, mode: SimulationMode) -> np.ndarray:
     """One block's unit draws: a standard normal per cell, or each cell's mean of unit patient outcomes.
 
-    A cell's patient outcomes are drawn in consecutive chunks of rows, at
-    most ``_PATIENT_CHUNK`` normals each (one row if a row alone has more),
-    from the block's one stream. The stream fills rows in order and each
-    row's mean is its own sum, so the means equal those of one whole draw.
+    A cell's patient outcomes are drawn from the block's one stream in
+    consecutive chunks of rows, at most ``_PATIENT_CHUNK`` normals each (one
+    row if a row alone has more), into one buffer that every chunk and cell
+    of the call reuses. Each chunk's row sums go straight into the cell's
+    column, which is divided by the cell's patients once. The stream fills
+    rows in order, a row's pairwise sum does not depend on how many rows
+    share a call, and numpy's mean is that sum over n, so the means equal
+    those of one whole draw bit for bit. The buffer is the call's own:
+    blocks run on threads.
     """
     rng = _block_rng(seed, block_index)
     if mode is SimulationMode.SUFFICIENT_STATISTIC:
         return rng.standard_normal((rows, shape))
+    chunks = [min(rows, max(1, _PATIENT_CHUNK // patients)) for patients in shape]
+    buffer = np.empty(max(chunk * patients for chunk, patients in zip(chunks, shape)))
     units = np.empty((rows, len(shape)))
-    for i, patients in enumerate(shape):
-        chunk = max(1, _PATIENT_CHUNK // patients)
+    for i, (chunk, patients) in enumerate(zip(chunks, shape)):
         for start in range(0, rows, chunk):
             stop = min(start + chunk, rows)
-            units[start:stop, i] = rng.standard_normal((stop - start, patients)).mean(axis=1)
+            draws = buffer[: (stop - start) * patients].reshape(stop - start, patients)
+            rng.standard_normal(out=draws)
+            np.add.reduce(draws, axis=1, out=units[start:stop, i])
+        units[:, i] /= patients
     return units
 
 

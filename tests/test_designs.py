@@ -210,6 +210,18 @@ class TestCounts:
             design.concurrent_control_count(a), design.concurrent_control_count(b)
         )
 
+    def test_cached_comparison_sizes_leave_equality_and_hash_alone(self):
+        filled, fresh = build_staggered_design(150, 80), build_staggered_design(150, 80)
+        sizes = [filled.comparison_sizes(arm) for arm in range(3)]
+        assert sizes == [
+            (fresh.treatment_total(arm), fresh.concurrent_control_count(arm)) for arm in range(3)
+        ]
+        assert "_arm_sizes" in vars(filled) and "_arm_sizes" not in vars(fresh)
+        assert filled == fresh and hash(filled) == hash(fresh)
+        for arm in (-1, 3):
+            with pytest.raises(IndexError, match=f"arm index {arm} out of range for 3 arms"):
+                filled.comparison_sizes(arm)
+
     @given(fixed_designs())
     @settings(max_examples=60)
     def test_total_is_sum_of_arm_totals(self, design):

@@ -447,32 +447,54 @@ class TestBlockStreams:
 
 
 class TestPatientDrawMemory:
-    """Patient-mode draws are taken in row chunks, so a block's memory does not grow with n."""
+    """Patient-mode draws are taken in row chunks through one reused buffer, so a
+    block's memory does not grow with n."""
 
     def test_chunked_draw_equals_one_whole_draw(self):
-        # 4096 x 1,500 normals per cell is six chunks; a whole draw of each cell is the oracle
-        shape = (1_500, 700)
-        units = engine._draw_units(11, 2, engine.BLOCK_SIZE, shape, SimulationMode.PATIENT_LEVEL)
-        rng = engine._block_rng(11, 2)
-        for i, patients in enumerate(shape):
-            whole = rng.standard_normal((engine.BLOCK_SIZE, patients)).mean(axis=1)
-            assert np.array_equal(units[:, i], whole)
+        # (rows, cell shape): 2**16 normals are 43 rows of 1,500 (96 chunks) and 93 of 700;
+        # 848 rows of 150 are one chunk of 436 and a last one of 412; n = 1 fills one chunk
+        # per cell; a row of 70,000 is longer than a chunk, so each row is drawn alone
+        cases = [
+            (engine.BLOCK_SIZE, (1_500, 700)),
+            (848, (150, 150)),
+            (engine.BLOCK_SIZE, (1, 1)),
+            (3, (70_000, 2)),
+        ]
+        for rows, shape in cases:
+            units = engine._draw_units(11, 2, rows, shape, SimulationMode.PATIENT_LEVEL)
+            rng = engine._block_rng(11, 2)
+            for i, patients in enumerate(shape):
+                # a one-shot draw of each cell from the same stream is the oracle
+                whole = rng.standard_normal((rows, patients)).mean(axis=1)
+                assert units[:, i].tobytes() == whole.tobytes(), (rows, shape, i)
 
     def test_block_peak_is_bounded_independently_of_n(self):
-        design = build_fixed_design(2, 6_000, ControlMode.COMMON)
-        config = ScenarioConfig(
-            design, (0.0, 0.0), UNADJ, reps=engine.BLOCK_SIZE, seed=5,
-            mode=SimulationMode.PATIENT_LEVEL, kfwer_levels=(1,),
-        )
-        ((group, members),) = engine._draw_groups([config]).items()
-        tracemalloc.start()
-        try:
-            engine._group_block(group, members, 0, engine.BLOCK_SIZE)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        # one chunk of 2**20 normals is 8 MiB; drawing a whole cell at n = 6,000 took 188 MiB
-        assert peak < 12 * 2**20
+        # (m, n): the benchmark's patient_w2 config (Dunnett, arm 1 effective), and large n
+        configs = [
+            ScenarioConfig(
+                build_fixed_design(10, 150, ControlMode.COMMON), (0.38,) + (0.0,) * 9,
+                AdjustmentPolicy(AdjustmentMethod.DUNNETT), reps=engine.BLOCK_SIZE, seed=5,
+                mode=SimulationMode.PATIENT_LEVEL,
+            ),
+            ScenarioConfig(
+                build_fixed_design(2, 6_000, ControlMode.COMMON), (0.0, 0.0), UNADJ,
+                reps=engine.BLOCK_SIZE, seed=5, mode=SimulationMode.PATIENT_LEVEL,
+                kfwer_levels=(1,),
+            ),
+        ]
+        engine._block_rng(5, 0)  # numpy imports its random submodules (0.6 MiB) on first use
+        for config in configs:
+            ((group, members),) = engine._draw_groups([config]).items()
+            tracemalloc.start()
+            try:
+                engine._group_block(group, members, 0, engine.BLOCK_SIZE)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            # 0.85 MiB (m = 10, n = 150) and 0.55 MiB (m = 2, n = 6,000) measured: the
+            # 512 KiB draw buffer and the units (352 KiB at 11 cells); one chunk of 2**20
+            # normals would add 8 MiB, and a whole cell at n = 6,000 is 188 MiB
+            assert peak < 1.5 * 2**20, config.design.num_arms
 
 
 class TestSufficientBlockMemory:
