@@ -6,7 +6,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .correlation import CorrelationMatrix, analytic_correlation
-from .distributions import MvnSpec, Sidedness, dunnett_critical_values, normal_quantile
+from .distributions import Sidedness, _fit_factor_loadings, dunnett_critical_values, normal_quantile
 
 
 class AdjustmentMethod(Enum):
@@ -33,20 +33,24 @@ class AdjustmentPolicy:
 _dunnett_cache: dict = {}
 
 
-def _dunnett_thresholds(correlations, alpha: float, sidedness: Sidedness) -> list[float]:
-    """Dunnett threshold of each matrix, read from the cache; matrices not in
-    it yet are solved first, in one ``dunnett_critical_values`` batch per
-    dimension."""
-    misses = {}  # dimension -> matrices to solve, without repeats
-    for correlation in correlations:
-        if (correlation, alpha, sidedness) not in _dunnett_cache:
-            misses.setdefault(correlation.dim, {})[correlation] = None
-    for group in misses.values():
-        loadings = [MvnSpec.from_correlation(c).factor_loadings for c in group]
+def _dunnett_thresholds(keys) -> list[float]:
+    """Dunnett threshold of each (correlation, alpha, sidedness) key, in order.
+
+    Keys not cached yet are grouped once, by (dimension, alpha, sidedness),
+    without repeats; each group's matrices are fitted in one
+    ``_fit_factor_loadings`` pass and solved in one
+    ``dunnett_critical_values`` call, and the thresholds are cached.
+    """
+    misses = {}  # (dimension, alpha, sidedness) -> keys to solve, without repeats
+    for key in keys:
+        if key not in _dunnett_cache:
+            correlation, alpha, sidedness = key
+            misses.setdefault((correlation.dim, alpha, sidedness), {})[key] = None
+    for (_, alpha, sidedness), group in misses.items():
+        loadings = _fit_factor_loadings([correlation.as_array() for correlation, _, _ in group])
         values = dunnett_critical_values(loadings, alpha, sidedness).tolist()
-        for correlation, value in zip(group, values):
-            _dunnett_cache[(correlation, alpha, sidedness)] = value
-    return [_dunnett_cache[(c, alpha, sidedness)] for c in correlations]
+        _dunnett_cache.update(zip(group, values))
+    return [_dunnett_cache[key] for key in keys]
 
 
 def closed_form_threshold(policy: AdjustmentPolicy, m: int) -> float:
@@ -62,7 +66,7 @@ def closed_form_threshold(policy: AdjustmentPolicy, m: int) -> float:
 def critical_value(policy: AdjustmentPolicy, correlation: CorrelationMatrix) -> float:
     """Common rejection threshold the policy applies to every comparison."""
     if policy.method is AdjustmentMethod.DUNNETT:
-        return _dunnett_thresholds([correlation], policy.alpha, policy.sidedness)[0]
+        return _dunnett_thresholds([(correlation, policy.alpha, policy.sidedness)])[0]
     return closed_form_threshold(policy, correlation.dim)
 
 
@@ -70,20 +74,19 @@ def critical_values(requests) -> list[float]:
     """``critical_value`` of each (policy, design) request, in order.
 
     Unadjusted and Bonferroni thresholds read only the number of arms, so no
-    correlation matrix is built for them. Dunnett thresholds use each
-    design's ``analytic_correlation``; those not cached yet are solved
-    together, one batch per (m, alpha, sidedness).
+    correlation matrix is built for them. Each Dunnett request becomes one
+    (``analytic_correlation``, alpha, sidedness) key, and one
+    ``_dunnett_thresholds`` call answers them all: the keys not cached yet
+    are fitted and solved together, one batch per (m, alpha, sidedness).
     """
     requests = list(requests)
-    values = [None] * len(requests)
-    dunnett = {}  # (alpha, sidedness) -> request indices
-    for index, (policy, design) in enumerate(requests):
-        if policy.method is AdjustmentMethod.DUNNETT:
-            dunnett.setdefault((policy.alpha, policy.sidedness), []).append(index)
-        else:
-            values[index] = closed_form_threshold(policy, design.num_arms)
-    for (alpha, sidedness), indices in dunnett.items():
-        correlations = [analytic_correlation(requests[i][1]) for i in indices]
-        for index, value in zip(indices, _dunnett_thresholds(correlations, alpha, sidedness)):
-            values[index] = value
-    return values
+    dunnett = iter(_dunnett_thresholds([
+        (analytic_correlation(design), policy.alpha, policy.sidedness)
+        for policy, design in requests
+        if policy.method is AdjustmentMethod.DUNNETT
+    ]))
+    return [
+        next(dunnett) if policy.method is AdjustmentMethod.DUNNETT
+        else closed_form_threshold(policy, design.num_arms)
+        for policy, design in requests
+    ]

@@ -93,49 +93,45 @@ class MvnSpec:
 
     @classmethod
     def from_correlation(cls, correlation: CorrelationMatrix) -> "MvnSpec":
-        loadings = _fit_factor_loadings(correlation.as_array())
-        if loadings is None:
-            raise ValueError(
-                "correlation matrix is not one-factor (corr[i, j] = lambda_i * lambda_j with "
-                "every lambda_j < 1); Dunnett thresholds and exact rejection counts support "
-                "only one-factor designs such as the fixed, staggered and budget designs"
-            )
-        return cls(loadings)
+        """The loadings of one matrix: ``_fit_factor_loadings`` of a batch of one."""
+        return cls(tuple(_fit_factor_loadings([correlation.as_array()])[0].tolist()))
 
 
-def _fit_factor_loadings(a: np.ndarray):
-    """Loadings lambda with a[i, j] = lambda_i lambda_j off-diagonal, or None.
+def _fit_factor_loadings(matrices) -> np.ndarray:
+    """Loadings of a batch of m x m matrices, one row per matrix, in one array pass.
 
-    Comparisons without a positive correlation get loading 0; the rest must
-    form one factor. Each loading lambda_j is solved from the pair (i, k) of
-    other linked comparisons with the largest a[i, k], as
-    a[j, i] a[j, k] / a[i, k], so a tiny loading elsewhere cannot spoil it.
+    A comparison with an off-diagonal entry above ``STRUCTURE_TOL`` is linked;
+    the others get loading 0, even when their tiny entries would fit a nonzero
+    one. A linked comparison j whose only linked partner is i gets
+    lambda_j^2 = a[j, i]. With more partners, (i, k) is the pair of its
+    partners with the largest a[i, k] (the first in row-major order) and
+    lambda_j^2 = a[j, i] a[j, k] / a[i, k]. For a one-factor matrix those are
+    its two strongest partners, so a tiny loading elsewhere cannot spoil the
+    fit. Raises ``ValueError`` unless every matrix of the batch refits within
+    ``STRUCTURE_TOL`` with every loading below 1 - 1e-9.
     """
-    m = len(a)
-    positive = a > STRUCTURE_TOL
-    np.fill_diagonal(positive, False)
-    linked = np.flatnonzero(positive.any(axis=1))
-    lam = np.zeros(m)
-    if len(linked) == 2:
-        i, j = linked
-        lam[i] = lam[j] = math.sqrt(a[i, j])
-    elif len(linked) > 2:
-        for j in linked:
-            others = linked[linked != j]
-            pairs = a[np.ix_(others, others)]
-            np.fill_diagonal(pairs, -np.inf)
-            i, k = others[list(divmod(int(np.argmax(pairs)), len(others)))]
-            if a[i, k] <= 0.0:
-                return None
-            ratio = a[j, i] * a[j, k] / a[i, k]
-            if ratio < 0.0:
-                return None
-            lam[j] = math.sqrt(ratio)
-    fitted = np.outer(lam, lam)
-    np.fill_diagonal(fitted, 1.0)
-    if np.max(np.abs(fitted - a)) > STRUCTURE_TOL or lam.max() >= 1.0 - 1e-9:
-        return None
-    return tuple(float(x) for x in lam)
+    a = np.asarray(matrices, dtype=float)
+    count, m, _ = a.shape
+    off = ~np.eye(m, dtype=bool)
+    linked = ((a > STRUCTURE_TOL) & off).any(axis=2)
+    partners = linked[:, None, :] & off  # [., j, i]: i is a linked partner of j
+    pairs = partners[..., :, None] & partners[..., None, :] & off  # [., j, i, k]
+    best = np.where(pairs, a[:, None], -np.inf).reshape(count, m, m * m).argmax(axis=2)
+    i, k = np.divmod(best, m)
+    b, j = np.arange(count)[:, None], np.arange(m)
+    # a negative ratio or a zero a[i, k] gives a nan or inf loading, which fails the check
+    with np.errstate(all="ignore"):
+        ratio = a[b, j, i] * a[b, j, k] / a[b, i, k]
+        square = np.where(pairs.any(axis=(2, 3)), ratio, a[b, j, partners.argmax(axis=2)])
+        lam = np.where(linked, np.sqrt(square), 0.0)
+        error = np.abs(np.where(off, lam[:, :, None] * lam[:, None, :], 1.0) - a)
+    if not ((error <= STRUCTURE_TOL).all() and (lam < 1.0 - 1e-9).all()):
+        raise ValueError(
+            "correlation matrix is not one-factor (corr[i, j] = lambda_i * lambda_j with "
+            "every lambda_j < 1); Dunnett thresholds and exact rejection counts support "
+            "only one-factor designs such as the fixed, staggered and budget designs"
+        )
+    return lam
 
 
 @lru_cache(maxsize=None)

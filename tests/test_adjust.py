@@ -1,12 +1,23 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
-from platformsim.adjust import AdjustmentMethod, AdjustmentPolicy, critical_value
+from platformsim import adjust
+from platformsim.adjust import AdjustmentMethod, AdjustmentPolicy, critical_value, critical_values
 from platformsim.correlation import CorrelationMatrix, analytic_correlation
+from platformsim.designs import (
+    ControlMode,
+    PlatformDesign,
+    build_budget_design,
+    build_fixed_design,
+    build_fixed_total_design,
+)
 from platformsim.distributions import Sidedness, normal_quantile
 from platformsim.engine import _rejected
+from platformsim.presets import FIXED_TOTAL, SPONSOR_BUDGET
 from oracles import equicorrelated_matrix
 from strategies import single_period_common_designs
 
@@ -107,3 +118,71 @@ class TestNesting:
         base = decisions(z, DUNN, corr)
         reordered = decisions(z[perm], DUNN, permuted)
         assert base[perm].tolist() == reordered.tolist()
+
+
+class TestDunnettBatches:
+    """Dunnett requests are grouped once; each group of new matrices is fitted and solved once."""
+
+    @staticmethod
+    def counted(monkeypatch):
+        """Record each fit's stack shape and each solve's (m, alpha, sidedness, rows)."""
+        fit, solve = adjust._fit_factor_loadings, adjust.dunnett_critical_values
+        fits, solves = [], []
+
+        def counted_fit(a):
+            fits.append(np.shape(a))
+            return fit(a)
+
+        def counted_solve(loadings, alpha, sidedness):
+            solves.append((loadings.shape[1], alpha, sidedness, loadings.shape[0]))
+            return solve(loadings, alpha, sidedness)
+
+        monkeypatch.setattr(adjust, "_dunnett_cache", {})
+        monkeypatch.setattr(adjust, "_fit_factor_loadings", counted_fit)
+        monkeypatch.setattr(adjust, "dunnett_critical_values", counted_solve)
+        return fits, solves
+
+    def test_one_fit_and_one_solve_per_group_of_misses(self, monkeypatch):
+        # fig6's budget designs and fig3's fixed-total designs
+        designs = [build_budget_design(shift, SPONSOR_BUDGET) for shift in range(151)] + [
+            build_fixed_total_design(FIXED_TOTAL, m, ControlMode.COMMON, ratio)
+            for m in range(2, 11)
+            for ratio in (1.0, math.sqrt(m))
+        ]
+        policies = [BONF] + [
+            AdjustmentPolicy(AdjustmentMethod.DUNNETT, alpha, sidedness)
+            for alpha in (0.05, 0.01)
+            for sidedness in Sidedness
+        ]
+        requests = [(policy, design) for design in designs for policy in policies]
+        fits, solves = self.counted(monkeypatch)
+        values = critical_values(requests)
+        groups = {}  # (m, alpha, sidedness) -> distinct matrices
+        for policy, design in requests:
+            if policy.method is AdjustmentMethod.DUNNETT:
+                key = (design.num_arms, policy.alpha, policy.sidedness)
+                groups.setdefault(key, set()).add(analytic_correlation(design))
+        assert len(fits) == len(solves) == len(groups) == 9 * 4
+        assert sorted(shape[:2] for shape in fits) == sorted((len(g), m) for (m, _, _), g in groups.items())
+        assert {solve[:3]: solve[3] for solve in solves} == {key: len(g) for key, g in groups.items()}
+        # the answers come back in request order
+        for (policy, design), value in zip(requests, values):
+            assert value == critical_value(policy, analytic_correlation(design))
+        fits.clear()
+        solves.clear()
+        assert critical_values(requests) == values
+        assert fits == solves == []
+
+    def test_batch_with_a_general_matrix_is_refused(self, monkeypatch):
+        # the three-arm chain of test_threshold_errors_are_not_infeasibility:
+        # arms 1 and 3 share no control and arm 2 overlaps both
+        n = 150
+        chain = PlatformDesign(ControlMode.COMMON, ((n,) * 4, (n, n, 0, 0), (0, n, n, 0), (0, 0, n, n)))
+        fixed = build_fixed_design(3, n, ControlMode.COMMON)
+        stack = np.array([analytic_correlation(d).as_array() for d in (fixed, chain)])
+        with pytest.raises(ValueError, match="not one-factor"):
+            adjust._fit_factor_loadings(stack)
+        fits, solves = self.counted(monkeypatch)
+        with pytest.raises(ValueError, match="not one-factor"):
+            critical_values([(DUNN, fixed), (DUNN, chain)])
+        assert len(fits) == 1 and solves == [] and adjust._dunnett_cache == {}

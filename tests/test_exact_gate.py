@@ -92,7 +92,7 @@ def config_path(tmp_path_factory):
     return tmp_path_factory.mktemp("config") / "config.json"
 
 
-# Derandomized, as the preset gate runs at one seed: the cells are Monte Carlo
+# Derandomized, as the preset gate runs at three fixed seeds: the cells are Monte Carlo
 # estimates. At random examples, 1 of 40 seeds of 60 examples met a rare cell
 # 5 SE out by chance (6 of 3,000 replications where 0.93 are expected).
 @given(config=scenario_configs())
