@@ -6,6 +6,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .correlation import CorrelationMatrix, analytic_correlation
+from .designs import _choice
 from .distributions import Sidedness, _fit_factor_loadings, dunnett_critical_values, normal_quantile
 
 
@@ -17,13 +18,18 @@ class AdjustmentMethod(Enum):
 
 @dataclass(frozen=True)
 class AdjustmentPolicy:
-    """A multiplicity rule: which threshold each |z| is compared against."""
+    """A multiplicity rule: which threshold each |z| is compared against.
+
+    ``method`` and ``sidedness`` take a member or its value string.
+    """
 
     method: AdjustmentMethod
     alpha: float = 0.05
     sidedness: Sidedness = Sidedness.TWO_SIDED
 
     def __post_init__(self):
+        object.__setattr__(self, "method", _choice("method", AdjustmentMethod, self.method))
+        object.__setattr__(self, "sidedness", _choice("sidedness", Sidedness, self.sidedness))
         if not 0.0 < self.alpha < 1.0:
             raise ValueError("alpha must lie strictly between 0 and 1")
 

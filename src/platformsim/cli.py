@@ -12,7 +12,7 @@ import argparse
 import os
 import sys
 
-from .engine import DEFAULT_MODE, DEFAULT_REPS, DEFAULT_SEED
+from .engine import DEFAULT_MODE, DEFAULT_REPS, DEFAULT_SEED, SimulationMode
 from .presets import available_presets, run_config, run_preset
 
 _ENV_PREFIX = "SIMULATE_"
@@ -43,7 +43,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--workers", type=int, help="worker threads (default: 1)")
     parser.add_argument(
         "--mode",
-        choices=("patient", "sufficient"),
+        choices=[mode.value for mode in SimulationMode],
         help=f"simulate patient-level outcomes or arm-period means (default: {DEFAULT_MODE.value})",
     )
     return parser

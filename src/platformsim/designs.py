@@ -19,6 +19,17 @@ from functools import cached_property
 
 _BUDGET_EARLY_N = 150
 _BUDGET_CONTROL_SHARE = Fraction(1, 3)
+_MAX_COUNT = 2**63 - 1  # recruitment counts enter numpy as int64
+
+
+def _choice(name, enum, value):
+    """The member of ``enum`` that is ``value`` or whose value is ``value``; else a
+    ValueError that starts with ``name`` and names the accepted values."""
+    try:
+        return enum(value)
+    except ValueError as exc:
+        accepted = " or ".join(repr(member.value) for member in enum)
+        raise ValueError(f"{name} must be {accepted}, got {value!r}") from exc
 
 
 class ControlMode(Enum):
@@ -46,14 +57,16 @@ class PlatformDesign:
     (treatment_1, control_1, treatment_2, control_2, ...). ``arm_rows`` is
     the one place that reads this layout. Columns are
     recruitment periods; entry (row, t) is the number of patients that row's
-    arm recruits during period t. Instances are immutable and safe to share
-    across worker threads.
+    arm recruits during period t, at most ``_MAX_COUNT``. ``control_mode``
+    takes a member or its value string. Instances are immutable and safe to
+    share across worker threads.
     """
 
     control_mode: ControlMode
     recruitment: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
+        object.__setattr__(self, "control_mode", _choice("control_mode", ControlMode, self.control_mode))
         rows = self.recruitment
         if not rows:
             raise ValueError("design needs at least one arm row")
@@ -68,6 +81,8 @@ class PlatformDesign:
                     raise ValueError(f"entry ({i}, {t}) is not an integer count")
                 if count < 0:
                     raise ValueError(f"entry ({i}, {t}) is negative")
+                if count > _MAX_COUNT:
+                    raise ValueError(f"entry ({i}, {t}) must be at most {_MAX_COUNT}, got {count}")
             if sum(row) == 0:
                 raise ValueError(f"arm row {i} recruits no patients")
             if not _is_contiguous(row):
@@ -164,7 +179,7 @@ class PlatformDesign:
     @classmethod
     def from_dict(cls, payload: dict) -> "PlatformDesign":
         try:
-            mode = ControlMode(payload["control_mode"])
+            mode = payload["control_mode"]  # parsed by the constructor
             matrix = tuple(tuple(row) for row in payload["matrix"])
             arms = payload.get("arms")
             arms = None if arms is None else tuple(arms)
@@ -193,6 +208,7 @@ def _late_entry_design(early: int, joint: int, late: int) -> PlatformDesign:
 
 def build_fixed_design(num_arms: int, n_per_arm: int, control_mode: ControlMode) -> PlatformDesign:
     """Single-period design with equal recruitment in every arm."""
+    control_mode = _choice("control_mode", ControlMode, control_mode)
     if num_arms < 1:
         raise ValueError("need at least one treatment arm")
     if n_per_arm < 1:
@@ -213,6 +229,7 @@ def build_fixed_total_design(
     controls: floor(total / 2m) per arm, leaving up to 2m - 1 patients
     unallocated.
     """
+    control_mode = _choice("control_mode", ControlMode, control_mode)
     if num_arms < 1:
         raise ValueError("need at least one treatment arm")
     if control_ratio < 1.0:

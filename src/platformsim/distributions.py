@@ -41,6 +41,7 @@ from functools import lru_cache, partial
 import numpy as np
 
 from .correlation import CorrelationMatrix
+from .designs import _choice
 
 STRUCTURE_TOL = 1e-12
 _QUAD_STOP = 1e-9
@@ -305,7 +306,7 @@ def dunnett_critical_values(loadings, alpha: float, sidedness: Sidedness = Sided
         raise ValueError("alpha must lie strictly between 0 and 1")
     lam = np.asarray(loadings, dtype=float)
     k, m = lam.shape
-    two_sided = sidedness is Sidedness.TWO_SIDED
+    two_sided = _choice("sidedness", Sidedness, sidedness) is Sidedness.TWO_SIDED
     sides = 2.0 if two_sided else 1.0
     low = np.full(k, normal_quantile(1.0 - alpha / sides))
     if m == 1:
@@ -361,7 +362,7 @@ def rejection_law(
     if effective.shape != (spec.dim,):
         raise ValueError("the effective mask must match the spec dimension")
     c = np.array([float(critical_value)])
-    two_sided = sidedness is Sidedness.TWO_SIDED
+    two_sided = _choice("sidedness", Sidedness, sidedness) is Sidedness.TWO_SIDED
     lam = np.asarray([spec.factor_loadings])
     (law,) = _factor_integral(lam, partial(_rejection_law, effective), c, two_sided, mu[None])
     law = np.clip(law[0], 0.0, 1.0)

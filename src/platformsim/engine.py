@@ -30,7 +30,7 @@ from enum import Enum
 import numpy as np
 
 from .adjust import AdjustmentPolicy, critical_values
-from .designs import PlatformDesign
+from .designs import PlatformDesign, _choice
 from .distributions import Sidedness
 from .metrics import OperatingCharacteristics, characteristics_from_counts
 from .sample_size import comparison_mean_shifts
@@ -81,6 +81,7 @@ class ScenarioConfig:
     kfwer_levels: tuple[int, ...] | None = None  # None: (1, 2, 3) cut at m
 
     def __post_init__(self):
+        object.__setattr__(self, "mode", _choice("mode", SimulationMode, self.mode))
         comparison_mean_shifts(self.design, self.effects)  # one effect per arm, finite z means
         object.__setattr__(self, "effects", tuple(float(e) for e in self.effects))
         _checked_int("reps", self.reps, 1)
@@ -195,6 +196,7 @@ def iter_zstat_blocks(
     mode: SimulationMode = DEFAULT_MODE,
 ):
     """Yield blocks of simulated z-statistic vectors, shape (block, num_arms)."""
+    mode = _choice("mode", SimulationMode, mode)
     plan = _build_plan(design, effects, mode)
     for block_index, rows in enumerate(_block_sizes(reps)):
         yield _zstats(_draw_units(seed, block_index, rows, plan.shape, mode), plan)

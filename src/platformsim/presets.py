@@ -33,6 +33,7 @@ from .adjust import AdjustmentMethod, AdjustmentPolicy, critical_values
 from .correlation import analytic_correlation
 from .designs import (
     ControlMode,
+    _choice,
     build_budget_design,
     build_fixed_design,
     build_fixed_total_design,
@@ -58,12 +59,7 @@ SPONSOR_BUDGET = 300
 ARM_GRID = tuple(range(2, 11))
 SHIFT_GRID = tuple(range(0, 151, 10))
 
-_POLICIES = {
-    "unadjusted": AdjustmentPolicy(AdjustmentMethod.UNADJUSTED),
-    "bonferroni": AdjustmentPolicy(AdjustmentMethod.BONFERRONI),
-    "dunnett": AdjustmentPolicy(AdjustmentMethod.DUNNETT),
-}
-_ADJUSTMENTS = tuple(_POLICIES)
+_ADJUSTMENTS = tuple(method.value for method in AdjustmentMethod)
 
 
 class _Row(NamedTuple):
@@ -201,7 +197,7 @@ class _Simulated:
             config = ScenarioConfig(
                 design=design,
                 effects=effects,
-                policy=_POLICIES[adjustment],
+                policy=AdjustmentPolicy(adjustment),
                 reps=ctx.reps,
                 seed=_scenario_seed(ctx.seed, *key),
                 mode=ctx.mode,
@@ -228,7 +224,7 @@ class _RequiredN:
         target = PowerTarget(POWER_GOAL, EFFECT_SIZE)
         return [
             (
-                (target, _POLICIES[adjustment], template, self.arm),
+                (target, AdjustmentPolicy(adjustment), template, self.arm),
                 functools.partial(self._emit, preset, sweep, adjustment, template),
             )
             for adjustment in self.adjustments
@@ -483,14 +479,6 @@ def available_presets() -> tuple[str, ...]:
     return tuple(_PRESETS)
 
 
-def _format_cell(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
-
-
 def _sort_key(row: _Row):
     sweep_key = (0, 0) if row.sweep_value is None else (1, row.sweep_value)
     return (row.preset, sweep_key, row.design, row.adjustment, row.metric)
@@ -513,8 +501,7 @@ def _write_csv(path: Path, header, table):
     with _replacing(path) as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
-        for line in table:
-            writer.writerow([_format_cell(c) for c in line])
+        writer.writerows(table)  # None is an empty cell, a float its repr
 
 
 def _write_reports(name, rows, scenarios, plotdata, ctx, out_dir) -> PresetResult:
@@ -542,16 +529,6 @@ def _write_reports(name, rows, scenarios, plotdata, ctx, out_dir) -> PresetResul
             _write_csv(path, header, table)
             plot_paths.append(path)
     return PresetResult(out, results_csv, results_json, tuple(plot_paths))
-
-
-def _choice(name, enum, value):
-    """The member of ``enum`` whose value is ``value``; else a ValueError that
-    starts with ``name`` and names the accepted values."""
-    try:
-        return enum(value)
-    except ValueError as exc:
-        accepted = " or ".join(repr(member.value) for member in enum)
-        raise ValueError(f"{name} must be {accepted}, got {value!r}") from exc
 
 
 def _context_from_overrides(overrides, ctx=None) -> _RunContext:
@@ -584,8 +561,6 @@ def run_preset(name: str, overrides=None, out_dir="results") -> PresetResult:
     rows, scenarios, plotdata = _run_spec(name, _PRESETS[name], ctx)
     return _write_reports(name, rows, scenarios, plotdata, ctx, out_dir)
 
-
-_MAX_N = 2**63 - 1  # patient counts enter numpy as int64
 
 _CONFIG_KEYS = {
     "m",
@@ -633,30 +608,24 @@ def load_config(path) -> ScenarioConfig:
 
     m = int_field("m", required=True, minimum=1)
     n = int_field("n", required=True, minimum=1)
-    if n > _MAX_N:
-        raise ValueError(f"config field 'n' must be at most {_MAX_N}, got {n}")
     control = _choice("config field 'control'", ControlMode, field("control", required=True))
     effects = field("effects", required=True)
     if not isinstance(effects, list) or not all(isinstance(e, (int, float)) and not isinstance(e, bool) for e in effects):
         raise ValueError("config field 'effects' must be a list of numbers")
-    if len(effects) != m:
-        raise ValueError(f"config field 'effects' must have length m={m}, got {len(effects)}")
     shift = int_field("shift", minimum=0)
     if shift is not None:
         if control is not ControlMode.COMMON or m != 3:
             raise ValueError("config field 'shift' needs control='common' and m=3")
         if shift > n:
             raise ValueError(f"config field 'shift' must be at most n={n}, got {shift}")
-        design = build_staggered_design(n, shift)
-    else:
-        design = build_fixed_design(m, n, control)
+    try:  # m, control and shift are checked above, so a design can refuse only a count
+        design = build_fixed_design(m, n, control) if shift is None else build_staggered_design(n, shift)
+    except ValueError as exc:
+        raise ValueError(f"config field 'n': {exc}") from exc
     try:
         comparison_mean_shifts(design, effects)
     except ValueError as exc:
-        raise ValueError(
-            "config field 'effects' must be finite numbers whose z-statistic means are finite, "
-            f"got {effects}"
-        ) from exc
+        raise ValueError(f"config field 'effects': {exc}") from exc
     alpha = field("alpha", 0.05)
     if not isinstance(alpha, (int, float)) or isinstance(alpha, bool) or not 0 < alpha < 1:
         raise ValueError("config field 'alpha' must lie strictly between 0 and 1")

@@ -17,7 +17,7 @@ from typing import Callable
 import numpy as np
 
 from .adjust import AdjustmentMethod, AdjustmentPolicy, closed_form_threshold, critical_values
-from .designs import PlatformDesign
+from .designs import PlatformDesign, _choice
 from .distributions import Sidedness, normal_cdf, normal_quantile
 
 
@@ -61,6 +61,7 @@ def marginal_power(
     delta / sqrt(1/n_t + 1/n_c). A two-sided test rejects in both tails, a
     one-sided test only when the statistic exceeds the threshold.
     """
+    sidedness = _choice("sidedness", Sidedness, sidedness)
     mu = _z_mean(delta, n_treatment, n_control)
     power = normal_cdf(mu - threshold)
     if sidedness is Sidedness.TWO_SIDED:

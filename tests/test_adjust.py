@@ -75,6 +75,10 @@ class TestDecisions:
         with pytest.raises(ValueError):
             AdjustmentPolicy(AdjustmentMethod.UNADJUSTED, alpha=1.5)
 
+    def test_closed_form_needs_a_closed_form_method(self):
+        with pytest.raises(ValueError, match="needs the comparisons' correlation matrix"):
+            adjust.closed_form_threshold(DUNN, 3)
+
 
 class TestNesting:
     @given(

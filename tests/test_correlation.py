@@ -113,6 +113,10 @@ class TestAnalyticCorrelation:
 
 
 class TestCorrelationMatrixValidation:
+    def test_rejects_non_square(self):
+        with pytest.raises(ValueError, match="square"):
+            CorrelationMatrix(((1.0, 0.0),))
+
     def test_rejects_asymmetric(self):
         with pytest.raises(ValueError, match="symmetric"):
             CorrelationMatrix(((1.0, 0.2), (0.4, 1.0)))

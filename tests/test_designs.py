@@ -1,4 +1,5 @@
 import ast
+import re
 from pathlib import Path
 
 import pytest
@@ -69,6 +70,13 @@ class TestBuildFixedDesign:
         with pytest.raises(ValueError):
             build_fixed_design(3, 0, ControlMode.COMMON)
 
+    def test_rejects_counts_beyond_int64(self):
+        # counts enter numpy as int64, so the design refuses them, not a later block
+        assert build_fixed_design(3, 2**63 - 1, ControlMode.COMMON).num_arms == 3
+        message = f"entry (0, 0) must be at most {2**63 - 1}, got {2**63}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            build_fixed_design(3, 2**63, ControlMode.COMMON)
+
 
 class TestBuildStaggeredDesign:
     def test_reference_shift_80(self):
@@ -89,6 +97,15 @@ class TestBuildStaggeredDesign:
     def test_rejects_shift_above_n(self):
         with pytest.raises(ValueError):
             build_staggered_design(150, 151)
+
+    @pytest.mark.parametrize(
+        "n, shift, message",
+        [(0, 0, "need at least one patient per arm"),
+         (150, -1, "shift must lie between 0 and the per-arm sample size")],
+    )
+    def test_rejects_bad_arguments(self, n, shift, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            build_staggered_design(n, shift)
 
     @given(staggered_params())
     @settings(max_examples=60)
@@ -148,6 +165,19 @@ class TestBuildBudgetDesign:
     def test_rejects_negative_budget(self):
         with pytest.raises(ValueError):
             build_budget_design(90, 0)
+
+    @pytest.mark.parametrize(
+        "shift, budget, message",
+        [
+            (-1, 300, "shift must lie between 0 and the early arms' sample size"),
+            (151, 300, "shift must lie between 0 and the early arms' sample size"),
+            # a 151-per-side comparison costs 302, one patient more than the budget
+            (150, 301, "budget split infeasible after rounding"),
+        ],
+    )
+    def test_rejects_bad_arguments(self, shift, budget, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            build_budget_design(shift, budget)
 
 
 class TestCounts:
@@ -256,6 +286,22 @@ class TestValidation:
         with pytest.raises(ValueError):
             PlatformDesign(ControlMode.INDIVIDUAL, ((100,), (100,), (100,)))
 
+    @pytest.mark.parametrize(
+        "mode, rows, message",
+        [
+            (ControlMode.COMMON, (), "design needs at least one arm row"),
+            (ControlMode.COMMON, ((), ()), "design needs at least one recruitment period"),
+            (ControlMode.COMMON, ((100, 100), (100,)), "row 1 has 1 periods, expected 2"),
+            (ControlMode.COMMON, ((100,),),
+             "common-control design needs a control row and at least one treatment row"),
+            (ControlMode.INDIVIDUAL, ((100,), (2**63,)),
+             f"entry (1, 0) must be at most {2**63 - 1}, got {2**63}"),
+        ],
+    )
+    def test_rejects_malformed_matrix(self, mode, rows, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            PlatformDesign(mode, rows)
+
     def test_rejects_misaligned_individual_control(self):
         with pytest.raises(ValueError, match="not active"):
             PlatformDesign(
@@ -291,6 +337,8 @@ class TestJsonRoundTrip:
             PlatformDesign.from_dict({"control_mode": "common"})
         with pytest.raises(ValueError, match="malformed design payload"):
             PlatformDesign.from_dict({"control_mode": "common", "matrix": [[1], [1]], "arms": 5})
+        with pytest.raises(ValueError, match="^control_mode must be 'common' or 'individual', got 'shared'$"):
+            PlatformDesign.from_dict({"control_mode": "shared", "matrix": [[1], [1]]})
         # counts are taken as given, never coerced to an int
         for count in (150.7, True, "150"):
             payload = {"control_mode": "common", "matrix": [[150], [count]]}

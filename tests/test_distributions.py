@@ -681,6 +681,8 @@ class TestRejectionCounts:
             MvnSpec.from_correlation(CorrelationMatrix(entries))
         with pytest.raises(ValueError, match="mean shifts"):
             rejection_count_pmf(equicorrelated_spec(3, 0.5), np.zeros(2), 1.96)
+        with pytest.raises(ValueError, match="effective mask"):
+            rejection_law(equicorrelated_spec(3, 0.5), np.zeros(3), [True, False], 1.96)
 
 
 class TestFactorRectangle:

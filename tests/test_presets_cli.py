@@ -18,7 +18,7 @@ from platformsim.cli import main
 from platformsim.correlation import analytic_correlation
 from platformsim.designs import ControlMode, build_fixed_design, build_staggered_design
 from platformsim.distributions import Sidedness
-from platformsim.engine import SimulationMode
+from platformsim.engine import SimulationMode, run_scenario
 from platformsim.presets import (
     _CONFIG_KEYS,
     available_presets,
@@ -67,7 +67,8 @@ class TestLoadConfig:
 
     def test_effects_length_mismatch(self, tmp_path):
         payload = dict(MINIMAL, effects=[0, 0])
-        with pytest.raises(ValueError, match="effects"):
+        message = "config field 'effects': effects vector has length 2, design has 3 arms"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             load_config(write_config(tmp_path, payload))
 
     def test_reps_override(self, tmp_path):
@@ -170,6 +171,28 @@ class TestLoadConfig:
         with pytest.raises(ValueError, match="JSON"):
             load_config(path)
 
+    @pytest.mark.parametrize(
+        "payload, message",
+        [
+            ([MINIMAL], "config must be a JSON object"),
+            ({k: v for k, v in MINIMAL.items() if k != "effects"}, "config field 'effects' is required"),
+            ({k: v for k, v in MINIMAL.items() if k != "m"}, "config field 'm' is required"),
+        ],
+    )
+    def test_malformed_config_names_the_problem(self, tmp_path, payload, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            load_config(write_config(tmp_path, payload))
+
+    def test_every_count_must_fit_int64(self, tmp_path):
+        # the staggered design's counts are (200, n - 200, 200), each within int64
+        n = 2**63 + 100
+        config = load_config(write_config(tmp_path, dict(MINIMAL, n=n, shift=200, reps=50)))
+        assert config.design.comparison_sizes(0) == (n, n)
+        assert run_scenario(config).reps == 50
+        message = f"config field 'n': entry (0, 0) must be at most {2**63 - 1}, got {n}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            load_config(write_config(tmp_path, dict(MINIMAL, n=n)))
+
 
 class TestRunPreset:
     def test_unknown_preset(self, tmp_path):
@@ -250,18 +273,22 @@ class TestRunPreset:
     def test_failed_write_leaves_no_partial_results(self, tmp_path, monkeypatch):
         earlier = run_preset("table3", overrides={"reps": 200}, out_dir=tmp_path / "earlier")
         files = output_files(earlier)
-        cells = []
-        format_cell = presets._format_cell
+        lines = []
+        writer = csv.writer
 
-        def failing(value):
-            cells.append(value)
-            if len(cells) == 100:  # part-way through results.csv
-                raise OSError("no space left")
-            return format_cell(value)
+        class Failing:
+            def __init__(self, fh):
+                self.fh = fh
 
-        monkeypatch.setattr(presets, "_format_cell", failing)
+            def write(self, line):
+                lines.append(line)
+                if len(lines) == 10:  # part-way through results.csv
+                    raise OSError("no space left")
+                return self.fh.write(line)
+
+        monkeypatch.setattr(presets.csv, "writer", lambda fh, **kw: writer(Failing(fh), **kw))
         for out in (tmp_path / "earlier", tmp_path / "fresh"):
-            cells.clear()
+            lines.clear()
             with pytest.raises(OSError, match="no space"):
                 run_preset("table3", overrides={"reps": 200, "seed": 9}, out_dir=out)
         assert output_files(earlier) == files
@@ -566,6 +593,8 @@ class TestCli:
             ("adjustment", {"method": "dunnett"}),
             ("effects", [1e308, 0, 0]),
             ("effects", [10**400, 0, 0]),
+            ("effects", "0, 0, 0"),
+            ("effects", [0, True, 0]),
         ],
     )
     def test_out_of_range_field_names_field(self, tmp_path, capsys, field, value):
