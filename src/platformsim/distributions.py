@@ -11,11 +11,13 @@ evaluates it with one of two per-node reducers:
 
 - the simultaneous coverage of the band and its slope in the threshold,
   whose root is the Dunnett threshold. The search is a bracketed Newton
-  iteration started at the Sidak bound, with a residual of at most 1e-6.
-  Matrices of one dimension are solved together: each keeps its own
-  bracket, node count and stop, and every quadrature pass reduces each one
-  on its own, so a threshold depends only on its matrix, not on what was
-  solved before or beside it;
+  iteration in two runs: from the Sidak bound on the 64-node rule alone,
+  then from that rule's root on the adaptive rule sequence, with a
+  residual of at most 1e-6, usually in one adaptive evaluation. Matrices
+  of one dimension are solved together: each keeps its own bracket, node
+  count and stop, and every quadrature pass reduces each one on its own,
+  so a threshold depends only on its matrix, not on what was solved
+  before or beside it;
 - the joint law of (false, true) rejections: per node, the outer product of
   the Poisson-binomial laws of the null and of the effective comparisons.
   FWER, k-FWER, PFER and disjunctive and conjunctive power all follow from
@@ -248,22 +250,25 @@ def _rejection_law(effective, inside, growth):
     return (false[..., :, None] * true[..., None, :],)
 
 
-def _factor_integral(lam: np.ndarray, reduce, c, two_sided: bool, mu=None):
+def _factor_integral(
+    lam: np.ndarray, reduce, c, two_sided: bool, mu=None, node_counts=_QUAD_NODE_COUNTS
+):
     """Integrals over the shared factor of the per-node parts ``reduce(inside, growth)`` returns.
 
     Each row of ``lam`` (and of ``mu``, and each threshold of ``c``; see
     ``_conditional``) is its own problem, all of one side, and each part comes back with one row per problem.
-    Each pass evaluates one Gauss-Hermite rule, doubling the node count. A
+    Each pass evaluates the next Gauss-Hermite rule of ``node_counts``. A
     row leaves once its estimate of the first part agrees with the previous
     rule's to within 1e-9 in every entry, and keeps the parts of the rule it
     leaves at; any later part (the coverage slope) is integrated on the same
-    nodes. A row that never agrees keeps the largest rule's parts. A row's
-    result is the same whichever rows share its pass.
+    nodes. A row that never agrees keeps the last rule's parts, so one node
+    count gives that one rule's integral. A row's result is the same
+    whichever rows share its pass.
     """
     scale = np.sqrt(1.0 - lam * lam)
     index = np.arange(len(lam))  # the problem of each row still integrating
     out, previous = None, np.nan  # no row agrees at the first rule
-    for n in _QUAD_NODE_COUNTS:
+    for n in node_counts:
         x, weights = _hermite_nodes(n)
         # one matrix product per row, never one across rows: a row gets the integral it gets alone
         parts = [
@@ -283,24 +288,68 @@ def _factor_integral(lam: np.ndarray, reduce, c, two_sided: bool, mu=None):
     return out
 
 
+def _newton(lam, alpha: float, two_sided: bool, c, low, high, node_counts, certified: bool):
+    """Bracketed Newton iteration on the coverage of each row, from threshold ``c`` in [low, high].
+
+    Coverage and slope come from ``_factor_integral`` over ``node_counts``.
+    A step that leaves the bracket is replaced by bisection; a row leaves
+    once its step is below 1e-9. ``certified`` then requires its residual
+    |coverage - (1 - alpha)| to be at most 1e-6 and raises if a row has not
+    left within 100 iterations; otherwise the rows still iterating there
+    return where they are. Returns one threshold per row.
+    """
+    solved = np.empty(len(c))
+    index = np.arange(len(c))  # the matrix of each row still iterating
+    for _ in range(100):
+        coverage, slope = _factor_integral(
+            lam, _coverage_and_slope, c, two_sided, node_counts=node_counts
+        )
+        shortfall = coverage - (1.0 - alpha)
+        short = shortfall < 0.0
+        low = np.where(short, c, low)
+        high = np.where(short, high, c)
+        step = np.full(len(c), np.inf)
+        np.divide(-shortfall, slope, out=step, where=slope > 0.0)
+        bracketed = (low <= c + step) & (c + step <= high)
+        step = np.where(bracketed, step, 0.5 * (low + high) - c)
+        c = c + step
+        done = np.abs(step) < 1e-9
+        if done.any():
+            if certified and (np.abs(shortfall[done]) > 1e-6).any():
+                raise ConvergenceError("critical-value residual exceeds tolerance")
+            solved[index[done]] = c[done]
+            keep = ~done
+            if not keep.any():
+                return solved
+            index, lam, low, high, c = index[keep], lam[keep], low[keep], high[keep], c[keep]
+    if certified:
+        raise ConvergenceError("critical-value search did not converge")
+    solved[index] = c
+    return solved
+
+
 def dunnett_critical_values(loadings, alpha: float, sidedness: Sidedness = Sidedness.TWO_SIDED):
     """Dunnett thresholds of several one-factor matrices of one dimension, solved together.
 
     ``loadings`` holds one row of factor loadings per matrix. Each row's
-    threshold is the smallest whose simultaneous coverage reaches 1 - alpha,
-    found by Newton's method on the coverage, started at the Sidak threshold
+    threshold is the smallest whose simultaneous coverage reaches 1 - alpha.
+    Sidak's inequality (two-sided) and Slepian's (one-sided, with
+    nonnegative loadings) give the Sidak threshold
     Phi^-1(1 - (1 - (1 - alpha)^(1/m)) / s), with s = 2 two-sided and 1
-    one-sided. Sidak's inequality (two-sided) and Slepian's (one-sided, with
-    nonnegative loadings) give that threshold coverage at least 1 - alpha,
-    and the per-comparison threshold has coverage at most 1 - alpha, so the
-    two bracket the root. The slope comes from the same quadrature as the
-    coverage. A step that leaves the bracket is replaced by bisection; a row
-    leaves the batch once its step is below 1e-9, when its residual
-    |coverage - (1 - alpha)| must be at most 1e-6. All rows share one
-    quadrature pass per iteration, and the start depends only on
-    (m, alpha, sidedness), so each row's threshold is the one it gets when
-    solved alone, bit for bit, whatever was solved before it. Returns an
-    array with one threshold per row.
+    one-sided, coverage at least 1 - alpha, and the per-comparison threshold
+    has coverage at most 1 - alpha, so the two bracket the root. The search
+    runs ``_newton`` twice. First, from the Sidak threshold, on the first
+    rule of ``_QUAD_NODE_COUNTS`` alone, with its own copy of the bracket and
+    no residual check; its root, clamped into the bracket, starts the second
+    run, on the adaptive rule sequence and the original bracket, whose rows
+    stop at a step below 1e-9 with a residual |coverage - (1 - alpha)| of at
+    most 1e-6. From that start the second run usually stops after one
+    adaptive evaluation. The slope comes from the same quadrature as the
+    coverage. All rows share one quadrature pass per iteration, and each
+    row's path depends only on its loadings, alpha and the sidedness, so its
+    threshold is the one it gets when solved alone, bit for bit, whatever
+    was solved before or beside it. Returns an array with one threshold per
+    row.
     """
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must lie strictly between 0 and 1")
@@ -313,30 +362,9 @@ def dunnett_critical_values(loadings, alpha: float, sidedness: Sidedness = Sided
         return low
     # Sidak: each comparison's tail is 1 - (1 - alpha)^(1/m), split over the sides
     high = np.full(k, -normal_quantile(-math.expm1(math.log1p(-alpha) / m) / sides))
-    c = high.copy()
-    solved = np.empty(k)
-    index = np.arange(k)  # the matrix of each row still iterating
-    for _ in range(100):
-        coverage, slope = _factor_integral(lam, _coverage_and_slope, c, two_sided)
-        shortfall = coverage - (1.0 - alpha)
-        short = shortfall < 0.0
-        low = np.where(short, c, low)
-        high = np.where(short, high, c)
-        step = np.full(len(c), np.inf)
-        np.divide(-shortfall, slope, out=step, where=slope > 0.0)
-        bracketed = (low <= c + step) & (c + step <= high)
-        step = np.where(bracketed, step, 0.5 * (low + high) - c)
-        c = c + step
-        done = np.abs(step) < 1e-9
-        if done.any():
-            if (np.abs(shortfall[done]) > 1e-6).any():
-                raise ConvergenceError("critical-value residual exceeds tolerance")
-            solved[index[done]] = c[done]
-            keep = ~done
-            if not keep.any():
-                return solved
-            index, lam, low, high, c = index[keep], lam[keep], low[keep], high[keep], c[keep]
-    raise ConvergenceError("critical-value search did not converge")
+    start = _newton(lam, alpha, two_sided, high, low, high, _QUAD_NODE_COUNTS[:1], certified=False)
+    start = np.clip(start, low, high)
+    return _newton(lam, alpha, two_sided, start, low, high, _QUAD_NODE_COUNTS, certified=True)
 
 
 def rejection_law(

@@ -195,11 +195,17 @@ def iter_zstat_blocks(
     seed: int,
     mode: SimulationMode = DEFAULT_MODE,
 ):
-    """Yield blocks of simulated z-statistic vectors, shape (block, num_arms)."""
+    """An iterator over blocks of simulated z-statistic vectors, shape (block, num_arms).
+
+    The arguments are checked and the plan is built at the call, so a bad
+    argument raises here, not at the first block.
+    """
     mode = _choice("mode", SimulationMode, mode)
     plan = _build_plan(design, effects, mode)
-    for block_index, rows in enumerate(_block_sizes(reps)):
-        yield _zstats(_draw_units(seed, block_index, rows, plan.shape, mode), plan)
+    return (
+        _zstats(_draw_units(seed, block_index, rows, plan.shape, mode), plan)
+        for block_index, rows in enumerate(_block_sizes(reps))
+    )
 
 
 def _rejected(z: np.ndarray, threshold: float, sidedness: Sidedness) -> np.ndarray:

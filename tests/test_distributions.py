@@ -603,7 +603,9 @@ class TestDunnettNewton:
         calls = []
 
         def counted(*args, **kwargs):
-            calls.append(args)
+            # an adaptive evaluation runs more than one rule; the one-rule start phase is not counted
+            if len(kwargs.get("node_counts", distributions._QUAD_NODE_COUNTS)) > 1:
+                calls.append(args)
             return kernel(*args, **kwargs)
 
         monkeypatch.setattr(distributions, "_factor_integral", counted)
@@ -613,8 +615,8 @@ class TestDunnettNewton:
             calls.clear()
             dunnett_threshold(spec, 0.05, sidedness)
             evaluations.append(len(calls))
-        assert max(evaluations) <= 6
-        assert sum(evaluations) / len(evaluations) <= 5.0
+        assert max(evaluations) <= 3
+        assert sum(evaluations) / len(evaluations) <= 1.5
 
 
 class TestRejectionCounts:
