@@ -6,7 +6,10 @@ into integer counts, so results are bitwise independent of how blocks are
 distributed over worker threads and replications never share state.
 Scenarios that use common random numbers (equal seed, replication
 count, mode and draw shape) form one draw group, and ``run_scenarios`` draws
-each block of a group once: every distinct design and effect vector in the
+each block of a group once. In sufficient mode a replication draws one
+standard normal per arm, which the lower Cholesky factor of the plan's z
+covariance correlates; in patient mode it draws every patient of every
+recruitment cell. Every distinct design and effect vector in the
 group maps those draws to z-statistics once, by its plan's affine map, and
 every policy and sidedness that shares them is tallied from them, with two
 matrix products of its 0/1 rejections. With n_true effective arms, a
@@ -100,17 +103,53 @@ class ScenarioConfig:
 class _SimPlan:
     """The affine map from a block's unit draws (see ``_draw_units``) to z: units @ weights.T + shifts."""
 
-    shape: object  # what fixes the draws besides the stream: cell count, or patients per cell
-    weights: np.ndarray  # (num_arms, num_cells), rows map the units to z minus its mean
+    shape: object  # what fixes the draws besides the stream: arm count, or patients per cell
+    weights: np.ndarray  # (num_arms, shape width), rows map the units to z minus its mean
     shifts: np.ndarray  # (num_arms,), each comparison's z mean
 
 
-def _build_plan(design: PlatformDesign, effects, mode: SimulationMode) -> _SimPlan:
-    """The plan of ``design`` and ``effects`` in ``mode``, cells row-major over (row, period).
+# A Cholesky pivot at or below this is rounding noise of a (near) singular z covariance:
+# its column of the factor stays zero, so that no weight is noise over noise.
+_PIVOT_FLOOR = 1e-12
 
-    A cell's centred mean is its patient-mode unit, or its sufficient-mode unit over sqrt(count).
-    Units are finite normals and weights finite ratios of counts, so z is finite exactly when the
-    shifts are, which ``comparison_mean_shifts`` checks: no block needs a check of its own.
+
+def _covariance_factor(weights: np.ndarray) -> np.ndarray:
+    """Lower-triangular L with L @ L.T the Gram matrix of the rows of ``weights``.
+
+    The Gram matrix and its Cholesky factor are built column by column from
+    numpy elementwise products and sums, not BLAS or LAPACK, whose kernels
+    sum in an order that depends on the CPU: L has the same bits under every
+    BLAS kernel. Only the Gram's lower triangle is formed and read.
+    """
+    m = len(weights)
+    gram = np.zeros((m, m))
+    for j in range(m):
+        gram[j:, j] = (weights[j:] * weights[j]).sum(axis=1)
+    factor = np.zeros((m, m))
+    for j in range(m):
+        pivot = gram[j, j] - (factor[j, :j] ** 2).sum()
+        if pivot > _PIVOT_FLOOR:
+            factor[j, j] = np.sqrt(pivot)
+            below = gram[j + 1 :, j] - (factor[j + 1 :, :j] * factor[j, :j]).sum(axis=1)
+            factor[j + 1 :, j] = below / factor[j, j]
+    return factor
+
+
+def _build_plan(design: PlatformDesign, effects, mode: SimulationMode) -> _SimPlan:
+    """The plan of ``design`` and ``effects`` in ``mode``.
+
+    Each weight row maps the cells' centred means, cells row-major over (row,
+    period), to a comparison's z minus its mean. Patient mode draws each
+    cell's mean of unit patient outcomes. In sufficient mode a cell's centred
+    mean is a standard normal over sqrt(count), so z minus its mean is normal
+    with the Gram matrix of the weight rows over sqrt(count) as covariance:
+    the plan draws one standard normal per arm and weighs them by that
+    covariance's lower Cholesky factor. The factor comes from the cell
+    weights, not from ``analytic_correlation``, so sufficient-mode z still
+    checks recruitment to correlation independently of the exact law. Units
+    are finite normals and weights finite, so z is finite exactly when the
+    shifts are, which ``comparison_mean_shifts`` checks: no block needs a
+    check of its own.
     """
     shifts = comparison_mean_shifts(design, effects)
     cells = [
@@ -127,7 +166,7 @@ def _build_plan(design: PlatformDesign, effects, mode: SimulationMode) -> _SimPl
             weights[arm, index[(t_row, t)]] = design.recruitment[t_row][t] / n_treat / se
             weights[arm, index[(c_row, t)]] -= design.recruitment[c_row][t] / n_control / se
     if mode is SimulationMode.SUFFICIENT_STATISTIC:
-        return _SimPlan(len(counts), weights / np.sqrt(counts), shifts)
+        return _SimPlan(design.num_arms, _covariance_factor(weights / np.sqrt(counts)), shifts)
     return _SimPlan(counts, weights, shifts)
 
 
@@ -136,7 +175,7 @@ def _block_rng(seed: int, block_index: int) -> np.random.Generator:
 
 
 def _draw_units(seed: int, block_index: int, rows: int, shape, mode: SimulationMode) -> np.ndarray:
-    """One block's unit draws: a standard normal per cell, or each cell's mean of unit patient outcomes.
+    """One block's unit draws: ``shape`` standard normals per row, or each cell's mean of unit patient outcomes.
 
     A cell's patient outcomes are drawn from the block's one stream in
     consecutive chunks of rows, at most ``_PATIENT_CHUNK`` normals each (one
@@ -270,7 +309,7 @@ def run_scenarios(configs, workers: int = 1) -> list[OperatingCharacteristics]:
     """Run every scenario's replications and aggregate the tallies, in config order.
 
     Scenarios with equal seed, reps, mode and draw shape (the number of
-    cells, or the patients per cell in patient mode) draw the same random
+    arms, or the patients per cell in patient mode) draw the same random
     numbers, so each of their blocks is drawn once; those that also share
     design and effects share its z-statistics. (group, block) tasks run on
     up to ``workers`` threads. Each report is bitwise equal to running its

@@ -14,6 +14,7 @@ from platformsim.adjust import AdjustmentMethod, AdjustmentPolicy, critical_valu
 from platformsim.correlation import analytic_correlation
 from platformsim.designs import (
     ControlMode,
+    PlatformDesign,
     build_budget_design,
     build_fixed_design,
     build_fixed_total_design,
@@ -76,10 +77,15 @@ class TestZStatistics:
 
     def test_null_margins_standard_normal(self):
         design = build_staggered_design(150, 80)
-        z = collect_zstats(design, (0.0, 0.0, 0.0), 50_000, seed=2)
+        reps = 50_000
+        z = collect_zstats(design, (0.0, 0.0, 0.0), reps, seed=2)
+        # 5 SE of the sample variance of a standard normal; over seeds 0-39 the largest
+        # |variance - 1| is 3.6 SE (seed 2, arm 2). TestCovarianceFactor checks the unit
+        # variance of the plan itself exactly.
+        var_bar = 5 * math.sqrt(2 / reps)
         for j in range(3):
             assert z[:, j].mean() == pytest.approx(0.0, abs=0.015)
-            assert z[:, j].var() == pytest.approx(1.0, abs=0.02)
+            assert z[:, j].var() == pytest.approx(1.0, abs=var_bar)
 
     def test_disjoint_windows_uncorrelated(self):
         design = build_staggered_design(150, 150)
@@ -424,8 +430,9 @@ class TestCommonRandomNumbers:
     @pytest.mark.parametrize(
         "preset, groups",
         # table3: one seed for the three common-control policies, one for IC.
-        # fig5: one seed for every shift, whose designs have three cell counts, and IC.
-        [("table3", 2), ("fig5_flex_fwer", 4)],
+        # fig5: one seed for every shift, and one for IC; every design has three arms,
+        # so each seed's scenarios share one group.
+        [("table3", 2), ("fig5_flex_fwer", 2)],
     )
     def test_preset_opens_one_stream_per_group_and_block(self, opened, tmp_path, preset, groups):
         run_preset(preset, {"reps": 50_000}, out_dir=tmp_path)
@@ -499,7 +506,7 @@ class TestPatientDrawMemory:
 
 class TestSufficientBlockMemory:
     def test_block_peak_is_bounded(self):
-        # one member of 20 cells, tallied by six rules: every method and sidedness
+        # one member of ten arms (20 cells), tallied by six rules: every method and sidedness
         design = build_fixed_design(10, 150, ControlMode.INDIVIDUAL)
         effects = (0.38,) + (0.0,) * 9
         configs = [
@@ -515,8 +522,68 @@ class TestSufficientBlockMemory:
         finally:
             tracemalloc.stop()
         assert len(tallies) == 6
-        # 1.03 MiB measured: the draws (640 KiB) and z (320 KiB) while z is formed,
+        # 1.01 MiB measured: the draws and z (320 KiB each) while z is formed,
         # then z, |z| and one rule's rejections (0/1 floats, 320 KiB); draws kept
-        # through the tallies, or rejections kept for the whole block, would each
-        # add 0.6 MiB or more
-        assert peak < 1.5 * 2**20
+        # through the tallies would add 0.3 MiB (1.32 MiB measured), and
+        # rejections kept for the whole block 0.6 MiB or more
+        assert peak < 1.25 * 2**20
+
+
+def _preset_design_families():
+    """Every kind of design the presets simulate, over the presets' arm and shift ranges."""
+    designs = [build_fixed_design(m, 150, mode) for m in range(1, 11) for mode in ControlMode]
+    for m in range(2, 11):
+        designs += [
+            build_fixed_total_design(600, m, ControlMode.COMMON),
+            build_fixed_total_design(600, m, ControlMode.COMMON, math.sqrt(m)),
+            build_fixed_total_design(600, m, ControlMode.INDIVIDUAL),
+        ]
+    for shift in range(0, 151):
+        designs += [build_staggered_design(150, shift), build_budget_design(shift, 300)]
+    return designs
+
+
+class TestCovarianceFactor:
+    """A sufficient-mode plan draws one normal per arm, weighed by the lower Cholesky
+    factor of the z covariance that its cell weights give."""
+
+    def test_factor_reproduces_the_analytic_correlation(self):
+        worst = 0.0
+        for design in _preset_design_families():
+            m = design.num_arms
+            plan = _build_plan(design, (0.0,) * m, SimulationMode.SUFFICIENT_STATISTIC)
+            factor = plan.weights
+            assert plan.shape == m
+            assert factor.shape == (m, m)
+            assert np.array_equal(factor, np.tril(factor)), design
+            assert np.all(np.diag(factor) > 0), design
+            gap = np.abs(factor @ factor.T - analytic_correlation(design).as_array()).max()
+            worst = max(worst, gap)
+        # 7.8e-16 measured
+        assert worst <= 1e-13
+
+    def test_singular_covariance_gives_finite_z(self):
+        # 2**62 treatment patients per arm against one shared control patient: every
+        # correlation rounds to 1, so every pivot after the first is rounding noise
+        design = PlatformDesign(ControlMode.COMMON, ((1,), (2**62,), (2**62,), (2**62,)))
+        plan = _build_plan(design, (0.0,) * 3, SimulationMode.SUFFICIENT_STATISTIC)
+        assert np.all(np.isfinite(plan.weights))
+        assert np.abs(plan.weights @ plan.weights.T - 1.0).max() <= 1e-13
+        z = collect_zstats(design, (0.0,) * 3, 100, seed=5)
+        assert np.all(np.isfinite(z))
+
+    def test_block_draws_one_normal_per_arm(self, monkeypatch):
+        drawn = []
+        draw_units = engine._draw_units
+
+        def recording(*args):
+            units = draw_units(*args)
+            drawn.append(units.shape)
+            return units
+
+        monkeypatch.setattr(engine, "_draw_units", recording)
+        # 20 recruitment cells, ten arms
+        design = build_fixed_design(10, 150, ControlMode.INDIVIDUAL)
+        config = ScenarioConfig(design, (0.38,) + (0.0,) * 9, UNADJ, reps=engine.BLOCK_SIZE, seed=5)
+        run_scenario(config)
+        assert drawn == [(engine.BLOCK_SIZE, 10)]

@@ -59,31 +59,55 @@ def _outliers(report, exact, label):
     return outliers
 
 
+def _preset_outliers(out_dir, preset, overrides):
+    """(outliers, cells checked) of every simulated scenario of one preset run."""
+    outliers, checked = [], 0
+    result = run_preset(preset, overrides, out_dir=out_dir)
+    payload = json.loads(result.results_json.read_text(encoding="utf-8"))
+    scenarios = [s for s in payload["scenarios"] if s["kind"] == "simulation"]
+    assert scenarios, preset
+    for scenario in scenarios:
+        report = _report(scenario["metrics"])
+        # the presets' policies have the default alpha and sidedness
+        exact = exact_cells(
+            PlatformDesign.from_dict(scenario["design"]),
+            scenario["effects"],
+            AdjustmentPolicy(AdjustmentMethod(scenario["adjustment"])),
+            report.kfwer,
+        )
+        label = (
+            f"{preset}/{scenario['design_label']}/{scenario['adjustment']}/"
+            f"sweep={scenario['sweep_value']}"
+        )
+        outliers += _outliers(report, exact, label)
+        checked += len(exact)
+    return outliers, checked
+
+
 # 42 is the presets' default seed; 7 and 8297 are two more runs of the same cells
 @pytest.mark.parametrize("seed", [42, 7, 8297])
 def test_every_preset_cell_lies_within_5_se_of_the_exact_law(tmp_path, seed):
     outliers, checked = [], 0
     for preset in SIMULATING:
-        result = run_preset(preset, {"seed": seed}, out_dir=tmp_path / preset)
-        payload = json.loads(result.results_json.read_text(encoding="utf-8"))
-        scenarios = [s for s in payload["scenarios"] if s["kind"] == "simulation"]
-        assert scenarios, preset
-        for scenario in scenarios:
-            report = _report(scenario["metrics"])
-            # the presets' policies have the default alpha and sidedness
-            exact = exact_cells(
-                PlatformDesign.from_dict(scenario["design"]),
-                scenario["effects"],
-                AdjustmentPolicy(AdjustmentMethod(scenario["adjustment"])),
-                report.kfwer,
-            )
-            label = (
-                f"{preset}/{scenario['design_label']}/{scenario['adjustment']}/"
-                f"sweep={scenario['sweep_value']}"
-            )
-            outliers += _outliers(report, exact, label)
-            checked += len(exact)
+        found, cells = _preset_outliers(tmp_path / preset, preset, {"seed": seed})
+        outliers += found
+        checked += cells
     assert checked == 1_190
+    assert not outliers, outliers
+
+
+def test_patient_mode_tables_lie_within_5_se_of_the_exact_law(tmp_path):
+    # Sufficient mode draws z from its covariance factor; patient mode is the one
+    # simulation of every patient of every recruitment cell, so it checks the path
+    # from recruitment to correlation against the exact law. 20,000 reps keep both
+    # tables near 0.7 s; the largest |z| at the default seed is 2.21.
+    outliers, checked = [], 0
+    for preset in ("table3", "table4"):
+        overrides = {"mode": "patient", "reps": 20_000}
+        found, cells = _preset_outliers(tmp_path / preset, preset, overrides)
+        outliers += found
+        checked += cells
+    assert checked == 32
     assert not outliers, outliers
 
 

@@ -14,14 +14,17 @@ small ``reps`` keeps the test fast without changing them.
 ``data/preset_digests.json`` holds the sha256 of every file written by the
 runs of ``_digest_runs``: all nine presets at seeds 7 and 7301, fig6 over
 every shift 0..150, fig2 over arms (2, 5), and table3 in patient mode with
-two workers and a negative seed. The digests were taken again when the
-engine's block streams moved from Philox to SFC64, which changed every
-simulated output; the files of ``fig3_required_n`` and fig6's required-n
-plot data hold no simulated value and kept their digests. Running this file
-as a script prints the digests of the current code. The third test checks the
-digests again in a child process whose OpenBLAS runs its SandyBridge
-kernels, which sum some z products in another order than the kernels it
-picks on a newer CPU.
+two workers and a negative seed. It also records the numpy version the
+digests were taken with: the digests pin numpy's SFC64 normals, so a
+mismatch names both that version and the running one. The digests were
+taken again when the engine's block streams moved from Philox to SFC64, and
+again when sufficient mode moved from one normal per recruitment cell to one
+per arm; each move changed every sufficient-mode output. The files of
+``fig3_required_n``, fig6's required-n plot data and the patient-mode table3
+run kept their digests both times. Running this file as a script prints the
+digests of the current code. The third test checks the digests again in a
+child process whose OpenBLAS runs its SandyBridge kernels, which sum some z
+products in another order than the kernels it picks on a newer CPU.
 """
 
 import csv
@@ -101,11 +104,13 @@ def _output_digests(out_root):
 
 
 def test_preset_outputs_match_golden_digests(tmp_path):
-    expected = json.loads(DIGESTS.read_text(encoding="utf-8"))
+    golden = json.loads(DIGESTS.read_text(encoding="utf-8"))
+    expected = golden["digests"]
     actual = _output_digests(tmp_path)
-    assert sorted(actual) == sorted(expected)
+    versions = f"digests taken with numpy {golden['numpy']}, running numpy {np.__version__}"
+    assert sorted(actual) == sorted(expected), versions
     for run_id, files in expected.items():
-        assert actual[run_id] == files, run_id
+        assert actual[run_id] == files, f"{run_id}: {versions}"
 
 
 def _blas_name():
@@ -135,5 +140,6 @@ def test_golden_digests_under_a_second_blas_kernel():
 if __name__ == "__main__":
     # PYTHONPATH=src python tests/test_golden.py > tests/data/preset_digests.json
     with tempfile.TemporaryDirectory() as tmp:
-        json.dump(_output_digests(tmp), sys.stdout, indent=1, sort_keys=True)
+        golden = {"numpy": np.__version__, "digests": _output_digests(tmp)}
+        json.dump(golden, sys.stdout, indent=1, sort_keys=True)
         sys.stdout.write("\n")
