@@ -104,7 +104,7 @@ class _SimPlan:
     """The affine map from a block's unit draws (see ``_draw_units``) to z: units @ weights.T + shifts."""
 
     shape: object  # what fixes the draws besides the stream: arm count, or patients per cell
-    weights: np.ndarray  # (num_arms, shape width), rows map the units to z minus its mean
+    weights: np.ndarray  # (num_arms, units per row), rows map the units to z minus its mean
     shifts: np.ndarray  # (num_arms,), each comparison's z mean
 
 
@@ -175,7 +175,8 @@ def _block_rng(seed: int, block_index: int) -> np.random.Generator:
 
 
 def _draw_units(seed: int, block_index: int, rows: int, shape, mode: SimulationMode) -> np.ndarray:
-    """One block's unit draws: ``shape`` standard normals per row, or each cell's mean of unit patient outcomes.
+    """One block's unit draws: ``shape`` standard normals per row (sufficient mode), or
+    each cell's mean of unit patient outcomes.
 
     A cell's patient outcomes are drawn from the block's one stream in
     consecutive chunks of rows, at most ``_PATIENT_CHUNK`` normals each (one

@@ -31,7 +31,7 @@ from platformsim.engine import (
 )
 from platformsim.engine import _build_plan, _zstats
 from platformsim.metrics import characteristics_from_counts
-from platformsim.presets import run_preset
+from platformsim.presets import FIXED_TOTAL, SPONSOR_BUDGET, run_preset
 from oracles import rejection_counts
 
 UNADJ = AdjustmentPolicy(AdjustmentMethod.UNADJUSTED)
@@ -534,12 +534,12 @@ def _preset_design_families():
     designs = [build_fixed_design(m, 150, mode) for m in range(1, 11) for mode in ControlMode]
     for m in range(2, 11):
         designs += [
-            build_fixed_total_design(600, m, ControlMode.COMMON),
-            build_fixed_total_design(600, m, ControlMode.COMMON, math.sqrt(m)),
-            build_fixed_total_design(600, m, ControlMode.INDIVIDUAL),
+            build_fixed_total_design(FIXED_TOTAL, m, ControlMode.COMMON),
+            build_fixed_total_design(FIXED_TOTAL, m, ControlMode.COMMON, math.sqrt(m)),
+            build_fixed_total_design(FIXED_TOTAL, m, ControlMode.INDIVIDUAL),
         ]
     for shift in range(0, 151):
-        designs += [build_staggered_design(150, shift), build_budget_design(shift, 300)]
+        designs += [build_staggered_design(150, shift), build_budget_design(shift, SPONSOR_BUDGET)]
     return designs
 
 
