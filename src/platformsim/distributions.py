@@ -47,6 +47,8 @@ from .designs import _choice
 
 STRUCTURE_TOL = 1e-12
 _QUAD_STOP = 1e-9
+# about 50 ulps of a coverage near 1: two converged rules differ by up to 5e-15
+_COVERAGE_ROUNDING = 1e-14
 _QUAD_NODE_COUNTS = (64, 128, 256, 512, 1024, 2048, 4096)
 _SQRT2 = math.sqrt(2.0)
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
@@ -251,7 +253,7 @@ def _rejection_law(effective, inside, growth):
 
 
 def _factor_integral(
-    lam: np.ndarray, reduce, c, two_sided: bool, mu=None, node_counts=_QUAD_NODE_COUNTS
+    lam: np.ndarray, reduce, c, two_sided: bool, mu=None, node_counts=_QUAD_NODE_COUNTS, stop=None
 ):
     """Integrals over the shared factor of the per-node parts ``reduce(inside, growth)`` returns.
 
@@ -259,7 +261,8 @@ def _factor_integral(
     ``_conditional``) is its own problem, all of one side, and each part comes back with one row per problem.
     Each pass evaluates the next Gauss-Hermite rule of ``node_counts``. A
     row leaves once its estimate of the first part agrees with the previous
-    rule's to within 1e-9 in every entry, and keeps the parts of the rule it
+    rule's to within 1e-9 in every entry (given ``stop``, within the per-row
+    bar it maps the rule's parts to), and keeps the parts of the rule it
     leaves at; any later part (the coverage slope) is integrated on the same
     nodes. A row that never agrees keeps the last rule's parts, so one node
     count gives that one rule's integral. A row's result is the same
@@ -280,7 +283,8 @@ def _factor_integral(
         for total, part in zip(out, parts):
             total[index] = part
         gap = np.abs(parts[0] - previous).reshape(len(index), -1)
-        keep = ~(gap < _QUAD_STOP).all(axis=1)
+        bar = _QUAD_STOP if stop is None else stop(*parts)[:, None]
+        keep = ~(gap < bar).all(axis=1)
         if not keep.any():
             break
         index, previous, lam, scale, c = index[keep], parts[0][keep], lam[keep], scale[keep], c[keep]
@@ -288,10 +292,23 @@ def _factor_integral(
     return out
 
 
+def _threshold_stop(coverage, slope):
+    """Per row: the coverage gap between rules that moves neither the coverage nor the threshold by 1e-9.
+
+    Near the root a coverage error e moves the threshold by e / slope, and
+    the slope is about alpha times the threshold in the far tail, so a bar of
+    1e-9 on the coverage alone can leave the threshold 1e-6 off at alpha 1e-6.
+    The bar stays above ``_COVERAGE_ROUNDING``: below it a larger rule adds
+    rounding, not accuracy.
+    """
+    return np.maximum(_QUAD_STOP * np.minimum(1.0, slope), _COVERAGE_ROUNDING)
+
+
 def _newton(lam, alpha: float, two_sided: bool, c, low, high, node_counts, certified: bool):
     """Bracketed Newton iteration on the coverage of each row, from threshold ``c`` in [low, high].
 
-    Coverage and slope come from ``_factor_integral`` over ``node_counts``.
+    Coverage and slope come from ``_factor_integral`` over ``node_counts``,
+    each row stopping at the ``_threshold_stop`` bar.
     A step that leaves the bracket is replaced by bisection; a row leaves
     once its step is below 1e-9. ``certified`` then requires its residual
     |coverage - (1 - alpha)| to be at most 1e-6 and raises if a row has not
@@ -302,7 +319,7 @@ def _newton(lam, alpha: float, two_sided: bool, c, low, high, node_counts, certi
     index = np.arange(len(c))  # the matrix of each row still iterating
     for _ in range(100):
         coverage, slope = _factor_integral(
-            lam, _coverage_and_slope, c, two_sided, node_counts=node_counts
+            lam, _coverage_and_slope, c, two_sided, node_counts=node_counts, stop=_threshold_stop
         )
         shortfall = coverage - (1.0 - alpha)
         short = shortfall < 0.0
@@ -341,8 +358,10 @@ def dunnett_critical_values(loadings, alpha: float, sidedness: Sidedness = Sided
     runs ``_newton`` twice. First, from the Sidak threshold, on the first
     rule of ``_QUAD_NODE_COUNTS`` alone, with its own copy of the bracket and
     no residual check; its root, clamped into the bracket, starts the second
-    run, on the adaptive rule sequence and the original bracket, whose rows
-    stop at a step below 1e-9 with a residual |coverage - (1 - alpha)| of at
+    run, on the adaptive rule sequence and the original bracket. There a
+    row's quadrature stops once the rule gap in coverage is below 1e-9 times
+    min(1, slope), so it moves the threshold by less than 1e-9 too, and the
+    rows stop at a step below 1e-9 with a residual |coverage - (1 - alpha)| of at
     most 1e-6. From that start the second run usually stops after one
     adaptive evaluation. The slope comes from the same quadrature as the
     coverage. All rows share one quadrature pass per iteration, and each

@@ -1,4 +1,5 @@
 import math
+from functools import partial
 
 import mpmath
 import numpy as np
@@ -481,14 +482,24 @@ class TestDunnettNewton:
     )
     @example(loadings=[0.5, 5.960464477539063e-08, 5.960464477539063e-08], alpha=0.5,
              sidedness=Sidedness.ONE_SIDED)
+    # a coverage bar of 1e-9 alone stopped this quadrature at 128 nodes, 1.5e-6 off the root
+    @example(loadings=[0.0, 0.96875, 0.96875], alpha=1e-6, sidedness=Sidedness.ONE_SIDED)
     @settings(max_examples=80, deadline=None)
     def test_matches_brent_root_of_the_coverage(self, loadings, alpha, sidedness):
         spec = MvnSpec.from_correlation(one_factor_correlation(loadings))
         sides = 2.0 if sidedness is Sidedness.TWO_SIDED else 1.0
         m = len(loadings)
+        lam = np.array([spec.factor_loadings])
+        null = partial(distributions._rejection_law, np.zeros(m, dtype=bool))
 
         def shortfall(c):
-            return max_abs_mvn_cdf(c, spec, sidedness) - (1.0 - alpha)
+            # the band coverage of the rejection law on the 512-node rule alone,
+            # converged to rounding for loadings below 0.97: the adaptive law's
+            # 1e-9 stop can leave its root 2e-8 off at alpha 1e-6
+            (law,) = distributions._factor_integral(
+                lam, null, np.array([c]), sides == 2.0, node_counts=(512,)
+            )
+            return float(law[0, 0, 0]) - (1.0 - alpha)
 
         per_comparison = normal_quantile(1.0 - alpha / sides)
         sidak = normal_quantile(1.0 - (1.0 - (1.0 - alpha) ** (1.0 / m)) / sides)
