@@ -70,7 +70,11 @@ def closed_form_threshold(policy: AdjustmentPolicy, m: int) -> float:
 
 
 def critical_value(policy: AdjustmentPolicy, correlation: CorrelationMatrix) -> float:
-    """Common rejection threshold the policy applies to every comparison."""
+    """Common rejection threshold the policy applies to every comparison.
+
+    A Dunnett policy fits the matrix's one-factor loadings and refuses a
+    matrix without that form; any other policy reads only its dimension.
+    """
     if policy.method is AdjustmentMethod.DUNNETT:
         return _dunnett_thresholds([(correlation, policy.alpha, policy.sidedness)])[0]
     return closed_form_threshold(policy, correlation.dim)

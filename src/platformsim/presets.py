@@ -39,7 +39,7 @@ from .designs import (
     build_fixed_total_design,
     build_staggered_design,
 )
-from .distributions import Sidedness
+from .distributions import ConvergenceError, Sidedness
 from .engine import (
     DEFAULT_MODE,
     DEFAULT_REPS,
@@ -636,6 +636,9 @@ def load_config(path) -> ScenarioConfig:
         critical_values([(policy, design)])  # a Dunnett threshold is memoized for the process
     except ValueError as exc:
         msg = f"config field 'alpha' is too small for a finite threshold, got {alpha}"
+        raise ValueError(msg) from exc
+    except ConvergenceError as exc:
+        msg = f"config field 'alpha': the Dunnett critical-value search did not converge at alpha={alpha}"
         raise ValueError(msg) from exc
     reps = int_field("reps", DEFAULT_REPS, minimum=1)
     seed = int_field("seed", DEFAULT_SEED, minimum=0)

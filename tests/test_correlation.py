@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 
+from platformsim.adjust import AdjustmentPolicy, critical_value
 from platformsim.correlation import CorrelationMatrix, analytic_correlation
 from platformsim.designs import (
     ControlMode,
@@ -13,6 +14,7 @@ from platformsim.designs import (
     build_fixed_design,
     build_staggered_design,
 )
+from platformsim.distributions import MvnSpec
 from platformsim.engine import iter_zstat_blocks
 from oracles import shared_control_count
 from strategies import multi_period_common_designs, single_period_common_designs, staggered_params
@@ -112,40 +114,45 @@ class TestAnalyticCorrelation:
         assert np.linalg.eigvalsh(a).min() >= -1e-10
 
 
+def assert_not_one_factor(entries):
+    """The constructor takes any square matrix; both readers refuse this one."""
+    matrix = CorrelationMatrix(entries)
+    with pytest.raises(ValueError, match="not one-factor"):
+        MvnSpec.from_correlation(matrix)
+    with pytest.raises(ValueError, match="not one-factor"):
+        critical_value(AdjustmentPolicy("dunnett"), matrix)
+
+
 class TestCorrelationMatrixValidation:
+    # the constructor checks only the shape; the one-factor fit behind every
+    # Dunnett threshold and exact law checks the structure
     def test_rejects_non_square(self):
         with pytest.raises(ValueError, match="square"):
             CorrelationMatrix(((1.0, 0.0),))
 
     def test_rejects_asymmetric(self):
-        with pytest.raises(ValueError, match="symmetric"):
-            CorrelationMatrix(((1.0, 0.2), (0.4, 1.0)))
+        assert_not_one_factor(((1.0, 0.2), (0.4, 1.0)))
 
     def test_rejects_non_unit_diagonal(self):
-        with pytest.raises(ValueError, match="diagonal"):
-            CorrelationMatrix(((0.9, 0.0), (0.0, 1.0)))
+        assert_not_one_factor(((0.9, 0.0), (0.0, 1.0)))
 
     def test_entry_tolerance_is_absolute(self):
-        # asymmetry and diagonal error up to 1e-9 pass; beyond it they fail
-        CorrelationMatrix(((1.0 + 5e-10, 0.2), (0.2 + 5e-10, 1.0)))
-        with pytest.raises(ValueError, match="symmetric"):
-            CorrelationMatrix(((1.0, 0.2), (0.2 + 2e-9, 1.0)))
-        with pytest.raises(ValueError, match="diagonal"):
-            CorrelationMatrix(((1.0, 0.2), (0.2, 1.0 - 2e-9)))
+        # an asymmetry or diagonal error of 2e-9 is far beyond the fit's 1e-12
+        assert_not_one_factor(((1.0, 0.2), (0.2 + 2e-9, 1.0)))
+        assert_not_one_factor(((1.0, 0.2), (0.2, 1.0 - 2e-9)))
 
     def test_rejects_non_finite(self):
         for bad in (float("nan"), float("inf")):
-            with pytest.raises(ValueError, match="finite"):
-                CorrelationMatrix(((1.0, bad), (bad, 1.0)))
+            assert_not_one_factor(((1.0, bad), (bad, 1.0)))
 
     def test_rejects_negative_entries(self):
-        with pytest.raises(ValueError, match=r"\[0, 1\]"):
-            CorrelationMatrix(((1.0, -0.5), (-0.5, 1.0)))
+        assert_not_one_factor(((1.0, -0.5), (-0.5, 1.0)))
+
+    def test_rejects_entries_above_one(self):
+        assert_not_one_factor(((1.0, 1.2), (1.2, 1.0)))
 
     def test_rejects_indefinite(self):
-        entries = ((1.0, 0.9, 0.0), (0.9, 1.0, 0.9), (0.0, 0.9, 1.0))
-        with pytest.raises(ValueError, match="semidefinite"):
-            CorrelationMatrix(entries)
+        assert_not_one_factor(((1.0, 0.9, 0.0), (0.9, 1.0, 0.9), (0.0, 0.9, 1.0)))
 
     def test_submatrix(self):
         # dropping arm 2 of the staggered design drops its row and column

@@ -20,6 +20,7 @@ from platformsim.designs import (
     build_staggered_design,
 )
 from platformsim.distributions import (
+    ConvergenceError,
     MvnSpec,
     Sidedness,
     normal_cdf,
@@ -544,6 +545,27 @@ class TestDunnettNewton:
 
         tail = mpmath.quad(outside, [-mpmath.inf, 0, c * load, 2 * c * load, mpmath.inf])
         assert abs(tail / alpha - 1) <= 1e-6
+
+    @pytest.mark.xfail(
+        strict=True,
+        raises=ConvergenceError,
+        reason="Newton cycles in a band of alpha near 1e-8 (ROADMAP direction 2)",
+    )
+    @pytest.mark.parametrize(
+        "m, sidedness",
+        [(2, Sidedness.ONE_SIDED), (3, Sidedness.TWO_SIDED),
+         (5, Sidedness.ONE_SIDED), (10, Sidedness.TWO_SIDED)],
+    )
+    def test_solves_in_the_convergence_band(self, m, sidedness):
+        # rho = 0.5: the shortfall is one ulp of 1 - alpha and every Newton
+        # step lands on the other end of the bracket
+        alpha = 1e-8
+        sides = 2.0 if sidedness is Sidedness.TWO_SIDED else 1.0
+        value = dunnett_threshold(equicorrelated_spec(m, 0.5), alpha, sidedness)
+        per_comparison = normal_quantile(1.0 - alpha / sides)
+        sidak = normal_quantile(1.0 - (1.0 - (1.0 - alpha) ** (1.0 / m)) / sides)
+        assert math.isfinite(value)
+        assert per_comparison - 1e-9 <= value <= sidak + 1e-9
 
     @given(
         st.integers(2, 10).flatmap(

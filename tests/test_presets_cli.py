@@ -612,6 +612,15 @@ class TestCli:
         assert "config field 'alpha' is too small" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
+    def test_unconverged_dunnett_search_names_field(self, tmp_path, capsys):
+        # the Dunnett search cycles at alpha = 1e-8 (ROADMAP direction 2)
+        path = write_config(tmp_path, dict(MINIMAL, reps=100, alpha=1e-8, adjustment="dunnett"))
+        code = main(["--config", str(path), "--out", str(tmp_path / "o")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "config field 'alpha':" in err and "did not converge at alpha=1e-08" in err
+        assert not (tmp_path / "o").exists()
+
     def test_console_script_help(self):
         # the child does not read pytest's pythonpath setting, so it is given the checkout's src
         src = str(Path(platformsim.__file__).resolve().parents[1])
@@ -668,3 +677,18 @@ class TestPublicApi:
                         defined[node.name] = f"{path.name}:{node.lineno}"
         unused = sorted(f"{where} {name}" for name, where in defined.items() if name not in used)
         assert not unused
+
+    def test_package_makes_no_linalg_call(self):
+        # numpy.linalg runs LAPACK, whose OpenBLAS kernels give other bits on
+        # other hosts and can stall under their helper threads
+        package = Path(platformsim.__file__).parent
+        found = []
+        for path in sorted(package.glob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                # np.linalg.f, import numpy.linalg, from numpy.linalg import f, from numpy import linalg
+                name = (node.attr if isinstance(node, ast.Attribute)
+                        else node.module if isinstance(node, ast.ImportFrom)
+                        else node.name if isinstance(node, ast.alias) else None)
+                if name and "linalg" in name.split("."):
+                    found.append(f"{path.name}:{node.lineno}")
+        assert not found
