@@ -12,8 +12,9 @@ evaluates it with one of two per-node reducers:
 - the simultaneous coverage of the band and its slope in the threshold,
   whose root is the Dunnett threshold. The search is a bracketed Newton
   iteration in two runs: from the Sidak bound on the 64-node rule alone,
-  then from that rule's root on the adaptive rule sequence, with a
-  residual of at most 1e-6, usually in one adaptive evaluation. Matrices
+  then from that rule's root on the adaptive rule sequence, usually in one
+  adaptive evaluation. Each run stops a row at a step below 1e-9 or at its
+  100th step, and the second run's residual must be at most 1e-6. Matrices
   of one dimension are solved together: each keeps its own bracket, node
   count and stop, and every quadrature pass reduces each one on its own,
   so a threshold depends only on its matrix, not on what was solved
@@ -304,20 +305,20 @@ def _threshold_stop(coverage, slope):
     return np.maximum(_QUAD_STOP * np.minimum(1.0, slope), _COVERAGE_ROUNDING)
 
 
-def _newton(lam, alpha: float, two_sided: bool, c, low, high, node_counts, certified: bool):
+def _newton(lam, alpha: float, two_sided: bool, c, low, high, node_counts):
     """Bracketed Newton iteration on the coverage of each row, from threshold ``c`` in [low, high].
 
     Coverage and slope come from ``_factor_integral`` over ``node_counts``,
     each row stopping at the ``_threshold_stop`` bar.
-    A step that leaves the bracket is replaced by bisection; a row leaves
-    once its step is below 1e-9. ``certified`` then requires its residual
-    |coverage - (1 - alpha)| to be at most 1e-6 and raises if a row has not
-    left within 100 iterations; otherwise the rows still iterating there
-    return where they are. Returns one threshold per row.
+    A step that leaves the bracket is replaced by bisection, so every
+    iterate stays in the bracket. A row leaves once its step is below 1e-9,
+    or after its 100th step wherever that step lands. Returns each row's
+    threshold and its last residual, coverage - (1 - alpha), evaluated before
+    its last step.
     """
-    solved = np.empty(len(c))
+    solved, residual = np.empty(len(c)), np.empty(len(c))
     index = np.arange(len(c))  # the matrix of each row still iterating
-    for _ in range(100):
+    for iteration in range(100):
         coverage, slope = _factor_integral(
             lam, _coverage_and_slope, c, two_sided, node_counts=node_counts, stop=_threshold_stop
         )
@@ -330,19 +331,13 @@ def _newton(lam, alpha: float, two_sided: bool, c, low, high, node_counts, certi
         bracketed = (low <= c + step) & (c + step <= high)
         step = np.where(bracketed, step, 0.5 * (low + high) - c)
         c = c + step
-        done = np.abs(step) < 1e-9
-        if done.any():
-            if certified and (np.abs(shortfall[done]) > 1e-6).any():
-                raise ConvergenceError("critical-value residual exceeds tolerance")
-            solved[index[done]] = c[done]
-            keep = ~done
-            if not keep.any():
-                return solved
-            index, lam, low, high, c = index[keep], lam[keep], low[keep], high[keep], c[keep]
-    if certified:
-        raise ConvergenceError("critical-value search did not converge")
-    solved[index] = c
-    return solved
+        done = (np.abs(step) < 1e-9) | (iteration == 99)
+        solved[index[done]], residual[index[done]] = c[done], shortfall[done]
+        keep = ~done
+        if not keep.any():
+            break
+        index, lam, low, high, c = index[keep], lam[keep], low[keep], high[keep], c[keep]
+    return solved, residual
 
 
 def dunnett_critical_values(loadings, alpha: float, sidedness: Sidedness = Sidedness.TWO_SIDED):
@@ -356,14 +351,16 @@ def dunnett_critical_values(loadings, alpha: float, sidedness: Sidedness = Sided
     one-sided, coverage at least 1 - alpha, and the per-comparison threshold
     has coverage at most 1 - alpha, so the two bracket the root. The search
     runs ``_newton`` twice. First, from the Sidak threshold, on the first
-    rule of ``_QUAD_NODE_COUNTS`` alone, with its own copy of the bracket and
-    no residual check; its root, clamped into the bracket, starts the second
-    run, on the adaptive rule sequence and the original bracket. There a
-    row's quadrature stops once the rule gap in coverage is below 1e-9 times
-    min(1, slope), so it moves the threshold by less than 1e-9 too, and the
-    rows stop at a step below 1e-9 with a residual |coverage - (1 - alpha)| of at
-    most 1e-6. From that start the second run usually stops after one
-    adaptive evaluation. The slope comes from the same quadrature as the
+    rule of ``_QUAD_NODE_COUNTS`` alone, with its own copy of the bracket;
+    its root starts the second run, on the adaptive rule sequence and the
+    original bracket, which usually stops after one adaptive evaluation.
+    There a row's quadrature stops once the rule gap in coverage is below
+    1e-9 times min(1, slope), so it moves the threshold by less than 1e-9
+    too. A row whose Newton steps stay above 1e-9 (near alpha 1e-8 the
+    residual cannot shrink below one ulp of 1 - alpha) stops at its 100th
+    step, in a bracket narrowed by bisection. Only the second run's
+    residuals are checked: ``ConvergenceError`` is raised if one exceeds
+    1e-6 in absolute value. The slope comes from the same quadrature as the
     coverage. All rows share one quadrature pass per iteration, and each
     row's path depends only on its loadings, alpha and the sidedness, so its
     threshold is the one it gets when solved alone, bit for bit, whatever
@@ -381,9 +378,11 @@ def dunnett_critical_values(loadings, alpha: float, sidedness: Sidedness = Sided
         return low
     # Sidak: each comparison's tail is 1 - (1 - alpha)^(1/m), split over the sides
     high = np.full(k, -normal_quantile(-math.expm1(math.log1p(-alpha) / m) / sides))
-    start = _newton(lam, alpha, two_sided, high, low, high, _QUAD_NODE_COUNTS[:1], certified=False)
-    start = np.clip(start, low, high)
-    return _newton(lam, alpha, two_sided, start, low, high, _QUAD_NODE_COUNTS, certified=True)
+    start, _ = _newton(lam, alpha, two_sided, high, low, high, _QUAD_NODE_COUNTS[:1])
+    c, residual = _newton(lam, alpha, two_sided, start, low, high, _QUAD_NODE_COUNTS)
+    if (np.abs(residual) > 1e-6).any():
+        raise ConvergenceError("critical-value residual exceeds tolerance")
+    return c
 
 
 def rejection_law(

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import hypothesis.strategies as st
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 
 import platformsim
 from platformsim import adjust, engine, presets, sample_size
@@ -17,7 +17,7 @@ from platformsim.adjust import AdjustmentMethod, critical_value
 from platformsim.cli import main
 from platformsim.correlation import analytic_correlation
 from platformsim.designs import ControlMode, build_fixed_design, build_staggered_design
-from platformsim.distributions import Sidedness
+from platformsim.distributions import ConvergenceError, Sidedness
 from platformsim.engine import SimulationMode, run_scenario
 from platformsim.presets import (
     _CONFIG_KEYS,
@@ -37,6 +37,7 @@ def write_config(tmp_path, payload, name="scenario.json"):
 
 
 MINIMAL = {"m": 3, "n": 150, "control": "common", "effects": [0, 0, 0]}
+ALPHA_1E_8_DUNNETT = dict(MINIMAL, reps=100, alpha=1e-8, adjustment="dunnett")
 
 
 def output_files(result):
@@ -46,6 +47,36 @@ def output_files(result):
         for path in result.out_dir.rglob("*")
         if path.is_file()
     }
+
+
+@st.composite
+def random_configs(draw):
+    """A config payload with every field drawn, valid or not; the optional ones may be absent."""
+    m = draw(st.integers(1, 6), label="m")
+    n = draw(st.one_of(st.integers(1, 400), st.integers(1, 2**64)), label="n")
+    effect = st.one_of(st.floats(), st.integers())
+    # alpha at any scale down to below the smallest accepted value, and the edges 0 and 1
+    alpha = st.floats(0.0, 1.0) | st.floats(-16.0, 0.0).map(lambda e: 10.0**e)
+    payload = {
+        "m": m,
+        "n": n,
+        "control": draw(st.sampled_from(["common", "individual"])),
+        "effects": draw(st.lists(effect, min_size=m, max_size=m), label="effects"),
+        "alpha": draw(alpha, label="alpha"),
+        "adjustment": draw(st.sampled_from(["unadjusted", "bonferroni", "dunnett"])),
+        "sidedness": draw(st.sampled_from(["one_sided", "two_sided"])),
+        "reps": draw(st.integers(1, 200), label="reps"),
+    }
+    optional = {
+        "shift": st.integers(0, 450),
+        "kfwer_levels": st.lists(st.integers(-1, 8), max_size=4),
+        "seed": st.integers(-5, 2**70),
+    }
+    for key, strategy in optional.items():
+        value = draw(st.none() | strategy, label=key)
+        if value is not None:
+            payload[key] = value
+    return payload
 
 
 class TestLoadConfig:
@@ -132,38 +163,19 @@ class TestLoadConfig:
         threshold = critical_value(config.policy, analytic_correlation(config.design))
         assert 7.5 < threshold < 9.0
 
-    @given(st.data())
+    @given(random_configs())
+    @example(ALPHA_1E_8_DUNNETT)
     @settings(max_examples=150, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
-    def test_random_configs_run_or_name_a_field(self, tmp_path, data):
-        m = data.draw(st.integers(1, 6), label="m")
-        n = data.draw(st.one_of(st.integers(1, 400), st.integers(1, 2**64)), label="n")
-        effect = st.one_of(st.floats(), st.integers())
-        payload = {
-            "m": m,
-            "n": n,
-            "control": data.draw(st.sampled_from(["common", "individual"])),
-            "effects": data.draw(st.lists(effect, min_size=m, max_size=m), label="effects"),
-            "alpha": data.draw(st.floats(0.0, 1.0), label="alpha"),
-            "adjustment": data.draw(st.sampled_from(["unadjusted", "bonferroni", "dunnett"])),
-            "sidedness": data.draw(st.sampled_from(["one_sided", "two_sided"])),
-            "reps": data.draw(st.integers(1, 200), label="reps"),
-        }
-        optional = {
-            "shift": st.integers(0, 450),
-            "kfwer_levels": st.lists(st.integers(-1, 8), max_size=4),
-            "seed": st.integers(-5, 2**70),
-        }
-        for key, strategy in optional.items():
-            value = data.draw(st.none() | strategy, label=key)
-            if value is not None:
-                payload[key] = value
+    def test_random_configs_run_or_name_a_field(self, tmp_path, payload):
         path = write_config(tmp_path, payload)
         try:
             run_config(path, out_dir=tmp_path / "out")
         except ValueError as exc:
             named = re.search(r"config field '(\w+)'", str(exc))
             assert named and named.group(1) in _CONFIG_KEYS, str(exc)
+            # a solver that gives up is not a bad field
+            assert not isinstance(exc.__cause__, ConvergenceError), str(exc)
 
     def test_invalid_json(self, tmp_path):
         path = tmp_path / "broken.json"
@@ -612,13 +624,24 @@ class TestCli:
         assert "config field 'alpha' is too small" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
-    def test_unconverged_dunnett_search_names_field(self, tmp_path, capsys):
-        # the Dunnett search cycles at alpha = 1e-8 (ROADMAP direction 2)
-        path = write_config(tmp_path, dict(MINIMAL, reps=100, alpha=1e-8, adjustment="dunnett"))
+    def test_dunnett_config_in_the_convergence_band_runs(self, tmp_path):
+        # alpha = 1e-8 is where Newton steps stay above the step stop (ROADMAP direction 2)
+        path = write_config(tmp_path, ALPHA_1E_8_DUNNETT)
+        code = main(["--config", str(path), "--out", str(tmp_path / "o")])
+        assert code == 0
+        assert (tmp_path / "o" / "results.csv").is_file()
+
+    def test_unconverged_dunnett_search_names_field(self, tmp_path, capsys, monkeypatch):
+        def unconverged(*args, **kwargs):
+            raise ConvergenceError("critical-value residual exceeds tolerance")
+
+        monkeypatch.setattr(adjust, "dunnett_critical_values", unconverged)
+        monkeypatch.setattr(adjust, "_dunnett_cache", {})
+        path = write_config(tmp_path, dict(MINIMAL, reps=100, adjustment="dunnett"))
         code = main(["--config", str(path), "--out", str(tmp_path / "o")])
         assert code == 1
         err = capsys.readouterr().err
-        assert "config field 'alpha':" in err and "did not converge at alpha=1e-08" in err
+        assert "config field 'alpha':" in err and "did not converge at alpha=0.05" in err
         assert not (tmp_path / "o").exists()
 
     def test_console_script_help(self):
