@@ -550,8 +550,8 @@ class TestDunnettNewton:
     @pytest.mark.parametrize("sidedness", list(Sidedness))
     def test_solves_in_the_convergence_band(self, m, alpha, sidedness):
         # rho = 0.5: near alpha 1e-8 the shortfall cannot shrink below one ulp
-        # of 1 - alpha, every Newton step lands on the other end of the
-        # bracket, and a row stops at its 100th step
+        # of 1 - alpha, so a Newton step can stay above the step stop and the
+        # row then stops at its 100th step
         sides = 2.0 if sidedness is Sidedness.TWO_SIDED else 1.0
         spec = equicorrelated_spec(m, 0.5)
         value = dunnett_threshold(spec, alpha, sidedness)
