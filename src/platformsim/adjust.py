@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from enum import Enum
 
@@ -20,7 +21,8 @@ class AdjustmentMethod(Enum):
 class AdjustmentPolicy:
     """A multiplicity rule: which threshold each |z| is compared against.
 
-    ``method`` and ``sidedness`` take a member or its value string.
+    ``method`` and ``sidedness`` take a member or its value string; ``alpha``
+    must be a real number (not a bool) strictly between 0 and 1.
     """
 
     method: AdjustmentMethod
@@ -30,7 +32,8 @@ class AdjustmentPolicy:
     def __post_init__(self):
         object.__setattr__(self, "method", _choice("method", AdjustmentMethod, self.method))
         object.__setattr__(self, "sidedness", _choice("sidedness", Sidedness, self.sidedness))
-        if not 0.0 < self.alpha < 1.0:
+        alpha = self.alpha
+        if isinstance(alpha, bool) or not isinstance(alpha, numbers.Real) or not 0 < alpha < 1:
             raise ValueError("alpha must lie strictly between 0 and 1")
 
 

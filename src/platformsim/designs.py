@@ -257,7 +257,7 @@ def build_staggered_design(n_per_arm: int, shift: int) -> PlatformDesign:
     if n_per_arm < 1:
         raise ValueError("need at least one patient per arm")
     if not 0 <= shift <= n_per_arm:
-        raise ValueError("shift must lie between 0 and the per-arm sample size")
+        raise ValueError(f"shift must lie between 0 and the per-arm sample size n={n_per_arm}, got {shift}")
     return _late_entry_design(shift, n_per_arm - shift, shift)
 
 

@@ -310,11 +310,11 @@ def _newton(lam, alpha: float, two_sided: bool, c, low, high, node_counts):
 
     Coverage and slope come from ``_factor_integral`` over ``node_counts``,
     each row stopping at the ``_threshold_stop`` bar.
-    A step that leaves the bracket is replaced by bisection, so every
-    iterate stays in the bracket. A row leaves once its step is below 1e-9,
-    or after its 100th step wherever that step lands. Returns each row's
-    threshold and its last residual, coverage - (1 - alpha), evaluated before
-    its last step.
+    A step that leaves the bracket, or is not finite (a zero or tiny slope),
+    is replaced by bisection, so every iterate stays in the bracket. A row
+    leaves once its step is below 1e-9, or after its 100th step wherever that
+    step lands. Returns each row's threshold and its last residual,
+    coverage - (1 - alpha), evaluated before its last step.
     """
     solved, residual = np.empty(len(c)), np.empty(len(c))
     index = np.arange(len(c))  # the matrix of each row still iterating
@@ -326,8 +326,8 @@ def _newton(lam, alpha: float, two_sided: bool, c, low, high, node_counts):
         short = shortfall < 0.0
         low = np.where(short, c, low)
         high = np.where(short, high, c)
-        step = np.full(len(c), np.inf)
-        np.divide(-shortfall, slope, out=step, where=slope > 0.0)
+        with np.errstate(all="ignore"):
+            step = -shortfall / slope
         bracketed = (low <= c + step) & (c + step <= high)
         step = np.where(bracketed, step, 0.5 * (low + high) - c)
         c = c + step

@@ -92,6 +92,8 @@ class ScenarioConfig:
         m = self.design.num_arms
         if self.kfwer_levels is None:
             levels = tuple(k for k in (1, 2, 3) if k <= m)
+        elif not isinstance(self.kfwer_levels, (list, tuple)):
+            raise ValueError(f"k-FWER levels must be a list or tuple, got {self.kfwer_levels!r}")
         else:
             levels = tuple(_checked_int("k-FWER level", k, 1) for k in self.kfwer_levels)
         object.__setattr__(self, "kfwer_levels", levels)

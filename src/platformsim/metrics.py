@@ -31,7 +31,8 @@ class OperatingCharacteristics:
 
     ``kfwer`` holds k = 1, the FWER. Power fields are None under the global
     null (no effective arms), and ``marginal_power`` entries are None for
-    arms whose null is true.
+    arms whose null is true. The fields are not checked here:
+    ``characteristics_from_counts`` derives them from a checked table.
     """
 
     reps: int
@@ -40,21 +41,6 @@ class OperatingCharacteristics:
     marginal_power: tuple[Estimate | None, ...] | None
     disjunctive_power: Estimate | None
     conjunctive_power: Estimate | None
-
-    def __post_init__(self):
-        if self.reps < 1:
-            raise ValueError("need at least one replication")
-        for k, est in self.kfwer.items():
-            if k < 1:
-                raise ValueError("k-FWER levels must be at least 1")
-            if not 0.0 <= est.value <= 1.0:
-                raise ValueError(f"k-FWER estimate for k={k} outside [0, 1]")
-        levels = sorted(self.kfwer)
-        for a, b in zip(levels, levels[1:]):
-            if self.kfwer[a].value < self.kfwer[b].value:
-                raise ValueError("k-FWER must be non-increasing in k")
-        if self.pfer.value < 0.0:
-            raise ValueError("PFER cannot be negative")
 
     @property
     def fwer(self) -> Estimate:
@@ -128,13 +114,17 @@ def characteristics_from_counts(
     rejections, shape (nulls + 1, effectives + 1). ``per_arm_rejections[j]``
     counts the replications that rejected arm j, and ``effective[j]`` is
     True when arm j's null is false. k-FWER is reported at
-    ``sorted(kfwer_levels ∪ {1})``.
+    ``sorted(kfwer_levels ∪ {1})``. The table must hold non-negative counts
+    that total ``reps``, at least 1, so every proportion lies in [0, 1],
+    k-FWER does not grow with k and PFER is not negative.
     """
     eff = np.asarray(effective, dtype=bool)
     n_true = int(eff.sum())
     joint = np.asarray(joint)
     if joint.shape != (eff.size - n_true + 1, n_true + 1):
         raise ValueError("joint table must have shape (nulls + 1, effectives + 1)")
+    if reps < 1 or (joint < 0).any() or joint.sum() != reps:
+        raise ValueError(f"joint table must hold non-negative counts that total reps={reps}, at least 1")
     arm_counts = np.asarray(per_arm_rejections)
     if arm_counts.shape != eff.shape:
         raise ValueError("per-arm rejection counts must match the comparison count")

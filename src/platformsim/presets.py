@@ -582,7 +582,12 @@ def load_config(path) -> ScenarioConfig:
     """Load and validate a single-scenario JSON configuration.
 
     Unknown keys are rejected; defaults are alpha 0.05 two-sided, no
-    adjustment, and the engine's default replications, seed and mode.
+    adjustment, and the engine's default replications, seed and mode. Here
+    each value is checked only for its JSON form: presence, an integer, a
+    list, a named choice. Its range is the rule of the builder or type that
+    takes it (the design builders, ``comparison_mean_shifts``,
+    ``AdjustmentPolicy`` and ``ScenarioConfig``), whose ValueError is
+    prefixed with ``config field '<key>': ``.
     """
     with open(path, "r", encoding="utf-8") as fh:
         try:
@@ -606,6 +611,12 @@ def load_config(path) -> ScenarioConfig:
         value = field(key, default, required)
         return None if value is None else _checked_int(f"config field '{key}'", value, minimum)
 
+    def named(key, build, *args):
+        try:
+            return build(*args)
+        except ValueError as exc:
+            raise ValueError(f"config field '{key}': {exc}") from exc
+
     m = int_field("m", required=True, minimum=1)
     n = int_field("n", required=True, minimum=1)
     control = _choice("config field 'control'", ControlMode, field("control", required=True))
@@ -613,25 +624,17 @@ def load_config(path) -> ScenarioConfig:
     if not isinstance(effects, list) or not all(isinstance(e, (int, float)) and not isinstance(e, bool) for e in effects):
         raise ValueError("config field 'effects' must be a list of numbers")
     shift = int_field("shift", minimum=0)
-    if shift is not None:
-        if control is not ControlMode.COMMON or m != 3:
-            raise ValueError("config field 'shift' needs control='common' and m=3")
-        if shift > n:
-            raise ValueError(f"config field 'shift' must be at most n={n}, got {shift}")
-    try:  # m, control and shift are checked above, so a design can refuse only a count
-        design = build_fixed_design(m, n, control) if shift is None else build_staggered_design(n, shift)
-    except ValueError as exc:
-        raise ValueError(f"config field 'n': {exc}") from exc
-    try:
-        comparison_mean_shifts(design, effects)
-    except ValueError as exc:
-        raise ValueError(f"config field 'effects': {exc}") from exc
-    alpha = field("alpha", 0.05)
-    if not isinstance(alpha, (int, float)) or isinstance(alpha, bool) or not 0 < alpha < 1:
-        raise ValueError("config field 'alpha' must lie strictly between 0 and 1")
+    if shift is None:  # m, n and control are checked above, so a fixed design can refuse only a count
+        design = named("n", build_fixed_design, m, n, control)
+    elif control is not ControlMode.COMMON or m != 3:
+        raise ValueError("config field 'shift' needs control='common' and m=3")
+    else:
+        design = named("shift", build_staggered_design, n, shift)
+    named("effects", comparison_mean_shifts, design, effects)
     adjustment = _choice("config field 'adjustment'", AdjustmentMethod, field("adjustment", "unadjusted"))
     sidedness = _choice("config field 'sidedness'", Sidedness, field("sidedness", "two_sided"))
-    policy = AdjustmentPolicy(adjustment, float(alpha), sidedness)
+    alpha = field("alpha", 0.05)
+    policy = named("alpha", AdjustmentPolicy, adjustment, alpha, sidedness)
     try:
         critical_values([(policy, design)])  # a Dunnett threshold is memoized for the process
     except ValueError as exc:
@@ -644,20 +647,10 @@ def load_config(path) -> ScenarioConfig:
     seed = int_field("seed", DEFAULT_SEED, minimum=0)
     mode = _choice("config field 'mode'", SimulationMode, field("mode", DEFAULT_MODE.value))
     levels = field("kfwer_levels")  # absent: the engine's default levels
-    if "kfwer_levels" in data:
-        if not isinstance(levels, list) or not all(isinstance(k, int) and not isinstance(k, bool) for k in levels):
-            raise ValueError("config field 'kfwer_levels' must be a list of integers")
-        if not all(1 <= k <= m for k in levels):
-            raise ValueError(f"config field 'kfwer_levels' must lie in 1..m={m}, got {levels}")
-    return ScenarioConfig(
-        design=design,
-        effects=tuple(float(e) for e in effects),
-        policy=policy,
-        reps=reps,
-        seed=seed,
-        mode=mode,
-        kfwer_levels=levels,
-    )
+    if "kfwer_levels" in data and not isinstance(levels, list):
+        raise ValueError("config field 'kfwer_levels' must be a list of integers")
+    # every other field is checked above, so the scenario can refuse only its k-FWER levels
+    return named("kfwer_levels", ScenarioConfig, design, effects, policy, reps, seed, mode, levels)
 
 
 def run_config(path, overrides=None, out_dir="results") -> PresetResult:

@@ -75,6 +75,14 @@ class TestDecisions:
         with pytest.raises(ValueError):
             AdjustmentPolicy(AdjustmentMethod.UNADJUSTED, alpha=1.5)
 
+    @pytest.mark.parametrize("alpha", ["0.05", None, True])
+    def test_rejects_alpha_that_is_not_a_number(self, alpha):
+        with pytest.raises(ValueError, match="^alpha must lie strictly between 0 and 1$"):
+            AdjustmentPolicy(AdjustmentMethod.DUNNETT, alpha)
+
+    def test_accepts_a_numpy_float_alpha(self):
+        assert AdjustmentPolicy(AdjustmentMethod.DUNNETT, np.float32(0.05)).alpha == np.float32(0.05)
+
     def test_closed_form_needs_a_closed_form_method(self):
         with pytest.raises(ValueError, match="needs the comparisons' correlation matrix"):
             adjust.closed_form_threshold(DUNN, 3)

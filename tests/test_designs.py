@@ -101,7 +101,7 @@ class TestBuildStaggeredDesign:
     @pytest.mark.parametrize(
         "n, shift, message",
         [(0, 0, "need at least one patient per arm"),
-         (150, -1, "shift must lie between 0 and the per-arm sample size")],
+         (150, -1, "shift must lie between 0 and the per-arm sample size n=150, got -1")],
     )
     def test_rejects_bad_arguments(self, n, shift, message):
         with pytest.raises(ValueError, match=f"^{message}$"):

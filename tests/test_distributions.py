@@ -528,6 +528,19 @@ class TestDunnettNewton:
         assert a_first.hex() == a_second.hex()
         assert b_first.hex() == b_second.hex()
 
+    def test_step_over_a_tiny_slope_bisects_without_a_warning(self):
+        # loadings this near 1 make the slope so small that -shortfall / slope overflows to inf,
+        # a RuntimeWarning that the pytest settings turn into an error
+        alpha = 1.3653639700814313e-08
+        (value,) = distributions.dunnett_critical_values(
+            [[0.9999923058847549, 0.9999884870960002]], alpha, Sidedness.ONE_SIDED
+        )
+        per_comparison = normal_quantile(1.0 - alpha)
+        # Sidak: each comparison's tail is 1 - (1 - alpha)^(1/2)
+        sidak = -normal_quantile(-math.expm1(math.log1p(-alpha) / 2))
+        assert math.isfinite(value)
+        assert per_comparison <= value <= sidak
+
     @pytest.mark.xfail(strict=True, reason="far-tail thresholds are anti-conservative (ROADMAP direction 1)")
     def test_far_tail_threshold_meets_alpha(self):
         # m = 3, rho = 0.5, one-sided, alpha = 1e-15: the 40-digit root is

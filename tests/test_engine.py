@@ -256,6 +256,12 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match="k-FWER"):
             ScenarioConfig(design, (0.0, 0.0), UNADJ, kfwer_levels=(1, 3))
 
+    @pytest.mark.parametrize("levels", [5, "12", {1: 1}])
+    def test_kfwer_levels_must_be_a_list_or_tuple(self, levels):
+        design = build_fixed_design(3, 150, ControlMode.COMMON)
+        with pytest.raises(ValueError, match="^k-FWER levels must be a list or tuple, got "):
+            ScenarioConfig(design, (0.0,) * 3, UNADJ, kfwer_levels=levels)
+
     @pytest.mark.parametrize("m", [1, 2, 3, 5])
     def test_default_kfwer_levels_are_cut_at_m(self, m):
         design = build_fixed_design(m, 150, ControlMode.COMMON)

@@ -53,6 +53,12 @@ class TestTallyOutcomes:
         with pytest.raises(ValueError, match="joint table must have"):
             characteristics_from_counts(**dict(counts, joint=counts["joint"].ravel()))
 
+    @pytest.mark.parametrize("joint", [[[1, 1]], [[5, -1]]], ids=["total-2", "negative"])
+    def test_table_must_hold_non_negative_counts_that_total_reps(self, joint):
+        # one effective arm: a (1, 2) table, here for reps = 4
+        with pytest.raises(ValueError, match="non-negative counts that total reps=4"):
+            characteristics_from_counts(4, np.array(joint), [1], [True], (1,))
+
     @given(
         st.lists(st.booleans(), min_size=1, max_size=8),
         st.data(),

@@ -150,6 +150,13 @@ class TestLoadConfig:
         with pytest.raises(ValueError, match="config field 'alpha'"):
             load_config(write_config(tmp_path, payload))
 
+    @pytest.mark.parametrize("alpha", ["0.05", True, None, 1.5])
+    def test_alpha_out_of_range_or_not_a_number_names_field(self, tmp_path, alpha):
+        # AdjustmentPolicy's own rule, prefixed with the field name
+        message = "config field 'alpha': alpha must lie strictly between 0 and 1"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            load_config(write_config(tmp_path, dict(MINIMAL, alpha=alpha)))
+
     def test_smallest_alpha_depends_on_the_adjustment(self, tmp_path):
         # 1 - 1e-16 stays below 1 in floating point, 1 - 1e-16 / 3 does not
         config = load_config(write_config(tmp_path, dict(MINIMAL, alpha=2e-16)))
